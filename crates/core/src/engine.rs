@@ -1270,7 +1270,8 @@ impl Engine {
         // Admit every fresh result (executed misses and subsumption
         // rollups — exact hits are already resident), seeded with its
         // estimated solo production cost: the simulated time a future hit
-        // saves, which is what eviction ranks by.
+        // saves, which is what eviction ranks by. Alone, a query's plan
+        // under every optimizer is its best local plan.
         if let Some(cache) = &mut self.cache {
             let cm = CostModel::new(&self.cube, self.ctx.model);
             for oc in routed.iter().flatten().flatten() {
@@ -1278,9 +1279,7 @@ impl Engine {
                     if cache.contains_exact(&r.query) {
                         continue;
                     }
-                    let cost = optimizer
-                        .run(&cm, std::slice::from_ref(&r.query))
-                        .map_or(SimTime::ZERO, |p| p.estimated_cost);
+                    let cost = cm.best_local(&r.query).map_or(SimTime::ZERO, |(_, _, c)| c);
                     cache.insert(r.query.clone(), r.clone(), cost);
                 }
             }

@@ -19,13 +19,22 @@
 //! Queries are processed in the paper's "Sort G by GroupbyLevel" order:
 //! finest target group-by first (ties keep input order), so the most
 //! demanding queries anchor classes early.
+//!
+//! Each run prices through one `Pricer`: a class under construction
+//! holds query *indices*, and every (query, table) pair is costed once,
+//! however many candidate classes the search tries it in.
+
+use std::iter;
 
 use starshare_olap::{GroupByQuery, TableId};
 use starshare_storage::SimTime;
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, Pricer};
 use crate::error::OptError;
 use crate::plan::{GlobalPlan, JoinMethod, PlanClass, QueryPlan};
+
+/// Largest assignment space [`optimal`] searches.
+const MAX_ASSIGNMENTS: usize = 200_000;
 
 /// Which optimizer to run (for harnesses that sweep all of them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,57 +80,72 @@ impl std::fmt::Display for OptimizerKind {
     }
 }
 
-/// A class under construction.
+/// A class under construction; members are indices into the run's query
+/// list.
 #[derive(Debug, Clone)]
-struct ClassState {
-    table: TableId,
-    queries: Vec<GroupByQuery>,
-    methods: Vec<JoinMethod>,
-    cost: SimTime,
+pub(crate) struct ClassState {
+    pub(crate) table: TableId,
+    pub(crate) members: Vec<usize>,
+    pub(crate) methods: Vec<JoinMethod>,
+    pub(crate) cost: SimTime,
 }
 
 impl ClassState {
-    fn plans(&self) -> Vec<(&GroupByQuery, JoinMethod)> {
-        self.queries
-            .iter()
-            .zip(self.methods.iter().copied())
-            .collect()
+    fn singleton(table: TableId, qi: usize, method: JoinMethod, cost: SimTime) -> Self {
+        ClassState {
+            table,
+            members: vec![qi],
+            methods: vec![method],
+            cost,
+        }
     }
 
-    fn into_plan_class(self) -> PlanClass {
-        PlanClass {
-            table: self.table,
-            plans: self
-                .queries
-                .into_iter()
-                .zip(self.methods)
-                .map(|(query, method)| QueryPlan { query, method })
-                .collect(),
-        }
+    /// `(member, method)` pairs, for pricing.
+    fn plans(&self) -> impl Iterator<Item = (usize, JoinMethod)> + Clone + '_ {
+        self.members
+            .iter()
+            .copied()
+            .zip(self.methods.iter().copied())
     }
 }
 
-fn finalize(classes: Vec<ClassState>) -> GlobalPlan {
+/// The finished plan, each member query cloned out of the run's list once.
+pub(crate) fn finalize(pr: &Pricer<'_, '_>, classes: Vec<ClassState>) -> GlobalPlan {
     let estimated_cost = classes.iter().map(|c| c.cost).sum();
     GlobalPlan {
         classes: classes
             .into_iter()
-            .map(ClassState::into_plan_class)
+            .map(|c| PlanClass {
+                table: c.table,
+                plans: c
+                    .members
+                    .iter()
+                    .zip(c.methods)
+                    .map(|(&qi, method)| QueryPlan {
+                        query: pr.query(qi).clone(),
+                        method,
+                    })
+                    .collect(),
+            })
             .collect(),
         estimated_cost,
     }
 }
 
-/// The paper's processing order: finest group-by first, input order on ties.
-fn sorted_by_level(cm: &CostModel<'_>, queries: &[GroupByQuery]) -> Vec<GroupByQuery> {
+/// The paper's processing order, as indices into `queries`: finest
+/// group-by first, input order on ties.
+pub(crate) fn sorted_by_level(cm: &CostModel<'_>, queries: &[GroupByQuery]) -> Vec<usize> {
     let schema = &cm.cube().schema;
-    let mut qs: Vec<(u32, usize, GroupByQuery)> = queries
-        .iter()
-        .enumerate()
-        .map(|(i, q)| (q.group_by.coarseness(schema), i, q.clone()))
-        .collect();
-    qs.sort_by_key(|(lvl, i, _)| (*lvl, *i));
-    qs.into_iter().map(|(_, _, q)| q).collect()
+    let mut order: Vec<usize> = (0..queries.len()).collect();
+    order.sort_by_key(|&qi| (queries[qi].group_by.coarseness(schema), qi));
+    order
+}
+
+fn unanswerable(pr: &Pricer<'_, '_>, qi: usize) -> OptError {
+    OptError::new(format!(
+        "no table can answer {}",
+        pr.query(qi).display(&pr.cube().schema)
+    ))
 }
 
 /// §4 — Two Phase Local Optimal.
@@ -130,54 +154,27 @@ fn sorted_by_level(cm: &CostModel<'_>, queries: &[GroupByQuery]) -> Vec<GroupByQ
 /// independently. Phase two: merge plans sharing a base table into classes
 /// so the shared operators apply at evaluation time.
 pub fn tplo(cm: &CostModel<'_>, queries: &[GroupByQuery]) -> Result<GlobalPlan, OptError> {
+    let pr = Pricer::new(cm, queries);
     let mut classes: Vec<ClassState> = Vec::new();
-    for q in sorted_by_level(cm, queries) {
-        let (t, m, _) = cm
-            .best_local(&q)
-            .ok_or_else(|| format!("no table can answer {}", q.display(&cm.cube().schema)))?;
+    for qi in sorted_by_level(cm, queries) {
+        let (t, m, _) = pr
+            .best_standalone(qi, &[])
+            .ok_or_else(|| unanswerable(&pr, qi))?;
         match classes.iter_mut().find(|c| c.table == t) {
             Some(c) => {
-                c.queries.push(q);
+                c.members.push(qi);
                 c.methods.push(m);
             }
-            None => classes.push(ClassState {
-                table: t,
-                queries: vec![q],
-                methods: vec![m],
-                cost: SimTime::ZERO,
-            }),
+            None => classes.push(ClassState::singleton(t, qi, m, SimTime::ZERO)),
         }
     }
     // Price the merged classes (methods stay as locally chosen).
     for c in &mut classes {
-        c.cost = cm
-            .class_cost(c.table, &c.plans())
+        c.cost = pr
+            .class_cost(c.table, c.plans())
             .expect("local plans are valid for their tables");
     }
-    Ok(finalize(classes))
-}
-
-/// The best *unused* materialized view for `q`: cheapest standalone plan
-/// over tables not already owned by a class.
-fn best_unused(
-    cm: &CostModel<'_>,
-    q: &GroupByQuery,
-    used: &[TableId],
-) -> Option<(TableId, JoinMethod, SimTime)> {
-    let mut best: Option<(TableId, JoinMethod, SimTime)> = None;
-    for t in cm.cube().catalog.candidates_for(q) {
-        if used.contains(&t) {
-            continue;
-        }
-        for m in [JoinMethod::Hash, JoinMethod::Index] {
-            if let Some(c) = cm.standalone(q, t, m) {
-                if best.as_ref().is_none_or(|(_, _, bc)| c < *bc) {
-                    best = Some((t, m, c));
-                }
-            }
-        }
-    }
-    best
+    Ok(finalize(&pr, classes))
 }
 
 /// §5 — Extended Two Phase Local Greedy.
@@ -188,17 +185,17 @@ fn best_unused(
 /// class when the margin wins; otherwise open a new class on the unused
 /// view and retire it from the unused set.
 pub fn etplg(cm: &CostModel<'_>, queries: &[GroupByQuery]) -> Result<GlobalPlan, OptError> {
+    let pr = Pricer::new(cm, queries);
     let mut classes: Vec<ClassState> = Vec::new();
     let mut used: Vec<TableId> = Vec::new();
-    for q in sorted_by_level(cm, queries) {
-        let unused = best_unused(cm, &q, &used);
+    for qi in sorted_by_level(cm, queries) {
+        let unused = pr.best_standalone(qi, &used);
         // Best marginal addition across classes.
         let mut best_add: Option<(usize, JoinMethod, SimTime, SimTime)> = None; // (class, method, new_cost, delta)
         for (i, c) in classes.iter().enumerate() {
             for m in [JoinMethod::Hash, JoinMethod::Index] {
-                let mut plans = c.plans();
-                plans.push((&q, m));
-                if let Some(new_cost) = cm.class_cost(c.table, &plans) {
+                let plans = c.plans().chain(iter::once((qi, m)));
+                if let Some(new_cost) = pr.class_cost(c.table, plans) {
                     let delta = new_cost.saturating_sub(c.cost);
                     if best_add.as_ref().is_none_or(|(_, _, _, bd)| delta < *bd) {
                         best_add = Some((i, m, new_cost, delta));
@@ -206,47 +203,25 @@ pub fn etplg(cm: &CostModel<'_>, queries: &[GroupByQuery]) -> Result<GlobalPlan,
                 }
             }
         }
-        match (unused, best_add) {
-            (Some((t, m, cost)), Some((ci, cm_, new_cost, delta))) => {
-                if delta <= cost {
-                    let c = &mut classes[ci];
-                    c.queries.push(q);
-                    c.methods.push(cm_);
-                    c.cost = new_cost;
-                } else {
-                    used.push(t);
-                    classes.push(ClassState {
-                        table: t,
-                        queries: vec![q],
-                        methods: vec![m],
-                        cost,
-                    });
-                }
-            }
-            (Some((t, m, cost)), None) => {
-                used.push(t);
-                classes.push(ClassState {
-                    table: t,
-                    queries: vec![q],
-                    methods: vec![m],
-                    cost,
-                });
-            }
-            (None, Some((ci, cm_, new_cost, _))) => {
-                let c = &mut classes[ci];
-                c.queries.push(q);
-                c.methods.push(cm_);
-                c.cost = new_cost;
-            }
-            (None, None) => {
-                return Err(OptError::new(format!(
-                    "no table can answer {}",
-                    q.display(&cm.cube().schema)
-                )))
-            }
+        let join = match (unused, best_add) {
+            (Some((_, _, cost)), Some((_, _, _, delta))) => delta <= cost,
+            (Some(_), None) => false,
+            (None, Some(_)) => true,
+            (None, None) => return Err(unanswerable(&pr, qi)),
+        };
+        if join {
+            let (ci, m, new_cost, _) = best_add.expect("checked above");
+            let c = &mut classes[ci];
+            c.members.push(qi);
+            c.methods.push(m);
+            c.cost = new_cost;
+        } else {
+            let (t, m, cost) = unused.expect("checked above");
+            used.push(t);
+            classes.push(ClassState::singleton(t, qi, m, cost));
         }
     }
-    Ok(finalize(classes))
+    Ok(finalize(&pr, classes))
 }
 
 /// §6 — Global Greedy.
@@ -256,55 +231,54 @@ pub fn etplg(cm: &CostModel<'_>, queries: &[GroupByQuery]) -> Result<GlobalPlan,
 /// Example 2 move), re-planning every member on `S'` if it differs from the
 /// current base. Classes that converge on the same base are merged.
 pub fn gg(cm: &CostModel<'_>, queries: &[GroupByQuery]) -> Result<GlobalPlan, OptError> {
+    let pr = Pricer::new(cm, queries);
+    let classes = gg_classes(&pr, &sorted_by_level(cm, queries))?;
+    Ok(finalize(&pr, classes))
+}
+
+/// GG's search over the queries in `order`, returning its classes.
+pub(crate) fn gg_classes(
+    pr: &Pricer<'_, '_>,
+    order: &[usize],
+) -> Result<Vec<ClassState>, OptError> {
     let mut classes: Vec<ClassState> = Vec::new();
     let mut used: Vec<TableId> = Vec::new();
-    for q in sorted_by_level(cm, queries) {
-        let unused = best_unused(cm, &q, &used);
+    // The method vector being priced and the best one so far, reused
+    // across every candidate.
+    let mut trial: Vec<JoinMethod> = Vec::new();
+    let mut best_methods: Vec<JoinMethod> = Vec::new();
+    for &qi in order {
+        let unused = pr.best_standalone(qi, &used);
         // For each class: the best base (its own, or any table not owned by
         // another class) for class ∪ {q}, with methods re-chosen.
-        let mut best_add: Option<(usize, TableId, Vec<JoinMethod>, SimTime, SimTime)> = None;
+        let mut best_add: Option<(usize, TableId, SimTime, SimTime)> = None;
         for (i, c) in classes.iter().enumerate() {
-            let member_refs: Vec<&GroupByQuery> =
-                c.queries.iter().chain(std::iter::once(&q)).collect();
-            let mut candidate_tables: Vec<TableId> = cm
-                .cube()
-                .catalog
-                .candidates_for(&q)
-                .into_iter()
-                .filter(|t| *t == c.table || !used.contains(t))
-                .collect();
-            candidate_tables.dedup();
-            for t in candidate_tables {
-                if let Some((methods, new_cost)) = cm.best_method_assignment(t, &member_refs) {
+            for &t in pr.candidates(qi) {
+                if t != c.table && used.contains(&t) {
+                    continue;
+                }
+                let members = c.members.iter().copied().chain(iter::once(qi));
+                if let Some(new_cost) = pr.best_methods(t, members, &mut trial) {
                     let delta = new_cost.saturating_sub(c.cost);
-                    if best_add.as_ref().is_none_or(|(_, _, _, _, bd)| delta < *bd) {
-                        best_add = Some((i, t, methods, new_cost, delta));
+                    if best_add.as_ref().is_none_or(|(_, _, _, bd)| delta < *bd) {
+                        best_add = Some((i, t, new_cost, delta));
+                        std::mem::swap(&mut trial, &mut best_methods);
                     }
                 }
             }
         }
         let open_new = match (&unused, &best_add) {
-            (Some((_, _, cost)), Some((_, _, _, _, delta))) => *delta > *cost,
+            (Some((_, _, cost)), Some((_, _, _, delta))) => *delta > *cost,
             (Some(_), None) => true,
             (None, Some(_)) => false,
-            (None, None) => {
-                return Err(OptError::new(format!(
-                    "no table can answer {}",
-                    q.display(&cm.cube().schema)
-                )))
-            }
+            (None, None) => return Err(unanswerable(pr, qi)),
         };
         if open_new {
             let (t, m, cost) = unused.expect("checked above");
             used.push(t);
-            classes.push(ClassState {
-                table: t,
-                queries: vec![q],
-                methods: vec![m],
-                cost,
-            });
+            classes.push(ClassState::singleton(t, qi, m, cost));
         } else {
-            let (ci, t, methods, new_cost, _) = best_add.expect("checked above");
+            let (ci, t, new_cost, _) = best_add.expect("checked above");
             let old_table = classes[ci].table;
             if t != old_table {
                 // Re-base: the old base returns to the unused pool.
@@ -313,31 +287,29 @@ pub fn gg(cm: &CostModel<'_>, queries: &[GroupByQuery]) -> Result<GlobalPlan, Op
             }
             let c = &mut classes[ci];
             c.table = t;
-            c.queries.push(q);
-            c.methods = methods;
+            c.members.push(qi);
+            c.methods.clone_from(&best_methods);
             c.cost = new_cost;
-            merge_classes_on_same_base(cm, &mut classes);
+            merge_classes_on_same_base(pr, &mut classes);
         }
     }
-    Ok(finalize(classes))
+    Ok(classes)
 }
 
 /// GG's `MergeClass()` step: classes that converged on one base table are
 /// merged (their union is re-method-assigned and re-priced).
-fn merge_classes_on_same_base(cm: &CostModel<'_>, classes: &mut Vec<ClassState>) {
+fn merge_classes_on_same_base(pr: &Pricer<'_, '_>, classes: &mut Vec<ClassState>) {
     let mut i = 0;
     while i < classes.len() {
         let mut j = i + 1;
         while j < classes.len() {
             if classes[i].table == classes[j].table {
                 let absorbed = classes.remove(j);
-                classes[i].queries.extend(absorbed.queries);
-                let member_refs: Vec<&GroupByQuery> = classes[i].queries.iter().collect();
-                let (methods, cost) = cm
-                    .best_method_assignment(classes[i].table, &member_refs)
+                let c = &mut classes[i];
+                c.members.extend(absorbed.members);
+                c.cost = pr
+                    .best_methods(c.table, c.members.iter().copied(), &mut c.methods)
                     .expect("both classes were valid on this table");
-                classes[i].methods = methods;
-                classes[i].cost = cost;
             } else {
                 j += 1;
             }
@@ -349,56 +321,57 @@ fn merge_classes_on_same_base(cm: &CostModel<'_>, classes: &mut Vec<ClassState>)
 /// Exhaustive optimal: every assignment of queries to candidate tables,
 /// with per-class optimal method vectors.
 ///
-/// Fails if the assignment space exceeds ~200 000 (the paper uses this
+/// Fails if the assignment space exceeds 200 000 (the paper uses this
 /// search only as a yardstick on 3-query workloads).
 pub fn optimal(cm: &CostModel<'_>, queries: &[GroupByQuery]) -> Result<GlobalPlan, OptError> {
-    let qs = sorted_by_level(cm, queries);
-    if qs.is_empty() {
+    let pr = Pricer::new(cm, queries);
+    let order = sorted_by_level(cm, queries);
+    if order.is_empty() {
         return Ok(GlobalPlan::default());
     }
-    let cands: Vec<Vec<TableId>> = qs
+    if let Some(&qi) = order.iter().find(|&&qi| pr.candidates(qi).is_empty()) {
+        return Err(unanswerable(&pr, qi));
+    }
+    let space = order
         .iter()
-        .map(|q| {
-            let c = cm.cube().catalog.candidates_for(q);
-            if c.is_empty() {
-                Err(format!(
-                    "no table can answer {}",
-                    q.display(&cm.cube().schema)
-                ))
-            } else {
-                Ok(c)
-            }
-        })
-        .collect::<Result<_, _>>()?;
-    let space: usize = cands.iter().map(Vec::len).product();
-    if space > 200_000 {
+        .try_fold(1usize, |s, &qi| s.checked_mul(pr.candidates(qi).len()));
+    if space.is_none_or(|s| s > MAX_ASSIGNMENTS) {
+        let shown = space.map_or_else(|| format!("over {}", usize::MAX), |s| s.to_string());
         return Err(OptError::new(format!(
-            "optimal search space too large ({space} assignments)"
+            "optimal search space too large ({shown} assignments)"
         )));
     }
 
-    let mut best: Option<(Vec<TableId>, SimTime)> = None;
-    let mut choice = vec![0usize; qs.len()];
-    'assignments: loop {
-        // Group queries by assigned table.
-        let mut tables: Vec<TableId> = Vec::new();
-        for (qi, &ci) in choice.iter().enumerate() {
-            let t = cands[qi][ci];
+    // `choice[k]` picks a candidate table for the k-th query in `order`;
+    // `at[k]` is that table, and `tables` the distinct ones in first-use
+    // order.
+    let place = |choice: &[usize], at: &mut Vec<TableId>, tables: &mut Vec<TableId>| {
+        at.clear();
+        tables.clear();
+        for (k, &qi) in order.iter().enumerate() {
+            let t = pr.candidates(qi)[choice[k]];
+            at.push(t);
             if !tables.contains(&t) {
                 tables.push(t);
             }
         }
+    };
+    let mut best: Option<(Vec<usize>, SimTime)> = None;
+    let mut choice = vec![0usize; order.len()];
+    let (mut at, mut tables) = (Vec::new(), Vec::new());
+    let mut methods: Vec<JoinMethod> = Vec::new();
+    'assignments: loop {
+        place(&choice, &mut at, &mut tables);
         let mut total = SimTime::ZERO;
         let mut feasible = true;
         for &t in &tables {
-            let members: Vec<&GroupByQuery> = qs
+            let members = order
                 .iter()
-                .enumerate()
-                .filter(|(qi, _)| cands[*qi][choice[*qi]] == t)
-                .map(|(_, q)| q)
-                .collect();
-            match cm.best_method_assignment(t, &members) {
-                Some((_, c)) => total += c,
+                .zip(&at)
+                .filter(|&(_, &a)| a == t)
+                .map(|(&qi, _)| qi);
+            match pr.best_methods(t, members, &mut methods) {
+                Some(c) => total += c,
                 None => {
                     feasible = false;
                     break;
@@ -406,57 +379,48 @@ pub fn optimal(cm: &CostModel<'_>, queries: &[GroupByQuery]) -> Result<GlobalPla
             }
         }
         if feasible && best.as_ref().is_none_or(|(_, bc)| total < *bc) {
-            best = Some((
-                choice
-                    .iter()
-                    .enumerate()
-                    .map(|(qi, &ci)| cands[qi][ci])
-                    .collect(),
-                total,
-            ));
+            best = Some((choice.clone(), total));
         }
         // Odometer.
-        let mut d = qs.len();
+        let mut d = order.len();
         loop {
             if d == 0 {
                 break 'assignments;
             }
             d -= 1;
             choice[d] += 1;
-            if choice[d] < cands[d].len() {
+            if choice[d] < pr.candidates(order[d]).len() {
                 break;
             }
             choice[d] = 0;
         }
     }
 
-    let (assignment, _) = best.ok_or("no feasible global plan")?;
+    let (winner, _) = best.ok_or("no feasible global plan")?;
     // Rebuild the winning plan's classes with their method vectors.
-    let mut classes: Vec<ClassState> = Vec::new();
-    let mut seen: Vec<TableId> = Vec::new();
-    for &t in &assignment {
-        if !seen.contains(&t) {
-            seen.push(t);
-        }
-    }
-    for &t in &seen {
-        let members: Vec<&GroupByQuery> = qs
-            .iter()
-            .zip(&assignment)
-            .filter(|(_, &at)| at == t)
-            .map(|(q, _)| q)
-            .collect();
-        let (methods, cost) = cm
-            .best_method_assignment(t, &members)
-            .expect("winning assignment is feasible");
-        classes.push(ClassState {
-            table: t,
-            queries: members.into_iter().cloned().collect(),
-            methods,
-            cost,
-        });
-    }
-    Ok(finalize(classes))
+    place(&winner, &mut at, &mut tables);
+    let classes = tables
+        .iter()
+        .map(|&t| {
+            let members: Vec<usize> = order
+                .iter()
+                .zip(&at)
+                .filter(|&(_, &a)| a == t)
+                .map(|(&qi, _)| qi)
+                .collect();
+            let mut methods = Vec::new();
+            let cost = pr
+                .best_methods(t, members.iter().copied(), &mut methods)
+                .expect("winning assignment is feasible");
+            ClassState {
+                table: t,
+                members,
+                methods,
+                cost,
+            }
+        })
+        .collect();
+    Ok(finalize(&pr, classes))
 }
 
 #[cfg(test)]
@@ -631,6 +595,9 @@ mod tests {
             .map(|k| k.run(&cm, &qs).unwrap().estimated_cost)
             .collect();
         assert!(costs.windows(2).all(|w| w[0] == w[1]), "{costs:?}");
+        // ... and each is the query's best local plan.
+        let (_, _, local) = cm.best_local(&qs[0]).unwrap();
+        assert_eq!(costs[0], local);
     }
 
     #[test]
@@ -671,13 +638,22 @@ mod tests {
     }
 
     #[test]
+    fn optimal_rejects_spaces_past_the_word_size() {
+        // 70 copies with 2 candidates each: 2^70 assignments, more than a
+        // 64-bit count holds. The size check must refuse, not wrap.
+        let cube = cube();
+        let cm = model(&cube);
+        let many: Vec<GroupByQuery> = (0..70).map(|_| q7(&cube)).collect();
+        let err = optimal(&cm, &many).unwrap_err();
+        assert!(err.to_string().contains("too large"), "{err}");
+    }
+
+    #[test]
     fn processing_order_is_finest_first() {
         let cube = cube();
         let cm = model(&cube);
         let sorted = sorted_by_level(&cm, &[q3(&cube), q7(&cube), q1(&cube)]);
         // q7 (A'B'C'D, coarseness 3) < q1 (5) < q3 (6).
-        assert_eq!(sorted[0], q7(&cube));
-        assert_eq!(sorted[1], q1(&cube));
-        assert_eq!(sorted[2], q3(&cube));
+        assert_eq!(sorted, vec![1, 2, 0]);
     }
 }

@@ -22,12 +22,38 @@
 //! The paper's `CostOfUsing` / `CostOfAdd` quantities fall out as
 //! differences of [`CostModel::class_cost`] between a class with and
 //! without the query — exactly how ETPLG and GG consume them.
+//!
+//! ### Pricing once per plan
+//!
+//! Everything the class formula reads about one member — selectivities,
+//! output groups, probe and index masks, expected predicate evaluations —
+//! depends only on the (query, table) pair. An optimizer run builds a
+//! `Pricer` over its query list, which derives each answerable pair's
+//! quantities once; the search then prices every candidate class from
+//! them by arithmetic alone, without allocating.
+//!
+//! Choosing join methods needs no enumeration either. In a class that
+//! scans its table, a member's own terms do not depend on the other
+//! members' methods, so each index-capable member takes the cheaper of its
+//! two terms; if all of them prefer the index, the scan still needs one
+//! hash member, the one that loses least. The only other shape is the
+//! index-only class (§3.2), open when every member can use an index. The search returns exactly what
+//! enumerating all `2^k` method vectors returns: the first minimum in bit
+//! order, with `Hash` as the 0 bit and later members as higher bits.
+
+use std::iter;
 
 use starshare_olap::estimate::cardenas_distinct;
 use starshare_olap::{Cube, GroupByQuery, LevelRef, MemberPred, TableId};
 use starshare_storage::{HardwareModel, SimTime, PAGE_SIZE};
 
 use crate::plan::JoinMethod;
+
+/// Classes with more index-capable members than this give each of them its
+/// cheaper *standalone* method instead of searching. The search is linear
+/// in the class size; the cap stays because lifting it changes the plans
+/// (and simulated costs) of large classes.
+const EXACT_SEARCH_MAX_FLEX: usize = 12;
 
 /// Prices query plans against one cube under a hardware model.
 #[derive(Debug, Clone, Copy)]
@@ -36,8 +62,9 @@ pub struct CostModel<'a> {
     hw: HardwareModel,
 }
 
-/// Per-query derived quantities on a specific table.
-#[derive(Debug, Clone)]
+/// Per-query derived quantities on a specific table: everything the class
+/// formula reads about one member.
+#[derive(Debug, Clone, Copy)]
 struct QInfo {
     /// N × full selectivity.
     qual: f64,
@@ -45,8 +72,6 @@ struct QInfo {
     groups: f64,
     /// Dimensions needing a dimension-table probe (union shared per class).
     probe_mask: u64,
-    /// Selectivities of the query's predicates, in dimension order.
-    pred_sels: Vec<(usize, f64)>,
     /// Index-servable dims (bit mask) and their combined selectivity.
     covered_mask: u64,
     covered_sel: f64,
@@ -55,6 +80,19 @@ struct QInfo {
     idx_pages: f64,
     /// Number of indexed dims (for the AND count).
     idx_dims: u32,
+    /// Expected predicate evaluations per tuple with short-circuiting, over
+    /// every predicate (a hash plan's filter).
+    evals_all: f64,
+    /// The same over the predicates no index covers (an index plan's
+    /// residual filter on its candidates).
+    evals_residual: f64,
+}
+
+impl QInfo {
+    /// True if an index plan is possible: some predicate is index-served.
+    fn index_capable(&self) -> bool {
+        self.covered_mask != 0
+    }
 }
 
 impl<'a> CostModel<'a> {
@@ -88,15 +126,8 @@ impl<'a> CostModel<'a> {
         // Predicate selectivities: histogram-exact marginals when the cube
         // carries statistics, the classical uniform assumption otherwise.
         let stats = self.cube.stats.as_ref();
-        let sel_of = |d: usize, pred: &MemberPred| -> f64 {
-            match stats {
-                Some(st) => st.pred_selectivity(schema, d, pred),
-                None => pred.selectivity(schema, d),
-            }
-        };
 
         let mut probe_mask = 0u64;
-        let mut pred_sels = Vec::new();
         let mut covered_mask = 0u64;
         let mut covered_sel = 1.0;
         let mut idx_members = 0.0;
@@ -104,12 +135,21 @@ impl<'a> CostModel<'a> {
         let mut idx_dims = 0u32;
         let mut total_sel = 1.0;
         let mut combos = 1.0;
+        // Short-circuit evaluation in dimension order: a predicate is
+        // reached by the tuples every earlier one passed.
+        let (mut evals_all, mut reach_all) = (0.0, 1.0);
+        let (mut evals_residual, mut reach_residual) = (0.0, 1.0);
         let bitmap_pages = ((table.n_rows().div_ceil(64) * 8).div_ceil(PAGE_SIZE as u64)).max(1);
 
         for d in 0..schema.n_dims() {
+            let pred = &q.preds[d];
+            let sel = match stats {
+                Some(st) => st.pred_selectivity(schema, d, pred),
+                None => pred.selectivity(schema, d),
+            };
             // Restricted output-combination space at the target group-by.
             if let LevelRef::Level(tl) = q.group_by.level(d) {
-                combos *= schema.dim(d).cardinality(tl) as f64 * sel_of(d, &q.preds[d]).min(1.0);
+                combos *= schema.dim(d).cardinality(tl) as f64 * sel.min(1.0);
             }
             let stored = match table.group_by().level(d) {
                 LevelRef::Level(s) => s,
@@ -120,15 +160,15 @@ impl<'a> CostModel<'a> {
                     probe_mask |= 1 << d;
                 }
             }
-            if let MemberPred::In { level, members } = &q.preds[d] {
-                let sel = sel_of(d, &q.preds[d]);
+            if let MemberPred::In { level, members } = pred {
                 total_sel *= sel;
-                pred_sels.push((d, sel));
+                evals_all += reach_all;
+                reach_all *= sel;
                 if *level > stored {
                     probe_mask |= 1 << d;
                 }
-                if let Some(ix) = table.index(d) {
-                    if ix.serves_level(*level) {
+                match table.index(d).filter(|ix| ix.serves_level(*level)) {
+                    Some(ix) => {
                         covered_mask |= 1 << d;
                         covered_sel *= sel;
                         idx_dims += 1;
@@ -136,6 +176,10 @@ impl<'a> CostModel<'a> {
                         let m = members.len() as f64 * fan;
                         idx_members += m;
                         idx_pages += m * bitmap_pages as f64;
+                    }
+                    None => {
+                        evals_residual += reach_residual;
+                        reach_residual *= sel;
                     }
                 }
             }
@@ -145,28 +189,14 @@ impl<'a> CostModel<'a> {
             qual,
             groups: cardenas_distinct(qual, combos.max(1.0)),
             probe_mask,
-            pred_sels,
             covered_mask,
             covered_sel,
             idx_members,
             idx_pages,
             idx_dims,
+            evals_all,
+            evals_residual,
         })
-    }
-
-    /// Expected predicate evaluations per candidate tuple with
-    /// short-circuiting, over the predicates *not* in `skip_mask`.
-    fn expected_pred_evals(info: &QInfo, skip_mask: u64) -> f64 {
-        let mut total = 0.0;
-        let mut reach = 1.0;
-        for &(d, sel) in &info.pred_sels {
-            if skip_mask & (1 << d) != 0 {
-                continue;
-            }
-            total += reach;
-            reach *= sel;
-        }
-        total
     }
 
     /// Hash-table build rows for the probed dimensions in `mask`.
@@ -183,12 +213,14 @@ impl<'a> CostModel<'a> {
         rows
     }
 
-    /// Estimated cost of evaluating `plans` together from `t` with the §3
-    /// shared operators. Returns `None` if any query is unanswerable from
-    /// `t`, or an `Index` method is requested where no index applies.
-    pub fn class_cost(&self, t: TableId, plans: &[(&GroupByQuery, JoinMethod)]) -> Option<SimTime> {
-        if plans.is_empty() {
-            return Some(SimTime::ZERO);
+    /// The class formula over derived member quantities. Every `Index`
+    /// member must be [index-capable](QInfo::index_capable).
+    fn price<'i, I>(&self, t: TableId, members: I) -> SimTime
+    where
+        I: Iterator<Item = (&'i QInfo, JoinMethod)> + Clone,
+    {
+        if members.clone().next().is_none() {
+            return SimTime::ZERO;
         }
         let hw = &self.hw;
         let table = self.cube.catalog.table(t);
@@ -196,17 +228,8 @@ impl<'a> CostModel<'a> {
         let pages = table.pages() as f64;
         let words = (table.n_rows().div_ceil(64)) as f64;
 
-        let mut infos = Vec::with_capacity(plans.len());
-        for (q, m) in plans {
-            let info = self.qinfo(q, t)?;
-            if *m == JoinMethod::Index && info.covered_mask == 0 {
-                return None;
-            }
-            infos.push(info);
-        }
-
-        let any_hash = plans.iter().any(|(_, m)| *m == JoinMethod::Hash);
-        let union_mask = infos.iter().fold(0u64, |m, i| m | i.probe_mask);
+        let any_hash = members.clone().any(|(_, m)| m == JoinMethod::Hash);
+        let union_mask = members.clone().fold(0u64, |m, (i, _)| m | i.probe_mask);
         let union_probes = union_mask.count_ones() as f64;
 
         let mut cpu = 0.0f64; // nanoseconds
@@ -217,8 +240,8 @@ impl<'a> CostModel<'a> {
 
         // Index phase: per index query, read + combine member bitmaps.
         let mut n_bitmaps = 0u32;
-        for ((_, m), info) in plans.iter().zip(&infos) {
-            if *m != JoinMethod::Index {
+        for (info, m) in members.clone() {
+            if m != JoinMethod::Index {
                 continue;
             }
             n_bitmaps += 1;
@@ -233,10 +256,10 @@ impl<'a> CostModel<'a> {
             io += pages * hw.seq_page_read_ns as f64;
             cpu += n * hw.tuple_copy_ns as f64;
             cpu += n * union_probes * hw.hash_probe_ns as f64;
-            for ((_, m), info) in plans.iter().zip(&infos) {
+            for (info, m) in members {
                 match m {
                     JoinMethod::Hash => {
-                        cpu += n * Self::expected_pred_evals(info, 0) * hw.predicate_eval_ns as f64;
+                        cpu += n * info.evals_all * hw.predicate_eval_ns as f64;
                     }
                     JoinMethod::Index => {
                         // Bitmap test per scanned tuple, residual preds on
@@ -244,7 +267,7 @@ impl<'a> CostModel<'a> {
                         cpu += n * hw.bitmap_test_ns as f64;
                         cpu += n
                             * info.covered_sel
-                            * Self::expected_pred_evals(info, info.covered_mask)
+                            * info.evals_residual
                             * hw.predicate_eval_ns as f64;
                     }
                 }
@@ -254,24 +277,144 @@ impl<'a> CostModel<'a> {
         } else {
             // Index-only class (§3.2): OR the query bitmaps, probe once.
             cpu += (n_bitmaps.saturating_sub(1)) as f64 * words * hw.bitmap_word_ns as f64;
-            let union_cand = n * (1.0 - infos.iter().map(|i| 1.0 - i.covered_sel).product::<f64>());
+            let union_cand = n
+                * (1.0
+                    - members
+                        .clone()
+                        .map(|(i, _)| 1.0 - i.covered_sel)
+                        .product::<f64>());
             // Conservative: one random read per candidate, capped at re-
             // reading the whole table page set once per candidate round.
             io += union_cand.min(n) * hw.random_page_read_ns as f64;
             cpu += union_cand * hw.tuple_copy_ns as f64;
             cpu += union_cand * union_probes * hw.hash_probe_ns as f64;
-            for info in &infos {
+            for (info, _) in members {
                 cpu += union_cand * hw.bitmap_test_ns as f64;
                 let own_cand = n * info.covered_sel;
-                cpu += own_cand
-                    * Self::expected_pred_evals(info, info.covered_mask)
-                    * hw.predicate_eval_ns as f64;
+                cpu += own_cand * info.evals_residual * hw.predicate_eval_ns as f64;
                 cpu += info.qual * (hw.hash_probe_ns + hw.agg_update_ns + hw.tuple_copy_ns) as f64;
                 cpu += info.groups * hw.hash_build_ns as f64;
             }
         }
 
-        Some(SimTime::from_nanos((cpu + io).round() as u64))
+        SimTime::from_nanos((cpu + io).round() as u64)
+    }
+
+    /// A member's own terms in a class that scans `t`, as `(hash, index)`:
+    /// the rest of such a class's cost does not depend on which it takes.
+    /// These must be the member terms [`price`](Self::price) charges; the
+    /// enumeration property test holds them to it.
+    fn scan_terms(&self, t: TableId, info: &QInfo) -> (f64, f64) {
+        let hw = &self.hw;
+        let table = self.cube.catalog.table(t);
+        let n = table.n_rows() as f64;
+        let words = (table.n_rows().div_ceil(64)) as f64;
+        let hash = n * info.evals_all * hw.predicate_eval_ns as f64;
+        let index = info.idx_members * hw.index_lookup_ns as f64
+            + info.idx_members * words * hw.bitmap_word_ns as f64
+            + (info.idx_dims.saturating_sub(1)) as f64 * words * hw.bitmap_word_ns as f64
+            + info.idx_pages * hw.seq_page_read_ns as f64
+            + n * hw.bitmap_test_ns as f64
+            + n * info.covered_sel * info.evals_residual * hw.predicate_eval_ns as f64;
+        (hash, index)
+    }
+
+    /// The cheapest join-method vector for `members` evaluated together
+    /// from `t`: writes it to `out` (cleared first) and returns its cost.
+    fn search_methods<'i, I>(&self, t: TableId, members: I, out: &mut Vec<JoinMethod>) -> SimTime
+    where
+        I: Iterator<Item = &'i QInfo> + Clone,
+    {
+        use JoinMethod::{Hash, Index};
+        out.clear();
+        let n_flex = members.clone().filter(|i| i.index_capable()).count();
+        let cost_of =
+            |methods: &[JoinMethod]| self.price(t, members.clone().zip(methods.iter().copied()));
+        if n_flex > EXACT_SEARCH_MAX_FLEX {
+            out.extend(members.clone().map(|i| {
+                let alone = |m| self.price(t, iter::once((i, m)));
+                if i.index_capable() && alone(Index) < alone(Hash) {
+                    Index
+                } else {
+                    Hash
+                }
+            }));
+            return cost_of(out);
+        }
+        // With a scan, each member takes its cheaper term (ties keep Hash,
+        // the lower bit).
+        out.extend(members.clone().map(|i| {
+            let (hash, index) = self.scan_terms(t, i);
+            if i.index_capable() && index < hash {
+                Index
+            } else {
+                Hash
+            }
+        }));
+        let scan_cost = if out.is_empty() || out.contains(&Hash) {
+            cost_of(out)
+        } else {
+            // Every member prefers its index, yet a scan needs a hash
+            // member: the one that loses least, last member first on ties.
+            let mut best: Option<(usize, SimTime)> = None;
+            for k in (0..out.len()).rev() {
+                out[k] = Hash;
+                let c = cost_of(out);
+                out[k] = Index;
+                if best.is_none_or(|(_, b)| c < b) {
+                    best = Some((k, c));
+                }
+            }
+            let (k, c) = best.expect("the class has members");
+            out[k] = Hash;
+            c
+        };
+        if n_flex > 0 && n_flex == out.len() {
+            // The index-only class skips the scan; it is the last vector in
+            // bit order, so it must be strictly cheaper.
+            let index_only = self.price(t, members.map(|i| (i, Index)));
+            if index_only < scan_cost {
+                out.fill(Index);
+                return index_only;
+            }
+        }
+        scan_cost
+    }
+
+    /// The cheapest singleton class over `options` (table, member
+    /// quantities), trying hash then index per table; the first strict
+    /// minimum wins.
+    fn cheapest_standalone<'i>(
+        &self,
+        options: impl Iterator<Item = (TableId, &'i QInfo)>,
+    ) -> Option<(TableId, JoinMethod, SimTime)> {
+        let mut best: Option<(TableId, JoinMethod, SimTime)> = None;
+        for (t, info) in options {
+            for m in [JoinMethod::Hash, JoinMethod::Index] {
+                if m == JoinMethod::Index && !info.index_capable() {
+                    continue;
+                }
+                let c = self.price(t, iter::once((info, m)));
+                if best.as_ref().is_none_or(|(_, _, bc)| c < *bc) {
+                    best = Some((t, m, c));
+                }
+            }
+        }
+        best
+    }
+
+    /// Estimated cost of evaluating `plans` together from `t` with the §3
+    /// shared operators. Returns `None` if any query is unanswerable from
+    /// `t`, or an `Index` method is requested where no index applies.
+    pub fn class_cost(&self, t: TableId, plans: &[(&GroupByQuery, JoinMethod)]) -> Option<SimTime> {
+        let infos = plans
+            .iter()
+            .map(|&(q, m)| {
+                self.qinfo(q, t)
+                    .filter(|i| m == JoinMethod::Hash || i.index_capable())
+            })
+            .collect::<Option<Vec<QInfo>>>()?;
+        Some(self.price(t, infos.iter().zip(plans.iter().map(|&(_, m)| m))))
     }
 
     /// Standalone cost of one query from `t` with method `m` (a singleton
@@ -281,92 +424,151 @@ impl<'a> CostModel<'a> {
     }
 
     /// Best join method per query for a class on `t`, minimizing total class
-    /// cost. Enumerates all method vectors up to 2¹²; larger classes fall
-    /// back to per-query standalone preference.
+    /// cost over every method vector when at most 12 members can use an
+    /// index; larger classes fall back to per-query standalone preference.
     pub fn best_method_assignment(
         &self,
         t: TableId,
         queries: &[&GroupByQuery],
     ) -> Option<(Vec<JoinMethod>, SimTime)> {
-        let flexible: Vec<bool> = queries
+        let infos = queries
             .iter()
-            .map(|q| self.index_applicable(q, t))
-            .collect();
-        let n_flex = flexible.iter().filter(|&&f| f).count();
-        if n_flex <= 12 {
-            let mut best: Option<(Vec<JoinMethod>, SimTime)> = None;
-            for bits in 0u32..(1 << n_flex) {
-                let mut methods = Vec::with_capacity(queries.len());
-                let mut fi = 0;
-                for &f in &flexible {
-                    if f {
-                        methods.push(if bits & (1 << fi) != 0 {
-                            JoinMethod::Index
-                        } else {
-                            JoinMethod::Hash
-                        });
-                        fi += 1;
-                    } else {
-                        methods.push(JoinMethod::Hash);
-                    }
-                }
-                let plans: Vec<(&GroupByQuery, JoinMethod)> = queries
-                    .iter()
-                    .zip(&methods)
-                    .map(|(q, &m)| (*q, m))
-                    .collect();
-                if let Some(cost) = self.class_cost(t, &plans) {
-                    if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-                        best = Some((methods, cost));
-                    }
-                }
-            }
-            best
-        } else {
-            // Greedy fallback: each query takes its cheaper standalone
-            // method.
-            let methods: Vec<JoinMethod> = queries
-                .iter()
-                .zip(&flexible)
-                .map(|(q, &f)| {
-                    if f {
-                        let h = self.standalone(q, t, JoinMethod::Hash);
-                        let i = self.standalone(q, t, JoinMethod::Index);
-                        match (h, i) {
-                            (Some(h), Some(i)) if i < h => JoinMethod::Index,
-                            _ => JoinMethod::Hash,
-                        }
-                    } else {
-                        JoinMethod::Hash
-                    }
-                })
-                .collect();
-            let plans: Vec<(&GroupByQuery, JoinMethod)> = queries
-                .iter()
-                .zip(&methods)
-                .map(|(q, &m)| (*q, m))
-                .collect();
-            self.class_cost(t, &plans).map(|c| (methods, c))
-        }
+            .map(|q| self.qinfo(q, t))
+            .collect::<Option<Vec<QInfo>>>()?;
+        let mut methods = Vec::with_capacity(infos.len());
+        let cost = self.search_methods(t, infos.iter(), &mut methods);
+        Some((methods, cost))
     }
 
     /// The best local plan for a single query: cheapest (table, method) over
     /// all candidate tables. This is the paper's "optimal local plan".
     pub fn best_local(&self, q: &GroupByQuery) -> Option<(TableId, JoinMethod, SimTime)> {
-        let mut best: Option<(TableId, JoinMethod, SimTime)> = None;
-        for t in self.cube.catalog.candidates_for(q) {
-            for m in [JoinMethod::Hash, JoinMethod::Index] {
-                if m == JoinMethod::Index && !self.index_applicable(q, t) {
-                    continue;
+        let infos: Vec<(TableId, QInfo)> = self
+            .cube
+            .catalog
+            .candidates_for(q)
+            .into_iter()
+            .filter_map(|t| Some((t, self.qinfo(q, t)?)))
+            .collect();
+        self.cheapest_standalone(infos.iter().map(|(t, i)| (*t, i)))
+    }
+}
+
+/// One optimizer run's price table over a fixed query list. Each answerable
+/// (query, table) pair's quantities are derived once, when the pricer is
+/// built; every class the search then considers is priced from them without
+/// allocating. Queries are named by their index in the list.
+pub(crate) struct Pricer<'c, 'q> {
+    cm: CostModel<'c>,
+    queries: &'q [GroupByQuery],
+    n_tables: usize,
+    /// `infos[qi * n_tables + t]`: `None` where table `t` cannot answer
+    /// query `qi`.
+    infos: Vec<Option<QInfo>>,
+    /// Per query, the tables that can answer it, fewest rows first.
+    candidates: Vec<Vec<TableId>>,
+}
+
+impl<'c, 'q> Pricer<'c, 'q> {
+    /// Prices every (query, candidate table) pair of `queries`.
+    pub(crate) fn new(cm: &CostModel<'c>, queries: &'q [GroupByQuery]) -> Self {
+        let catalog = &cm.cube.catalog;
+        let n_tables = catalog.n_tables();
+        let mut infos = vec![None; queries.len() * n_tables];
+        let candidates = queries
+            .iter()
+            .enumerate()
+            .map(|(qi, q)| {
+                let tables = catalog.candidates_for(q);
+                for &t in &tables {
+                    infos[qi * n_tables + t.0] = cm.qinfo(q, t);
                 }
-                if let Some(c) = self.standalone(q, t, m) {
-                    if best.as_ref().is_none_or(|(_, _, bc)| c < *bc) {
-                        best = Some((t, m, c));
-                    }
-                }
-            }
+                tables
+            })
+            .collect();
+        Pricer {
+            cm: *cm,
+            queries,
+            n_tables,
+            infos,
+            candidates,
         }
-        best
+    }
+
+    /// The cube being planned against.
+    pub(crate) fn cube(&self) -> &'c Cube {
+        self.cm.cube
+    }
+
+    /// Query `qi` of the list.
+    pub(crate) fn query(&self, qi: usize) -> &'q GroupByQuery {
+        &self.queries[qi]
+    }
+
+    /// The tables that can answer query `qi`, fewest rows first.
+    pub(crate) fn candidates(&self, qi: usize) -> &[TableId] {
+        &self.candidates[qi]
+    }
+
+    /// True if table `t` can answer query `qi`.
+    pub(crate) fn answers(&self, qi: usize, t: TableId) -> bool {
+        self.info(qi, t).is_some()
+    }
+
+    fn info(&self, qi: usize, t: TableId) -> Option<&QInfo> {
+        self.infos[qi * self.n_tables + t.0].as_ref()
+    }
+
+    /// Cost of evaluating `plans` (query index, method) together from `t`:
+    /// [`CostModel::class_cost`] over the price table.
+    pub(crate) fn class_cost<I>(&self, t: TableId, plans: I) -> Option<SimTime>
+    where
+        I: Iterator<Item = (usize, JoinMethod)> + Clone,
+    {
+        let valid = plans.clone().all(|(qi, m)| {
+            self.info(qi, t)
+                .is_some_and(|i| m == JoinMethod::Hash || i.index_capable())
+        });
+        valid.then(|| {
+            self.cm.price(
+                t,
+                plans.map(|(qi, m)| (self.info(qi, t).expect("validated"), m)),
+            )
+        })
+    }
+
+    /// The cheapest method vector for `members` evaluated together from
+    /// `t`, written to `out`: [`CostModel::best_method_assignment`] over the
+    /// price table. `None` if `t` cannot answer every member.
+    pub(crate) fn best_methods<I>(
+        &self,
+        t: TableId,
+        members: I,
+        out: &mut Vec<JoinMethod>,
+    ) -> Option<SimTime>
+    where
+        I: Iterator<Item = usize> + Clone,
+    {
+        if !members.clone().all(|qi| self.answers(qi, t)) {
+            return None;
+        }
+        let infos = members.map(|qi| self.info(qi, t).expect("validated"));
+        Some(self.cm.search_methods(t, infos, out))
+    }
+
+    /// The cheapest standalone (table, method) for query `qi` over its
+    /// candidate tables outside `skip`: [`CostModel::best_local`] when
+    /// `skip` is empty.
+    pub(crate) fn best_standalone(
+        &self,
+        qi: usize,
+        skip: &[TableId],
+    ) -> Option<(TableId, JoinMethod, SimTime)> {
+        let options = self.candidates[qi]
+            .iter()
+            .filter(|t| !skip.contains(t))
+            .map(|&t| (t, self.info(qi, t).expect("candidates answer")));
+        self.cm.cheapest_standalone(options)
     }
 }
 
@@ -666,6 +868,188 @@ mod prop_tests {
                     if let Some(c) = cm.standalone(&q, t, m) {
                         assert!(best <= c, "best_local {best} beaten by {c}");
                     }
+                }
+            }
+        }
+    }
+
+    /// A query predicating every dimension on one level-1 member: the kind
+    /// an index plan wins for.
+    fn selective_query(rng: &mut Prng) -> GroupByQuery {
+        let cards = [6u32, 6, 6, 24];
+        let levels = (0..4)
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    LevelRef::All
+                } else {
+                    LevelRef::Level(rng.gen_range(0u8..2))
+                }
+            })
+            .collect();
+        let preds = cards
+            .iter()
+            .map(|&c| MemberPred::eq(1, rng.gen_range(0u32..c)))
+            .collect();
+        GroupByQuery::new(GroupBy::new(levels), preds)
+    }
+
+    /// Reference search: enumerate every method vector
+    /// of the index-capable members (up to 2^12) and keep the first strict
+    /// minimum; beyond 12, each takes its cheaper standalone method.
+    fn enumerated_assignment(
+        cm: &CostModel<'_>,
+        t: TableId,
+        queries: &[&GroupByQuery],
+    ) -> Option<(Vec<JoinMethod>, SimTime)> {
+        let flexible: Vec<bool> = queries.iter().map(|q| cm.index_applicable(q, t)).collect();
+        let n_flex = flexible.iter().filter(|&&f| f).count();
+        let plans_of = |methods: &[JoinMethod]| -> Vec<(&GroupByQuery, JoinMethod)> {
+            queries.iter().zip(methods).map(|(q, &m)| (*q, m)).collect()
+        };
+        if n_flex > EXACT_SEARCH_MAX_FLEX {
+            let methods: Vec<JoinMethod> = queries
+                .iter()
+                .zip(&flexible)
+                .map(|(q, &f)| {
+                    let h = cm.standalone(q, t, JoinMethod::Hash);
+                    let i = cm.standalone(q, t, JoinMethod::Index);
+                    match (h, i) {
+                        (Some(h), Some(i)) if f && i < h => JoinMethod::Index,
+                        _ => JoinMethod::Hash,
+                    }
+                })
+                .collect();
+            return cm.class_cost(t, &plans_of(&methods)).map(|c| (methods, c));
+        }
+        let mut best: Option<(Vec<JoinMethod>, SimTime)> = None;
+        for bits in 0u32..(1 << n_flex) {
+            let mut fi = 0;
+            let methods: Vec<JoinMethod> = flexible
+                .iter()
+                .map(|&f| {
+                    let index = f && bits & (1 << fi) != 0;
+                    fi += usize::from(f);
+                    if index {
+                        JoinMethod::Index
+                    } else {
+                        JoinMethod::Hash
+                    }
+                })
+                .collect();
+            if let Some(cost) = cm.class_cost(t, &plans_of(&methods)) {
+                if best.as_ref().is_none_or(|(_, c)| cost < *c) {
+                    best = Some((methods, cost));
+                }
+            }
+        }
+        best
+    }
+
+    /// A query filtering one dimension on a few level-1 members: cheap to
+    /// bit-test on a scan, expensive to fetch alone by random reads.
+    fn one_filter_query(rng: &mut Prng) -> GroupByQuery {
+        let d = rng.gen_range(0usize..4);
+        let card = if d == 3 { 24 } else { 6 };
+        let n = rng.gen_range(1u32..4);
+        let members = (0..n).map(|_| rng.gen_range(0u32..card)).collect();
+        let mut preds = vec![MemberPred::All; 4];
+        preds[d] = MemberPred::members_in(1, members);
+        let levels = (0..4)
+            .map(|_| LevelRef::Level(rng.gen_range(1u8..3)))
+            .collect();
+        GroupByQuery::new(GroupBy::new(levels), preds)
+    }
+
+    /// The linear method search returns exactly the enumeration's method
+    /// vector and cost, on random classes over every table. The classes
+    /// reach every shape: index-only, mixed, a scan forced on members that
+    /// all prefer their index (with exact ties from duplicate members),
+    /// and the over-12 fallback.
+    #[test]
+    fn method_search_matches_enumeration() {
+        let cube = cube();
+        let cm = CostModel::new(cube, HardwareModel::paper_1998());
+        let mut rng = Prng::seed_from_u64(0xC0_0005);
+        let (mut index_only, mut mixed, mut forced, mut fallback) = (0, 0, 0, 0);
+        for _ in 0..400 {
+            let n = rng.gen_range(1usize..16);
+            let kind = rng.gen_range(0u32..6);
+            let mut qs: Vec<GroupByQuery> = Vec::with_capacity(n);
+            for _ in 0..n {
+                let q = match kind {
+                    0 => random_query(&mut rng),
+                    1 | 2 => one_filter_query(&mut rng),
+                    3 if !qs.is_empty() && rng.gen_bool(0.5) => {
+                        qs[rng.gen_range(0..qs.len())].clone()
+                    }
+                    3 => one_filter_query(&mut rng),
+                    4 => selective_query(&mut rng),
+                    _ if rng.gen_bool(0.5) => selective_query(&mut rng),
+                    _ => random_query(&mut rng),
+                };
+                qs.push(q);
+            }
+            let refs: Vec<&GroupByQuery> = qs.iter().collect();
+            for (t, _) in cube.catalog.iter() {
+                let want = enumerated_assignment(&cm, t, &refs);
+                let got = cm.best_method_assignment(t, &refs);
+                assert_eq!(got, want, "table {t:?}, {n} queries");
+                let Some((methods, _)) = got else { continue };
+                let infos: Vec<QInfo> = refs.iter().map(|q| cm.qinfo(q, t).unwrap()).collect();
+                let all_prefer_index = infos.iter().all(|i| {
+                    let (hash, index) = cm.scan_terms(t, i);
+                    i.index_capable() && index < hash
+                });
+                if infos.iter().filter(|i| i.index_capable()).count() > EXACT_SEARCH_MAX_FLEX {
+                    fallback += 1;
+                } else if methods.iter().all(|&m| m == JoinMethod::Index) {
+                    index_only += 1;
+                } else if all_prefer_index && n > 1 {
+                    forced += 1;
+                } else if methods.contains(&JoinMethod::Index) {
+                    mixed += 1;
+                }
+            }
+        }
+        assert!(
+            index_only > 0 && mixed > 0 && forced > 0 && fallback > 0,
+            "shapes: {index_only} index-only, {mixed} mixed, {forced} forced, {fallback} fallback"
+        );
+    }
+
+    /// The per-run price table agrees with the model it memoizes: class
+    /// costs, method searches and best local plans are the same numbers.
+    #[test]
+    fn pricer_agrees_with_cost_model() {
+        let cube = cube();
+        let cm = CostModel::new(cube, HardwareModel::paper_1998());
+        let mut rng = Prng::seed_from_u64(0xC0_0006);
+        let qs: Vec<GroupByQuery> = (0..24)
+            .map(|i| {
+                if i % 3 == 0 {
+                    selective_query(&mut rng)
+                } else {
+                    random_query(&mut rng)
+                }
+            })
+            .collect();
+        let pr = Pricer::new(&cm, &qs);
+        let mut methods = Vec::new();
+        for (qi, q) in qs.iter().enumerate() {
+            assert_eq!(pr.best_standalone(qi, &[]), cm.best_local(q));
+            assert_eq!(pr.candidates(qi), cube.catalog.candidates_for(q).as_slice());
+        }
+        for (t, _) in cube.catalog.iter() {
+            for window in (0..qs.len()).collect::<Vec<_>>().windows(5) {
+                let refs: Vec<&GroupByQuery> = window.iter().map(|&qi| &qs[qi]).collect();
+                let got = pr.best_methods(t, window.iter().copied(), &mut methods);
+                let want = cm.best_method_assignment(t, &refs);
+                assert_eq!(got.map(|c| (methods.clone(), c)), want);
+                for m in [JoinMethod::Hash, JoinMethod::Index] {
+                    let plans: Vec<(&GroupByQuery, JoinMethod)> =
+                        refs.iter().map(|q| (*q, m)).collect();
+                    let got = pr.class_cost(t, window.iter().map(|&qi| (qi, m)));
+                    assert_eq!(got, cm.class_cost(t, &plans));
                 }
             }
         }

@@ -22,31 +22,22 @@
 use starshare_olap::{GroupByQuery, TableId};
 use starshare_storage::SimTime;
 
-use crate::algorithms::gg;
-use crate::cost::CostModel;
+use crate::algorithms::{finalize, gg_classes, sorted_by_level, ClassState};
+use crate::cost::{CostModel, Pricer};
 use crate::error::OptError;
-use crate::plan::{GlobalPlan, JoinMethod, PlanClass, QueryPlan};
+use crate::plan::GlobalPlan;
 
-/// A mutable working copy of one class.
-#[derive(Debug, Clone)]
-struct Working {
-    table: TableId,
-    queries: Vec<GroupByQuery>,
-    methods: Vec<JoinMethod>,
-    cost: SimTime,
-}
-
-impl Working {
-    fn price(cm: &CostModel<'_>, table: TableId, queries: &[GroupByQuery]) -> Option<Working> {
-        let refs: Vec<&GroupByQuery> = queries.iter().collect();
-        let (methods, cost) = cm.best_method_assignment(table, &refs)?;
-        Some(Working {
-            table,
-            queries: queries.to_vec(),
-            methods,
-            cost,
-        })
-    }
+/// `members` as one class on `table` under their best method vector, or
+/// `None` if `table` cannot answer them all.
+fn price(pr: &Pricer<'_, '_>, table: TableId, members: Vec<usize>) -> Option<ClassState> {
+    let mut methods = Vec::with_capacity(members.len());
+    let cost = pr.best_methods(table, members.iter().copied(), &mut methods)?;
+    Some(ClassState {
+        table,
+        members,
+        methods,
+        cost,
+    })
 }
 
 /// Runs GG, then improvement passes (at most `max_passes` sweeps over all
@@ -56,15 +47,8 @@ pub fn ggi_with_passes(
     queries: &[GroupByQuery],
     max_passes: usize,
 ) -> Result<GlobalPlan, OptError> {
-    let seed = gg(cm, queries)?;
-    let mut classes: Vec<Working> = seed
-        .classes
-        .iter()
-        .map(|c| {
-            let qs: Vec<GroupByQuery> = c.plans.iter().map(|p| p.query.clone()).collect();
-            Working::price(cm, c.table, &qs).expect("GG plans are feasible")
-        })
-        .collect();
+    let pr = Pricer::new(cm, queries);
+    let mut classes = gg_classes(&pr, &sorted_by_level(cm, queries))?;
 
     for _pass in 0..max_passes {
         let mut improved = false;
@@ -73,27 +57,27 @@ pub fn ggi_with_passes(
         let mut worklist: Vec<(usize, usize)> = classes
             .iter()
             .enumerate()
-            .flat_map(|(ci, c)| (0..c.queries.len()).map(move |qi| (ci, qi)))
+            .flat_map(|(ci, c)| (0..c.members.len()).map(move |k| (ci, k)))
             .collect();
         // Stable processing order: biggest classes first (their members are
         // the likeliest to be misplaced).
-        worklist.sort_by_key(|&(ci, _)| std::cmp::Reverse(classes[ci].queries.len()));
+        worklist.sort_by_key(|&(ci, _)| std::cmp::Reverse(classes[ci].members.len()));
 
-        for (ci, qi) in worklist {
-            if ci >= classes.len() || qi >= classes[ci].queries.len() {
+        for (ci, k) in worklist {
+            if ci >= classes.len() || k >= classes[ci].members.len() {
                 continue; // shifted by an earlier accepted move
             }
-            let q = classes[ci].queries[qi].clone();
+            let qi = classes[ci].members[k];
             // Remainder of the source class without q.
-            let mut rest = classes[ci].queries.clone();
-            rest.remove(qi);
+            let mut rest = classes[ci].members.clone();
+            rest.remove(k);
             let rest_class = if rest.is_empty() {
                 None
             } else {
                 // Re-base the remainder too: its best table may differ.
-                let mut best: Option<Working> = None;
-                for t in candidate_tables_for_set(cm, &rest) {
-                    if let Some(w) = Working::price(cm, t, &rest) {
+                let mut best: Option<ClassState> = None;
+                for t in candidate_tables_for_set(&pr, &rest) {
+                    if let Some(w) = price(&pr, t, rest.clone()) {
                         if best.as_ref().is_none_or(|b| w.cost < b.cost) {
                             best = Some(w);
                         }
@@ -106,8 +90,8 @@ pub fn ggi_with_passes(
             // Candidate placements, compared by the *new total cost of the
             // classes the move touches*; the untouched classes cancel out.
             // `None` target = q alone in a fresh class.
-            let mut best_move: Option<(Option<usize>, Working, SimTime)> = None;
-            let mut consider = |target: Option<usize>, w: Working, touched_new: SimTime| {
+            let mut best_move: Option<(Option<usize>, ClassState, SimTime)> = None;
+            let mut consider = |target: Option<usize>, w: ClassState, touched_new: SimTime| {
                 if best_move
                     .as_ref()
                     .is_none_or(|(_, _, bt)| touched_new < *bt)
@@ -124,11 +108,11 @@ pub fn ggi_with_passes(
                 .map(|(_, c)| c.table)
                 .chain(rest_class.iter().map(|w| w.table))
                 .collect();
-            for t in cm.cube().catalog.candidates_for(&q) {
+            for &t in pr.candidates(qi) {
                 if used.contains(&t) {
                     continue;
                 }
-                if let Some(w) = Working::price(cm, t, std::slice::from_ref(&q)) {
+                if let Some(w) = price(&pr, t, vec![qi]) {
                     // Touched: source class. New total: rest + singleton.
                     let new_total = rest_cost + w.cost;
                     consider(None, w, new_total);
@@ -143,10 +127,10 @@ pub fn ggi_with_passes(
                 if ti == ci {
                     continue;
                 }
-                let mut enlarged = classes[ti].queries.clone();
-                enlarged.push(q.clone());
+                let mut enlarged = classes[ti].members.clone();
+                enlarged.push(qi);
                 let old_target_cost = classes[ti].cost;
-                for t in candidate_tables_for_set(cm, &enlarged) {
+                for t in candidate_tables_for_set(&pr, &enlarged) {
                     let collides = classes
                         .iter()
                         .enumerate()
@@ -155,7 +139,7 @@ pub fn ggi_with_passes(
                     if collides {
                         continue;
                     }
-                    if let Some(w) = Working::price(cm, t, &enlarged) {
+                    if let Some(w) = price(&pr, t, enlarged.clone()) {
                         let new_total = (rest_cost + w.cost).saturating_sub(old_target_cost);
                         consider(Some(ti), w, new_total);
                     }
@@ -199,22 +183,7 @@ pub fn ggi_with_passes(
         }
     }
 
-    let estimated_cost = classes.iter().map(|c| c.cost).sum();
-    Ok(GlobalPlan {
-        classes: classes
-            .into_iter()
-            .map(|w| PlanClass {
-                table: w.table,
-                plans: w
-                    .queries
-                    .into_iter()
-                    .zip(w.methods)
-                    .map(|(query, method)| QueryPlan { query, method })
-                    .collect(),
-            })
-            .collect(),
-        estimated_cost,
-    })
+    Ok(finalize(&pr, classes))
 }
 
 /// GGI with the default three passes.
@@ -223,15 +192,14 @@ pub fn ggi(cm: &CostModel<'_>, queries: &[GroupByQuery]) -> Result<GlobalPlan, O
 }
 
 /// Tables that can answer *every* query in `set`.
-fn candidate_tables_for_set(cm: &CostModel<'_>, set: &[GroupByQuery]) -> Vec<TableId> {
-    let Some(first) = set.first() else {
+fn candidate_tables_for_set(pr: &Pricer<'_, '_>, set: &[usize]) -> Vec<TableId> {
+    let Some(&first) = set.first() else {
         return Vec::new();
     };
-    cm.cube()
-        .catalog
-        .candidates_for(first)
-        .into_iter()
-        .filter(|&t| set.iter().all(|q| cm.cube().catalog.table(t).can_answer(q)))
+    pr.candidates(first)
+        .iter()
+        .copied()
+        .filter(|&t| set.iter().all(|&qi| pr.answers(qi, t)))
         .collect()
 }
 
@@ -239,6 +207,7 @@ fn candidate_tables_for_set(cm: &CostModel<'_>, set: &[GroupByQuery]) -> Vec<Tab
 mod tests {
     use super::*;
     use crate::algorithms::{optimal, OptimizerKind};
+    use crate::plan::JoinMethod;
     use starshare_olap::{paper_cube, Cube, GroupBy, MemberPred, PaperCubeSpec};
     use starshare_storage::HardwareModel;
 
