@@ -13,9 +13,7 @@
 pub mod bitvec;
 pub mod compressed;
 pub mod index;
-pub mod rle;
 
 pub use bitvec::Bitmap;
 pub use compressed::{CompressedBitmap, ContainerKind, CHUNK_BITS};
 pub use index::{BitmapJoinIndex, IndexFormat, MemberBits};
-pub use rle::RleBitmap;

@@ -1372,35 +1372,10 @@ impl Engine {
         let mut per_class = Vec::with_capacity(plan.classes.len());
         let mut total = ExecReport::default();
         for class in &plan.classes {
-            let hash_qs: Vec<GroupByQuery> = class
-                .plans
-                .iter()
-                .filter(|p| p.method == JoinMethod::Hash)
-                .map(|p| p.query.clone())
-                .collect();
-            let index_qs: Vec<GroupByQuery> = class
-                .plans
-                .iter()
-                .filter(|p| p.method == JoinMethod::Index)
-                .map(|p| p.query.clone())
-                .collect();
-            let (rs, rep) = if hash_qs.is_empty() {
-                shared_index_join(&mut self.ctx, &self.cube, class.table, &index_qs)?
-            } else {
-                shared_hybrid_join(&mut self.ctx, &self.cube, class.table, &hash_qs, &index_qs)?
-            };
-            // rs is ordered: hash queries first, then index queries — map
-            // back to class plan order.
-            let mut hash_iter = rs.iter().take(hash_qs.len());
-            let mut index_iter = rs.iter().skip(hash_qs.len());
-            for p in &class.plans {
-                let r = match p.method {
-                    JoinMethod::Hash => hash_iter.next(),
-                    JoinMethod::Index => index_iter.next(),
-                }
-                .expect("operator returns one result per query");
-                results.push(r.clone());
-            }
+            // One thread: `run_class` takes the sequential operators and
+            // ignores the strategy.
+            let (rs, rep, _) = self.run_class(class, self.config.strategy)?;
+            results.extend(rs);
             per_class.push(rep);
             total.merge(&rep);
         }
@@ -1500,7 +1475,9 @@ impl Engine {
                 self.config.threads,
                 strategy,
             )?;
-            let out = outs.pop().expect("one class in, one out");
+            let out = outs
+                .pop()
+                .ok_or_else(|| ExecError::new("the executor returned no outcome for a class"))?;
             (out.results, out.report, out.merge_cpu)
         } else if hash_qs.is_empty() {
             let (rs, rep) = shared_index_join(&mut self.ctx, &self.cube, class.table, &index_qs)?;
@@ -1521,10 +1498,16 @@ impl Engine {
                     JoinMethod::Hash => hash_iter.next(),
                     JoinMethod::Index => index_iter.next(),
                 }
-                .expect("operator returns one result per query")
-                .clone()
+                .cloned()
+                .ok_or_else(|| {
+                    ExecError::new(format!(
+                        "the operator returned {} results for a class of {} queries",
+                        rs.len(),
+                        class.plans.len()
+                    ))
+                })
             })
-            .collect();
+            .collect::<std::result::Result<_, _>>()?;
         Ok((ordered, rep, merge_cpu))
     }
 

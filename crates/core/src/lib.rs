@@ -34,9 +34,7 @@ pub use engine::{
 pub use error::{Error, Overload, Result};
 pub use grid::{pivot, render_pivot, PivotGrid, PivotPage};
 
-pub use starshare_bitmap::{
-    Bitmap, BitmapJoinIndex, CompressedBitmap, IndexFormat, MemberBits, RleBitmap,
-};
+pub use starshare_bitmap::{Bitmap, BitmapJoinIndex, CompressedBitmap, IndexFormat, MemberBits};
 pub use starshare_exec::{
     execute_classes, execute_classes_with, hash_star_join, index_star_join, reference_eval,
     result_bytes, shared_hybrid_join, shared_index_join, shared_scan_hash_join, AggKernel,

@@ -22,6 +22,7 @@
 //! docs for the determinism contract).
 
 pub mod cache;
+mod class_kernel;
 pub mod context;
 pub mod error;
 pub mod kernel;

@@ -20,6 +20,7 @@
 use starshare_olap::{combine_mode, CombineMode, Cube, GroupByQuery, LevelRef, TableId};
 use starshare_storage::{AccessKind, CpuCounters, ScanBatch};
 
+use crate::class_kernel::{ClassKernel, CompileKernel, KernelScratch};
 use crate::context::{ExecContext, ExecReport};
 use crate::error::ExecError;
 use crate::kernel::GroupAcc;
@@ -28,11 +29,12 @@ use crate::result::QueryResult;
 use crate::retry::with_retry;
 use crate::rollup::DimPipeline;
 
-/// Per-query execution state: compiled pipeline + running aggregation.
+/// Per-query execution state: the compiled pipeline, how measures fold,
+/// and (for index-fed queries) the result bitmap.
 ///
-/// `pub(crate)` so the partitioned operators in [`crate::parallel`] can
-/// compile once and fan the immutable parts (pipeline, mode, bitmap) out to
-/// workers, each keeping a private `groups` map.
+/// Immutable once phase 1 has built the bitmaps, so the partitioned
+/// operators in [`crate::parallel`] fan one copy out to every worker; each
+/// run keeps its running aggregations ([`GroupAcc`]s) beside the states.
 pub(crate) struct QueryState {
     pub(crate) query: GroupByQuery,
     pub(crate) pipeline: DimPipeline,
@@ -40,9 +42,6 @@ pub(crate) struct QueryState {
     pub(crate) mode: CombineMode,
     /// Index-derived filter (index-fed queries only).
     pub(crate) bitmap: Option<QueryBitmap>,
-    /// Running aggregation, shaped by the pipeline's compiled kernel.
-    pub(crate) acc: GroupAcc,
-    scratch: Vec<u32>,
 }
 
 impl QueryState {
@@ -62,11 +61,9 @@ impl QueryState {
         let pipeline = DimPipeline::compile(&cube.schema, t.group_by(), query)?;
         Ok(QueryState {
             query: query.clone(),
-            acc: pipeline.kernel().new_acc(),
             pipeline,
             mode: combine_mode(query.agg, t.measure()),
             bitmap: None,
-            scratch: Vec::new(),
         })
     }
 
@@ -75,68 +72,46 @@ impl QueryState {
         self.bitmap.as_ref().map_or(0, |b| b.covered_mask)
     }
 
-    /// Feeds one candidate tuple: residual filter, then aggregate.
-    fn feed(&mut self, keys: &[u32], measure: f64, cpu: &mut CpuCounters) {
-        feed_tuple(
-            &self.pipeline,
-            self.mode,
-            self.skip_mask(),
-            keys,
-            measure,
-            &mut self.acc,
-            &mut self.scratch,
-            cpu,
-        );
+    /// The probe paths' per-candidate step: one bitmap test (passing
+    /// always without a bitmap), then the residual filter, then absorb
+    /// into `acc`.
+    pub(crate) fn probe(
+        &self,
+        pos: u64,
+        keys: &[u32],
+        measure: f64,
+        acc: &mut GroupAcc,
+        scratch: &mut Vec<u32>,
+        cpu: &mut CpuCounters,
+    ) {
+        cpu.bitmap_tests += 1;
+        if !self.bitmap.as_ref().is_none_or(|b| b.may_match(pos)) {
+            return;
+        }
+        if self.pipeline.filter_skipping(keys, cpu, self.skip_mask()) {
+            self.pipeline
+                .kernel()
+                .absorb(acc, self.mode, keys, measure, scratch, cpu);
+        }
     }
 
-    /// Feeds a whole columnar batch: vectorized residual filter, then the
-    /// kernel absorbs survivors straight from the batch columns.
-    fn feed_batch(&mut self, batch: &ScanBatch, sel: &mut Vec<u32>, cpu: &mut CpuCounters) {
-        self.pipeline.feed_batch(
-            self.mode,
-            self.skip_mask(),
-            batch,
-            &mut self.acc,
-            sel,
-            &mut self.scratch,
-            cpu,
-        );
+    /// A fresh, empty accumulator for this query.
+    pub(crate) fn new_acc(&self) -> GroupAcc {
+        self.pipeline.kernel().new_acc()
     }
 
-    pub(crate) fn into_result(self) -> QueryResult {
+    /// The query's result from its finished accumulator.
+    pub(crate) fn finish(&self, acc: GroupAcc) -> QueryResult {
         let mode = self.mode;
-        let groups = self.pipeline.kernel().into_groups(self.acc);
         QueryResult::from_groups(
-            self.query,
-            groups.into_iter().map(|(k, st)| (k, st.value(mode))),
+            self.query.clone(),
+            self.pipeline
+                .kernel()
+                .into_groups(acc)
+                .into_iter()
+                .map(|(k, st)| (k, st.value(mode))),
         )
     }
-}
-
-/// The per-tuple inner loop shared by the sequential operators and the
-/// partitioned workers: residual filter, then absorb into the pipeline's
-/// compiled aggregation kernel.
-///
-/// A free function (rather than a `QueryState` method) so partitioned
-/// workers can run it against the *shared* compiled pipeline with a
-/// *private* accumulator.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn feed_tuple(
-    pipeline: &DimPipeline,
-    mode: CombineMode,
-    skip_mask: u64,
-    keys: &[u32],
-    measure: f64,
-    acc: &mut GroupAcc,
-    scratch: &mut Vec<u32>,
-    cpu: &mut CpuCounters,
-) {
-    if !pipeline.filter_skipping(keys, cpu, skip_mask) {
-        return;
-    }
-    pipeline
-        .kernel()
-        .absorb(acc, mode, keys, measure, scratch, cpu);
 }
 
 /// Charges the build of the dimension hash tables needed by `probe_mask`
@@ -179,25 +154,41 @@ pub fn shared_hybrid_join(
     hash_queries: &[GroupByQuery],
     index_queries: &[GroupByQuery],
 ) -> Result<(Vec<QueryResult>, ExecReport), ExecError> {
+    hybrid_join_with(
+        ctx,
+        cube,
+        table,
+        hash_queries,
+        index_queries,
+        ClassKernel::compile,
+    )
+}
+
+/// [`shared_hybrid_join`] with the class kernel compiled by `compile`.
+pub(crate) fn hybrid_join_with(
+    ctx: &mut ExecContext,
+    cube: &Cube,
+    table: TableId,
+    hash_queries: &[GroupByQuery],
+    index_queries: &[GroupByQuery],
+    compile: CompileKernel,
+) -> Result<(Vec<QueryResult>, ExecReport), ExecError> {
     if hash_queries.is_empty() && index_queries.is_empty() {
         return Err("shared_hybrid_join needs at least one query".into());
     }
-    let mut hash_states: Vec<QueryState> = hash_queries
+    let mut states: Vec<QueryState> = hash_queries
         .iter()
+        .chain(index_queries)
         .map(|q| QueryState::compile(cube, table, q))
         .collect::<Result<_, _>>()?;
-    let mut index_states: Vec<QueryState> = index_queries
-        .iter()
-        .map(|q| QueryState::compile(cube, table, q))
-        .collect::<Result<_, _>>()?;
+    let n_hash = hash_queries.len();
+    let t = cube.catalog.table(table);
+    let heap = t.heap();
 
-    let heap = cube.catalog.table(table).heap();
-    let n_dims = cube.schema.n_dims();
-
-    let (states, report) = ctx.run(|ctx, cpu| -> Result<Vec<QueryState>, ExecError> {
-        // Phase 1: result bitmaps for the index-fed queries.
-        let t = cube.catalog.table(table);
-        for st in &mut index_states {
+    let (accs, report) = ctx.run(|ctx, cpu| -> Result<Vec<GroupAcc>, ExecError> {
+        // Phase 1: result bitmaps for the index-fed queries, then the class
+        // kernel over the finished member states.
+        for st in &mut states[n_hash..] {
             st.bitmap = Some(build_query_bitmap(
                 &cube.schema,
                 t,
@@ -206,72 +197,43 @@ pub fn shared_hybrid_join(
                 cpu,
             )?);
         }
+        let kernel = compile(cube, table, &states, n_hash);
         // Phase 2: shared dimension hash tables.
-        let union_mask = hash_states
-            .iter()
-            .chain(index_states.iter())
-            .fold(0u64, |m, s| m | s.pipeline.probe_mask());
-        charge_hash_builds(cube, table, union_mask, cpu);
-        let probes_per_tuple = union_mask.count_ones() as u64;
+        charge_hash_builds(cube, table, kernel.probe_mask(), cpu);
 
         // Phase 3: one shared scan, page-batched. Identical accounting to
         // the tuple-at-a-time cursor (one sequential access per page, same
         // per-tuple CPU charges); decode, predicate filtering, and
-        // aggregation all run columnar per batch. Charges are sums and each
-        // query folds its survivors in row order, so batching never moves
-        // the simulated clock or the results.
+        // aggregation all run columnar per batch, once for the whole class
+        // (see `crate::class_kernel`). Charges are sums and each query
+        // folds its survivors in row order, so batching never moves the
+        // simulated clock or the results.
         //
         // On a compressed heap the scan visits only the zone-map survivors
         // (see `crate::prune`): a pruned zone can satisfy no query in the
         // class, so skipping it changes nothing but the I/O. The parallel
         // executor prunes with the same query set, keeping the two paths
         // fault-identical.
-        let ranges = crate::prune::keep_tuple_ranges(
-            &cube.schema,
-            t,
-            hash_states
-                .iter()
-                .chain(index_states.iter())
-                .map(|s| &s.query),
-        )
-        .unwrap_or_else(|| vec![(0, heap.n_tuples())]);
+        let ranges =
+            crate::prune::keep_tuple_ranges(&cube.schema, t, states.iter().map(|s| &s.query))
+                .unwrap_or_else(|| vec![(0, heap.n_tuples())]);
+        let mut accs: Vec<GroupAcc> = states.iter().map(QueryState::new_acc).collect();
         let mut batch = ScanBatch::new(heap.layout());
-        let mut keys = vec![0u32; n_dims];
-        let mut sel = Vec::new();
+        let mut ws = KernelScratch::default();
         for &(range_lo, range_hi) in &ranges {
             let mut batches = heap.scan_batches(range_lo, range_hi);
             while with_retry(|| batches.try_next_into(&mut ctx.pool, &mut batch))? {
-                let n = batch.len() as u64;
-                cpu.tuple_copies += n;
-                cpu.hash_probes += probes_per_tuple * n;
-                for st in &mut hash_states {
-                    st.feed_batch(&batch, &mut sel, cpu);
-                }
-                // Index-fed queries gate on their bitmap per position, so
-                // they stay row-at-a-time.
-                if !index_states.is_empty() {
-                    for i in 0..batch.len() {
-                        batch.keys_into(i, &mut keys);
-                        let pos = batch.pos(i);
-                        for st in &mut index_states {
-                            cpu.bitmap_tests += 1;
-                            if st.bitmap.as_ref().expect("built in phase 1").may_match(pos) {
-                                st.feed(&keys, batch.measure(i), cpu);
-                            }
-                        }
-                    }
-                }
+                kernel.feed_batch(&states, &mut accs, &batch, &mut ws, cpu);
             }
         }
-        Ok(hash_states
-            .into_iter()
-            .chain(index_states)
-            .collect::<Vec<_>>())
+        Ok(accs)
     });
-    Ok((
-        states?.into_iter().map(QueryState::into_result).collect(),
-        report,
-    ))
+    let results = states
+        .iter()
+        .zip(accs?)
+        .map(|(st, acc)| st.finish(acc))
+        .collect();
+    Ok((results, report))
 }
 
 /// §3.1 — shared scan hash-based star join (Figure 2).
@@ -291,8 +253,8 @@ pub fn hash_star_join(
     table: TableId,
     query: &GroupByQuery,
 ) -> Result<(QueryResult, ExecReport), ExecError> {
-    let (mut rs, rep) = shared_hybrid_join(ctx, cube, table, std::slice::from_ref(query), &[])?;
-    Ok((rs.pop().expect("one query in, one result out"), rep))
+    let (rs, rep) = shared_hybrid_join(ctx, cube, table, std::slice::from_ref(query), &[])?;
+    Ok((single_result(rs)?, rep))
 }
 
 /// §3.2 — shared (bitmap) index join (Figure 4).
@@ -317,7 +279,7 @@ pub fn shared_index_join(
     let n_rows = heap.n_tuples();
     let n_dims = cube.schema.n_dims();
 
-    let (states, report) = ctx.run(|ctx, cpu| -> Result<Vec<QueryState>, ExecError> {
+    let (accs, report) = ctx.run(|ctx, cpu| -> Result<Vec<GroupAcc>, ExecError> {
         // Phase 1: per-query bitmaps, then OR them into the probe set.
         let t = cube.catalog.table(table);
         let mut total: Option<starshare_bitmap::Bitmap> = None;
@@ -345,11 +307,12 @@ pub fn shared_index_join(
         // Phase 2: probe the base table at candidate positions. Random
         // tuple fetches go through the fault-checked path with bounded
         // retry, same as the scan side.
+        let mut accs: Vec<GroupAcc> = states.iter().map(QueryState::new_acc).collect();
         let mut keys = vec![0u32; n_dims];
+        let mut scratch = Vec::new();
         let mut feed_all = |positions: &mut dyn Iterator<Item = u64>,
                             ctx: &mut ExecContext,
-                            cpu: &mut CpuCounters,
-                            states: &mut [QueryState]|
+                            cpu: &mut CpuCounters|
          -> Result<(), ExecError> {
             for pos in positions {
                 let measure = with_retry(|| {
@@ -357,30 +320,29 @@ pub fn shared_index_join(
                 })?;
                 cpu.tuple_copies += 1;
                 cpu.hash_probes += probes_per_tuple;
-                for st in states.iter_mut() {
-                    cpu.bitmap_tests += 1;
-                    if st.bitmap.as_ref().expect("set above").may_match(pos) {
-                        st.feed(&keys, measure, cpu);
-                    }
+                for (st, acc) in states.iter().zip(&mut accs) {
+                    st.probe(pos, &keys, measure, acc, &mut scratch, cpu);
                 }
             }
             Ok(())
         };
         if probe_everything {
-            feed_all(&mut (0..n_rows), ctx, cpu, &mut states)?;
+            feed_all(&mut (0..n_rows), ctx, cpu)?;
         } else if let Some(tot) = &total {
             // Whole-table pass: every word of the bitmap holds candidates
             // for *this* iteration, so `iter_ones` wastes nothing here.
             // Range-restricted walks (the parallel executor's morsels) must
             // use `iter_ones_in`, which seeks to the range's first word.
-            feed_all(&mut tot.iter_ones(), ctx, cpu, &mut states)?;
+            feed_all(&mut tot.iter_ones(), ctx, cpu)?;
         }
-        Ok(states)
+        Ok(accs)
     });
-    Ok((
-        states?.into_iter().map(QueryState::into_result).collect(),
-        report,
-    ))
+    let results = states
+        .iter()
+        .zip(accs?)
+        .map(|(st, acc)| st.finish(acc))
+        .collect();
+    Ok((results, report))
 }
 
 /// Figure 3 — a single bitmap index-based star join.
@@ -390,8 +352,15 @@ pub fn index_star_join(
     table: TableId,
     query: &GroupByQuery,
 ) -> Result<(QueryResult, ExecReport), ExecError> {
-    let (mut rs, rep) = shared_index_join(ctx, cube, table, std::slice::from_ref(query))?;
-    Ok((rs.pop().expect("one query in, one result out"), rep))
+    let (rs, rep) = shared_index_join(ctx, cube, table, std::slice::from_ref(query))?;
+    Ok((single_result(rs)?, rep))
+}
+
+/// The one result of a one-query operator run.
+fn single_result(rs: Vec<QueryResult>) -> Result<QueryResult, ExecError> {
+    rs.into_iter()
+        .next()
+        .ok_or_else(|| ExecError::new("a one-query operator run returned no result"))
 }
 
 #[cfg(test)]

@@ -58,11 +58,12 @@ use starshare_storage::{
     AccessKind, BufferPool, CpuCounters, HardwareModel, HeapFile, IoStats, ScanBatch, SimTime,
 };
 
+use crate::class_kernel::{ClassKernel, CompileKernel, KernelScratch};
 use crate::context::{ExecContext, ExecReport};
 use crate::error::ExecError;
 use crate::kernel::GroupAcc;
 use crate::morsel::{probe_morsels, run_units, scan_morsels, scan_morsels_in_ranges};
-use crate::operators::{charge_hash_builds, feed_tuple, QueryState};
+use crate::operators::{charge_hash_builds, QueryState};
 use crate::plan_io::build_query_bitmap;
 use crate::prune::keep_tuple_ranges;
 use crate::result::QueryResult;
@@ -141,11 +142,11 @@ struct PreparedClass<'a> {
     heap: &'a HeapFile,
     /// Hash states first, then index states.
     states: Vec<QueryState>,
-    n_hash: usize,
+    /// The class's batch kernel over `states`.
+    kernel: ClassKernel,
     /// Post-phase-1 residency snapshot workers clone from.
     pool: BufferPool,
     scan: ScanKind,
-    probes_per_tuple: u64,
     /// Page-aligned `[lo, hi)` tuple ranges (empty ranges dropped).
     morsels: Vec<(u64, u64)>,
     phase1_io: IoStats,
@@ -163,14 +164,15 @@ struct MorselOutput {
     wall: Duration,
 }
 
-/// Reusable per-worker buffers: one columnar batch plus the row-major
-/// scratch vectors, reshaped per morsel so a worker can hop between
-/// classes with different tuple layouts without reallocating.
+/// Reusable per-worker buffers: one columnar batch, the class kernel's
+/// selection vectors, and the probe path's row-major key buffer, reshaped
+/// per morsel so a worker can hop between classes with different tuple
+/// layouts without reallocating.
 #[derive(Default)]
 struct WorkerScratch {
     batch: Option<ScanBatch>,
+    kernel: KernelScratch,
     keys: Vec<u32>,
-    sel: Vec<u32>,
     scratch: Vec<u32>,
 }
 
@@ -229,20 +231,17 @@ fn run_morsel(
     let start = Instant::now();
     let mut pool = class.pool.clone_residency();
     let mut cpu = CpuCounters::default();
-    let mut groups: Vec<GroupAcc> = class
-        .states
-        .iter()
-        .map(|st| st.pipeline.kernel().new_acc())
-        .collect();
+    let mut groups: Vec<GroupAcc> = class.states.iter().map(QueryState::new_acc).collect();
     let WorkerScratch {
         batch,
+        kernel,
         keys,
-        sel,
         scratch,
     } = ws;
     keys.clear();
     keys.resize(cube.schema.n_dims(), 0);
 
+    // The probe paths' per-candidate step: every member is index-fed.
     let feed_states = |keys: &[u32],
                        measure: f64,
                        pos: u64,
@@ -250,72 +249,26 @@ fn run_morsel(
                        groups: &mut [GroupAcc],
                        scratch: &mut Vec<u32>| {
         cpu.tuple_copies += 1;
-        cpu.hash_probes += class.probes_per_tuple;
-        for (i, st) in class.states.iter().enumerate() {
-            if i >= class.n_hash {
-                cpu.bitmap_tests += 1;
-                if !st.bitmap.as_ref().expect("built in phase 1").may_match(pos) {
-                    continue;
-                }
-            }
-            feed_tuple(
-                &st.pipeline,
-                st.mode,
-                st.skip_mask(),
-                keys,
-                measure,
-                &mut groups[i],
-                scratch,
-                cpu,
-            );
+        cpu.hash_probes += class.kernel.probes_per_tuple();
+        for (st, acc) in class.states.iter().zip(groups) {
+            st.probe(pos, keys, measure, acc, scratch, cpu);
         }
     };
 
     match &class.scan {
         ScanKind::Scan => {
             // Page-batched: same accesses and per-tuple charges as the
-            // tuple-at-a-time cursor. Hash members run the vectorized
-            // filter cascade per batch; index members gate on their bitmap
-            // per position, so they stay row-at-a-time.
+            // tuple-at-a-time cursor. The class kernel filters each batch
+            // once for every member: shared predicate masks or per-member
+            // cascades for hash members, bitmap-seeded selection vectors
+            // for index members.
             let mut batches = class.heap.scan_batches(lo, hi);
             let batch = batch.get_or_insert_with(|| ScanBatch::new(class.heap.layout()));
             batch.reshape(class.heap.layout());
             while batches.next_into(&mut pool, batch) {
-                let n = batch.len() as u64;
-                cpu.tuple_copies += n;
-                cpu.hash_probes += class.probes_per_tuple * n;
-                for (i, st) in class.states.iter().enumerate().take(class.n_hash) {
-                    st.pipeline.feed_batch(
-                        st.mode,
-                        st.skip_mask(),
-                        batch,
-                        &mut groups[i],
-                        sel,
-                        scratch,
-                        &mut cpu,
-                    );
-                }
-                if class.n_hash < class.states.len() {
-                    for r in 0..batch.len() {
-                        batch.keys_into(r, keys);
-                        let pos = batch.pos(r);
-                        for (i, st) in class.states.iter().enumerate().skip(class.n_hash) {
-                            cpu.bitmap_tests += 1;
-                            if st.bitmap.as_ref().expect("built in phase 1").may_match(pos) {
-                                feed_tuple(
-                                    &st.pipeline,
-                                    st.mode,
-                                    st.skip_mask(),
-                                    keys,
-                                    batch.measure(r),
-                                    &mut groups[i],
-                                    scratch,
-                                    &mut cpu,
-                                );
-                            }
-                        }
-                    }
-                }
+                class
+                    .kernel
+                    .feed_batch(&class.states, &mut groups, batch, kernel, &mut cpu);
             }
         }
         ScanKind::Probe { total, everything } => match strategy {
@@ -445,10 +398,7 @@ fn tree_merge(
     if layer.is_empty() {
         // No morsels (empty table or empty candidate set): fresh, empty
         // accumulators.
-        let fresh = states
-            .iter()
-            .map(|st| st.pipeline.kernel().new_acc())
-            .collect();
+        let fresh = states.iter().map(QueryState::new_acc).collect();
         return (fresh, cost);
     }
     while layer.len() > 1 {
@@ -512,10 +462,7 @@ fn serial_fold(
 ) -> (Vec<GroupAcc>, MergeCost) {
     let start = Instant::now();
     let mut cpu = CpuCounters::default();
-    let mut merged: Vec<GroupAcc> = states
-        .iter()
-        .map(|st| st.pipeline.kernel().new_acc())
-        .collect();
+    let mut merged: Vec<GroupAcc> = states.iter().map(QueryState::new_acc).collect();
     for part in &parts {
         for (qi, part_groups) in part.iter().enumerate() {
             let st = &states[qi];
@@ -569,6 +516,18 @@ pub fn execute_classes_with(
     threads: usize,
     strategy: ExecStrategy,
 ) -> Result<Vec<ClassOutcome>, ExecError> {
+    execute_classes_compiled(ctx, cube, classes, threads, strategy, ClassKernel::compile)
+}
+
+/// [`execute_classes_with`] with each class kernel compiled by `compile`.
+pub(crate) fn execute_classes_compiled(
+    ctx: &mut ExecContext,
+    cube: &Cube,
+    classes: &[ClassSpec],
+    threads: usize,
+    strategy: ExecStrategy,
+    compile: CompileKernel,
+) -> Result<Vec<ClassOutcome>, ExecError> {
     let threads = threads.max(1);
     let model = ctx.model;
 
@@ -602,8 +561,8 @@ pub fn execute_classes_with(
                 &mut cpu,
             )?);
         }
-        let union_mask = states.iter().fold(0u64, |m, s| m | s.pipeline.probe_mask());
-        charge_hash_builds(cube, spec.table, union_mask, &mut cpu);
+        let kernel = compile(cube, spec.table, &states, n_hash);
+        charge_hash_builds(cube, spec.table, kernel.probe_mask(), &mut cpu);
 
         let scan = if n_hash > 0 {
             ScanKind::Scan
@@ -613,7 +572,7 @@ pub fn execute_classes_with(
             let mut total: Option<Bitmap> = None;
             let mut everything = false;
             for st in &states {
-                match &st.bitmap.as_ref().expect("index state").bitmap {
+                match st.bitmap.as_ref().and_then(|qb| qb.bitmap.as_ref()) {
                     Some(bm) => match total.as_mut() {
                         Some(tot) => cpu.bitmap_words += tot.or_assign(bm),
                         None => total = Some(bm.clone()),
@@ -646,9 +605,8 @@ pub fn execute_classes_with(
         prepared.push(PreparedClass {
             morsels,
             heap,
-            probes_per_tuple: union_mask.count_ones() as u64,
             states,
-            n_hash,
+            kernel,
             scan,
             phase1_io: pool.stats(),
             phase1_cpu: cpu,
@@ -780,16 +738,7 @@ pub fn execute_classes_with(
             .states
             .iter()
             .zip(merged)
-            .map(|(st, acc)| {
-                QueryResult::from_groups(
-                    st.query.clone(),
-                    st.pipeline
-                        .kernel()
-                        .into_groups(acc)
-                        .into_iter()
-                        .map(|(k, a)| (k, a.value(st.mode))),
-                )
-            })
+            .map(|(st, acc)| st.finish(acc))
             .collect();
 
         ctx.pool.add_stats(&io);

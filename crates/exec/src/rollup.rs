@@ -21,8 +21,9 @@ use crate::kernel::{AggKernel, GroupAcc, KernelTier};
 
 /// Stored-key domains up to this size (1 Ki words = 8 KiB, L1-resident) get
 /// the roll-up divisor folded into the bitset at compile time, making the
-/// hot membership test a single divisionless bit probe.
-const STORED_BITSET_MAX_DOMAIN: u64 = 1 << 16;
+/// hot membership test a single divisionless bit probe. The class kernel
+/// (`crate::class_kernel`) uses the same bound for its per-key query masks.
+pub(crate) const STORED_BITSET_MAX_DOMAIN: u64 = 1 << 16;
 
 /// Member domains up to this size get a word-level bitset membership test
 /// on the *rolled* key (16 words max); larger domains binary-search the
@@ -272,11 +273,16 @@ impl DimPipeline {
     /// cascade over the predicate columns, then the kernel absorbs the
     /// survivors straight from the batch.
     ///
+    /// With `seeded == false` the cascade starts from every row of the
+    /// batch and `sel` is only scratch space; with `seeded == true` it
+    /// starts from the rows already in `sel` (ascending) — an index
+    /// member's bitmap candidates.
+    ///
     /// Charge-equivalent to calling [`filter_skipping`](Self::filter_skipping)
-    /// plus [`AggKernel::absorb`] on every row: predicate `k` runs (and
-    /// charges one `predicate_evals`) exactly for the rows that survived
-    /// predicates `1..k` — the same rows the per-row short-circuit would
-    /// have reached it with — and survivors absorb in row order, so
+    /// plus [`AggKernel::absorb`] on every starting row: predicate `k` runs
+    /// (and charges one `predicate_evals`) exactly for the rows that
+    /// survived predicates `1..k` — the same rows the per-row short-circuit
+    /// would have reached it with — and survivors absorb in row order, so
     /// results, counters, and the simulated clock are bit-identical to the
     /// row-at-a-time path. Only the memory access pattern changes: each
     /// predicate streams one dense `u32` column instead of striding across
@@ -289,11 +295,11 @@ impl DimPipeline {
         batch: &ScanBatch,
         acc: &mut GroupAcc,
         sel: &mut Vec<u32>,
+        mut seeded: bool,
         scratch: &mut Vec<u32>,
         cpu: &mut CpuCounters,
     ) {
         let n = batch.len();
-        let mut seeded = false;
         for p in &self.preds {
             if skip_mask & (1 << p.dim) != 0 {
                 continue;
@@ -306,10 +312,36 @@ impl DimPipeline {
             sel.clear();
             sel.extend(0..n as u32);
         }
-        for &i in sel.iter() {
+        self.absorb_selected(mode, batch, sel, acc, scratch, cpu);
+    }
+
+    /// Absorbs the batch rows listed in `sel` (ascending) into `acc`.
+    pub(crate) fn absorb_selected(
+        &self,
+        mode: CombineMode,
+        batch: &ScanBatch,
+        sel: &[u32],
+        acc: &mut GroupAcc,
+        scratch: &mut Vec<u32>,
+        cpu: &mut CpuCounters,
+    ) {
+        for &i in sel {
             self.kernel
                 .absorb_row(acc, mode, batch, i as usize, scratch, cpu);
         }
+    }
+
+    /// The predicate on dimension `d`, if any, as the half-open ranges of
+    /// *stored* keys that satisfy it (one range per qualifying member,
+    /// ascending; ranges are not clipped to the stored domain).
+    pub(crate) fn stored_ranges(&self, d: usize) -> Option<impl Iterator<Item = (u64, u64)> + '_> {
+        let p = self.preds.iter().find(|p| p.dim == d)?;
+        let div = u64::from(p.divisor);
+        Some(
+            p.members
+                .iter()
+                .map(move |&m| (u64::from(m) * div, (u64::from(m) + 1) * div)),
+        )
     }
 
     /// Extracts the aggregation key (rolled to the target levels) into

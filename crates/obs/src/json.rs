@@ -92,6 +92,11 @@ impl Obj {
         self
     }
 
+    /// Adds an optional float field (`null` when absent).
+    pub fn field_opt_f64(&mut self, k: &str, v: Option<f64>) -> &mut Self {
+        self.field_f64(k, v.unwrap_or(f64::NAN))
+    }
+
     /// Adds a string field (escaped).
     pub fn field_str(&mut self, k: &str, v: &str) -> &mut Self {
         self.key(k);

@@ -258,15 +258,11 @@ impl MetricsSnapshot {
         self.inner.seq_bytes + self.inner.random_bytes
     }
 
-    /// Cache hits over cache probes (1.0 when nothing was probed).
-    pub fn cache_hit_ratio(&self) -> f64 {
+    /// Cache hits over cache probes (`None` when nothing was probed).
+    pub fn cache_hit_ratio(&self) -> Option<f64> {
         let hits = self.inner.cache_exact_hits + self.inner.cache_subsumption_hits;
         let probes = hits + self.inner.cache_misses;
-        if probes == 0 {
-            1.0
-        } else {
-            hits as f64 / probes as f64
-        }
+        (probes > 0).then(|| hits as f64 / probes as f64)
     }
 
     /// Subsumption hits over all cache hits (0.0 when there were none).
@@ -279,15 +275,11 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Entries patched over entries touched by appends (1.0 when appends
-    /// never touched a cached entry).
-    pub fn cache_patch_ratio(&self) -> f64 {
+    /// Entries patched over entries touched by appends (`None` when
+    /// appends never touched a cached entry).
+    pub fn cache_patch_ratio(&self) -> Option<f64> {
         let touched = self.inner.cache_patched + self.inner.cache_patch_drops;
-        if touched == 0 {
-            1.0
-        } else {
-            self.inner.cache_patched as f64 / touched as f64
-        }
+        (touched > 0).then(|| self.inner.cache_patched as f64 / touched as f64)
     }
 
     /// Renders the snapshot as one JSON object (stable key order).
@@ -325,9 +317,9 @@ impl MetricsSnapshot {
         o.field_u64("cache_invalidations", m.cache_invalidations);
         o.field_u64("cache_patched", m.cache_patched);
         o.field_u64("cache_patch_drops", m.cache_patch_drops);
-        o.field_f64("cache_hit_ratio", self.cache_hit_ratio());
+        o.field_opt_f64("cache_hit_ratio", self.cache_hit_ratio());
         o.field_f64("cache_subsumption_ratio", self.cache_subsumption_ratio());
-        o.field_f64("cache_patch_ratio", self.cache_patch_ratio());
+        o.field_opt_f64("cache_patch_ratio", self.cache_patch_ratio());
         o.field_u64("appends", m.appends);
         o.field_u64("appended_rows", m.appended_rows);
         o.finish()
@@ -391,9 +383,12 @@ mod tests {
     #[test]
     fn ratios_handle_empty_denominators() {
         let snap = MetricsRegistry::default().snapshot();
-        assert_eq!(snap.cache_hit_ratio(), 1.0);
+        assert_eq!(snap.cache_hit_ratio(), None);
         assert_eq!(snap.cache_subsumption_ratio(), 0.0);
-        assert_eq!(snap.cache_patch_ratio(), 1.0);
+        assert_eq!(snap.cache_patch_ratio(), None);
+        let json = snap.to_json();
+        assert!(json.contains("\"cache_hit_ratio\":null"), "{json}");
+        assert!(json.contains("\"cache_patch_ratio\":null"), "{json}");
         assert_eq!(snap.bytes_scanned(), 0);
     }
 

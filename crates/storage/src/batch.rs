@@ -81,14 +81,6 @@ impl ScanBatch {
         self.measures[i]
     }
 
-    /// Copies row `i`'s keys into `keys_out` (for callers that still need a
-    /// row-major view).
-    pub fn keys_into(&self, i: usize, keys_out: &mut [u32]) {
-        for (d, k) in keys_out.iter_mut().enumerate() {
-            *k = self.cols[d][i];
-        }
-    }
-
     /// Reshapes the batch for a (possibly different) tuple layout and
     /// empties it, so one worker-local batch can be reused across morsels
     /// of classes whose base tables have different dimension counts.
@@ -188,9 +180,7 @@ mod tests {
         assert_eq!(b.key(1, 2), 30);
         assert_eq!(b.key(2, 1), 200);
         assert_eq!(b.measure(0), 1.5);
-        let mut keys = [0u32; 3];
-        b.keys_into(2, &mut keys);
-        assert_eq!(keys, [3, 30, 300]);
+        assert_eq!([b.key(0, 2), b.key(1, 2), b.key(2, 2)], [3, 30, 300]);
         // Refill reuses the buffers.
         b.fill(&layout, &page, 0, 1, 0);
         assert_eq!(b.len(), 1);
@@ -214,9 +204,7 @@ mod tests {
         b.reshape(narrow);
         assert!(b.is_empty());
         b.fill(&narrow, &page2, 0, 1, 5);
-        let mut keys = [0u32; 2];
-        b.keys_into(0, &mut keys);
-        assert_eq!(keys, [7, 8]);
+        assert_eq!([b.key(0, 0), b.key(1, 0)], [7, 8]);
         assert_eq!(b.base_pos(), 5);
     }
 }

@@ -857,10 +857,8 @@ mod tests {
                 let mut got = Vec::new();
                 while batches.next_into(&mut batch_pool, &mut batch) {
                     for i in 0..batch.len() {
-                        let mut k = [0u32; 2];
-                        batch.keys_into(i, &mut k);
-                        assert_eq!(k, [batch.key(0, i), batch.key(1, i)]);
-                        got.push((batch.pos(i), k.to_vec(), batch.measure(i)));
+                        let k = vec![batch.key(0, i), batch.key(1, i)];
+                        got.push((batch.pos(i), k, batch.measure(i)));
                     }
                 }
                 assert_eq!(got, expected, "tuples differ for range {lo}..{hi}");
