@@ -1,6 +1,5 @@
-//! Parallel-execution runner: the thread-count ablation plus the scaling
-//! bench racing the morsel scheduler against the pre-morsel fixed-8
-//! executor.
+//! Parallel-execution runner: the thread-count ablation plus the morsel
+//! executor's scaling bench.
 //!
 //! ```text
 //! STARSHARE_SCALE=0.1 cargo run --release -p starshare-bench --bin parallel [out.json]
@@ -8,13 +7,13 @@
 //!
 //! Prints both reports and writes the scaling bench's JSON payload
 //! (default `BENCH_parallel.json` in the current directory). Exits
-//! non-zero if any configuration's results diverge or the simulated clock
-//! moves with the thread count — speedups vary by host, correctness may
-//! not.
+//! non-zero if result rows diverge across thread counts or the simulated
+//! clock moves with the thread count — speedups vary by host, correctness
+//! may not.
 
 use starshare_bench::{
-    ablation_parallel, parallel_bench_at, parallel_bench_json, render_parallel,
-    render_parallel_bench, scale_from_env,
+    ablation_parallel, parallel_bench, parallel_bench_json, render_parallel, render_parallel_bench,
+    scale_from_env,
 };
 
 fn main() {
@@ -23,10 +22,6 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(3);
-    let morsel_pages: u32 = std::env::var("STARSHARE_MORSEL_PAGES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(starshare_core::DEFAULT_MORSEL_PAGES);
     let out = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_parallel.json".to_string());
@@ -37,8 +32,8 @@ fn main() {
     let rows = ablation_parallel(scale, &[1, 2, 4, 8]);
     print!("{}", render_parallel(&rows));
 
-    println!("\n== Morsel scheduler vs legacy fixed-8 split ==");
-    let r = parallel_bench_at(scale, repeats, &[1, 4, 16], None, morsel_pages);
+    println!("\n== Morsel executor scaling ==");
+    let r = parallel_bench(scale, repeats, &[1, 4, 16], None);
     print!("{}", render_parallel_bench(&r));
     std::fs::write(&out, parallel_bench_json(&r)).expect("write bench json");
     println!("wrote {out}");
@@ -47,7 +42,7 @@ fn main() {
         .iter()
         .any(|w| !w.results_match || !w.clock_invariant)
     {
-        eprintln!("FAIL: strategies or thread counts diverged (see report above)");
+        eprintln!("FAIL: thread counts diverged (see report above)");
         std::process::exit(1);
     }
 }

@@ -32,8 +32,8 @@ pub use cache::{
 };
 pub use kernels::{kernel_bench, kernel_bench_json, render_kernel_bench, KernelBenchResult};
 pub use parallel::{
-    parallel_bench, parallel_bench_at, parallel_bench_json, render_parallel_bench,
-    ParallelBenchResult, ParallelBenchRow, WorkloadBench, DEFAULT_PROBE_ROWS,
+    parallel_bench, parallel_bench_json, render_parallel_bench, ParallelBenchResult,
+    ParallelBenchRow, WorkloadBench, DEFAULT_PROBE_ROWS,
 };
 pub use serving::{
     render_serving_bench, serving_bench, serving_bench_json, ServingBenchResult, ServingRow,

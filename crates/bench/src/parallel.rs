@@ -1,53 +1,38 @@
-//! Parallel scaling bench: the morsel scheduler vs. the pre-morsel
-//! executor, on a balanced shared scan and a skewed index probe.
+//! Parallel scaling bench: the morsel executor across thread counts, on a
+//! balanced shared scan and a skewed index probe.
 //!
-//! [`ExecStrategy::LegacyFixed8`] freezes the executor this repo shipped
-//! before the morsel scheduler — eight page-even partitions, a
-//! full-bitmap filter per probe partition, a serial coordinator fold, and
-//! `wall` reported as summed per-partition work. Racing it against
-//! [`ExecStrategy::Morsel`] on the same [`ClassSpec`]s measures what the
-//! scheduler buys:
+//! * **balanced scan** (Fig 10: Q1–Q4 hash on `ABCD`) — page-chunk morsels
+//!   over a uniform pass;
+//! * **skewed probe** ([`skewed_probe`]: clustered table, all candidates in
+//!   the final tenth of the pages) — candidate-balanced morsels with
+//!   `iter_ones_in` word seeks, so the clustered candidates still spread
+//!   over every worker.
 //!
-//! * **balanced scan** (Fig 10: Q1–Q4 hash on `ABCD`) — morsel
-//!   boundaries roughly match the even split, so the two strategies
-//!   should be close; this is the "no regression on easy inputs" leg;
-//! * **skewed probe** ([`skewed_probe`]: clustered table, all
-//!   candidates in the final tenth of the pages) — the legacy split
-//!   walks the whole candidate bitmap once per partition and lands
-//!   every candidate in its last partition; candidate-balanced morsels
-//!   with `iter_ones_in` word seeks do neither. This is the leg the
-//!   acceptance speedup is measured on.
-//!
-//! The simulated columns double as a determinism audit: within one
-//! strategy, `sim`, `critical`, and the I/O counters must be identical at
-//! every thread count, and every configuration's result rows must agree.
+//! The simulated columns double as a determinism audit: `sim`, `critical`,
+//! and the I/O counters must be identical at every thread count, and every
+//! thread count's result rows must agree.
 
 use std::time::Duration;
 
 use starshare_core::{
-    execute_classes_with, ClassSpec, Cube, ExecContext, ExecStrategy, IoStats, MetricsSnapshot,
-    MorselSpec, QueryResult, SimTime, Telemetry, TelemetryConfig,
+    execute_class, ClassSpec, Cube, ExecContext, ExecStrategy, IoStats, MetricsSnapshot,
+    QueryResult, SimTime, Telemetry, TelemetryConfig,
 };
 
 use crate::workloads::{fig10_workload, skewed_probe};
 
 /// Default base rows for the skewed probe leg (~320 k candidates at the
 /// workload's 8 % rare fraction). Deliberately not scaled by
-/// `STARSHARE_SCALE`: per-partition probe work has to be large relative
-/// to an OS scheduler timeslice for the wall clocks to resolve the
-/// legacy executor's skew-plus-oversubscription pathology.
+/// `STARSHARE_SCALE`: per-morsel probe work has to be large relative to an
+/// OS scheduler timeslice for the wall clocks to resolve the thread sweep.
 pub const DEFAULT_PROBE_ROWS: u64 = 4_000_000;
 
-/// One (strategy, thread count) measurement.
+/// One thread-count measurement.
 #[derive(Debug, Clone)]
 pub struct ParallelBenchRow {
-    /// `"legacy-fixed8"` or `"morsel"`.
-    pub strategy: &'static str,
     /// Worker threads requested.
     pub threads: usize,
-    /// Best (minimum) reported wall across the repeats. Legacy reports
-    /// summed per-partition work (its historical semantics); morsel
-    /// reports elapsed latency.
+    /// Best (minimum) elapsed wall across the repeats.
     pub wall: Duration,
     /// Summed worker time of the best run.
     pub busy: Duration,
@@ -59,7 +44,7 @@ pub struct ParallelBenchRow {
     pub io: IoStats,
 }
 
-/// One workload's sweep over both strategies and all thread counts.
+/// One workload's sweep over all thread counts.
 #[derive(Debug, Clone)]
 pub struct WorkloadBench {
     /// Workload label.
@@ -68,15 +53,12 @@ pub struct WorkloadBench {
     pub rows: u64,
     /// Rows the probe predicate selects (`None` for scan workloads).
     pub candidates: Option<u64>,
-    /// All measurements, grouped by strategy then thread count.
+    /// One measurement per thread count, in sweep order.
     pub runs: Vec<ParallelBenchRow>,
-    /// Every configuration produced the same result rows (1e-9).
+    /// Every thread count produced the same result rows (1e-9).
     pub results_match: bool,
-    /// Within each strategy, `sim`/`critical`/`io` were identical at
-    /// every thread count.
+    /// `sim`/`critical`/`io` were identical at every thread count.
     pub clock_invariant: bool,
-    /// Legacy wall / morsel wall at the highest thread count.
-    pub speedup: f64,
 }
 
 /// Outcome of [`parallel_bench`].
@@ -90,38 +72,28 @@ pub struct ParallelBenchResult {
     pub threads: Vec<usize>,
     /// Per-workload sweeps.
     pub workloads: Vec<WorkloadBench>,
-    /// Unified metrics snapshot from a telemetry-armed morsel rerun of
-    /// both workloads at the top thread count (the raw executor entry
-    /// point bypasses the engine, so the bench stands in for the engine's
+    /// Unified metrics snapshot from a telemetry-armed rerun of both
+    /// workloads at the top thread count (the raw executor entry point
+    /// bypasses the engine, so the bench stands in for the engine's
     /// per-class accounting).
     pub metrics: Option<MetricsSnapshot>,
 }
 
-/// Runs one configuration `repeats` times cold (fresh [`ExecContext`]
-/// per run, so every run pays the same page faults) and keeps the best
-/// wall time alongside the (invariant) simulated columns and results.
+/// Runs one class `repeats` times cold (fresh [`ExecContext`] per run, so
+/// every run pays the same page faults) and keeps the best wall time
+/// alongside the (invariant) simulated columns and results.
 fn run_config(
     cube: &Cube,
     spec: &ClassSpec,
     threads: usize,
-    strategy: ExecStrategy,
-    name: &'static str,
     repeats: u32,
 ) -> (ParallelBenchRow, Vec<QueryResult>) {
     let mut best: Option<(ParallelBenchRow, Vec<QueryResult>)> = None;
     for _ in 0..repeats.max(1) {
         let mut ctx = ExecContext::paper_1998();
-        let outcomes = execute_classes_with(
-            &mut ctx,
-            cube,
-            std::slice::from_ref(spec),
-            threads,
-            strategy,
-        )
-        .expect("bench workload executes");
-        let oc = outcomes.into_iter().next().expect("one class");
+        let oc = execute_class(&mut ctx, cube, spec, threads, ExecStrategy::default())
+            .expect("bench workload executes");
         let row = ParallelBenchRow {
-            strategy: name,
             threads,
             wall: oc.report.wall,
             busy: oc.report.busy,
@@ -136,92 +108,46 @@ fn run_config(
     best.expect("at least one repeat")
 }
 
-/// Sweeps one workload over both strategies and `thread_counts`.
-#[allow(clippy::too_many_arguments)]
+/// Sweeps one workload over `thread_counts`.
 fn sweep(
     name: &str,
     cube: &Cube,
     spec: &ClassSpec,
-    rows: u64,
     candidates: Option<u64>,
     thread_counts: &[usize],
     repeats: u32,
-    morsel_pages: u32,
 ) -> WorkloadBench {
-    let mut runs = Vec::new();
-    let mut all_results: Vec<Vec<QueryResult>> = Vec::new();
-    for (strategy, label) in [
-        (ExecStrategy::LegacyFixed8, "legacy-fixed8"),
-        (
-            ExecStrategy::Morsel(MorselSpec::with_pages(morsel_pages)),
-            "morsel",
-        ),
-    ] {
-        for &t in thread_counts {
-            let (row, results) = run_config(cube, spec, t, strategy, label, repeats);
-            runs.push(row);
-            all_results.push(results);
-        }
-    }
+    let (runs, all_results): (Vec<_>, Vec<_>) = thread_counts
+        .iter()
+        .map(|&t| run_config(cube, spec, t, repeats))
+        .unzip();
     let results_match = all_results.windows(2).all(|w| {
         w[0].len() == w[1].len() && w[0].iter().zip(&w[1]).all(|(a, b)| a.approx_eq(b, 1e-9))
     });
-    let clock_invariant = ["legacy-fixed8", "morsel"].iter().all(|label| {
-        let group: Vec<&ParallelBenchRow> = runs.iter().filter(|r| r.strategy == *label).collect();
-        group
-            .windows(2)
-            .all(|w| w[0].sim == w[1].sim && w[0].critical == w[1].critical && w[0].io == w[1].io)
-    });
-    let top = *thread_counts.iter().max().expect("non-empty thread sweep");
-    let at = |label: &str| {
-        runs.iter()
-            .find(|r| r.strategy == label && r.threads == top)
-            .expect("swept configuration")
-            .wall
-    };
-    let speedup = at("legacy-fixed8").as_secs_f64() / at("morsel").as_secs_f64().max(1e-12);
+    let clock_invariant = runs
+        .windows(2)
+        .all(|w| w[0].sim == w[1].sim && w[0].critical == w[1].critical && w[0].io == w[1].io);
     WorkloadBench {
         name: name.to_string(),
-        rows,
+        rows: cube.catalog.table(spec.table).n_rows(),
         candidates,
         runs,
         results_match,
         clock_invariant,
-        speedup,
     }
 }
 
-/// Races [`ExecStrategy::LegacyFixed8`] against the morsel scheduler on
-/// the Fig-10 shared scan (at `scale`) and the skewed probe workload.
+/// Sweeps the morsel executor over `thread_counts` on the Fig-10 shared
+/// scan (at `scale`) and the skewed probe workload.
 ///
 /// `probe_rows` overrides the probe table's size, which defaults to
-/// [`DEFAULT_PROBE_ROWS`] regardless of `scale` (see `parallel_bench_at`
-/// for why the probe leg does not shrink with the scan leg).
+/// [`DEFAULT_PROBE_ROWS`] regardless of `scale`.
 pub fn parallel_bench(
     scale: f64,
     repeats: u32,
     thread_counts: &[usize],
     probe_rows: Option<u64>,
 ) -> ParallelBenchResult {
-    parallel_bench_at(
-        scale,
-        repeats,
-        thread_counts,
-        probe_rows,
-        starshare_core::DEFAULT_MORSEL_PAGES,
-    )
-}
-
-/// [`parallel_bench`] at an explicit morsel size (pages per morsel).
-pub fn parallel_bench_at(
-    scale: f64,
-    repeats: u32,
-    thread_counts: &[usize],
-    probe_rows: Option<u64>,
-    morsel_pages: u32,
-) -> ParallelBenchResult {
-    let mut workloads = Vec::new();
-
     // Balanced leg: the paper cube's shared scan.
     let engine = crate::build_engine(scale);
     let (t, queries) = fig10_workload(&engine);
@@ -230,55 +156,41 @@ pub fn parallel_bench_at(
         hash_queries: queries,
         index_queries: Vec::new(),
     };
-    let scan_rows = engine.cube().catalog.table(t).n_rows();
-    workloads.push(sweep(
-        "fig10-shared-scan",
-        engine.cube(),
-        &scan_spec,
-        scan_rows,
-        None,
-        thread_counts,
-        repeats,
-        morsel_pages,
-    ));
-
-    // Skewed leg: every candidate clustered in the table's tail. Sized
-    // independently of `scale`: the pathology being measured — the fixed
-    // split concentrating all probe work in one partition while the other
-    // seven walk the whole candidate bitmap, with every unit's elapsed
-    // time inflated by oversubscription — needs per-unit work well above
-    // a scheduler timeslice before wall clocks resolve it.
-    let probe_rows = probe_rows.unwrap_or(DEFAULT_PROBE_ROWS);
-    let probe = skewed_probe(probe_rows, 7);
+    // Skewed leg: every candidate clustered in the table's tail.
+    let probe = skewed_probe(probe_rows.unwrap_or(DEFAULT_PROBE_ROWS), 7);
     let probe_spec = ClassSpec {
         table: probe.table,
         hash_queries: Vec::new(),
         index_queries: vec![probe.query.clone()],
     };
-    workloads.push(sweep(
-        "skewed-probe",
-        &probe.cube,
-        &probe_spec,
-        probe.rows,
-        Some(probe.candidates),
-        thread_counts,
-        repeats,
-        morsel_pages,
-    ));
+    let workloads = vec![
+        sweep(
+            "fig10-shared-scan",
+            engine.cube(),
+            &scan_spec,
+            None,
+            thread_counts,
+            repeats,
+        ),
+        sweep(
+            "skewed-probe",
+            &probe.cube,
+            &probe_spec,
+            Some(probe.candidates),
+            thread_counts,
+            repeats,
+        ),
+    ];
 
     let metrics = {
         let tele = Telemetry::new(TelemetryConfig::enabled(0));
         let top = *thread_counts.iter().max().expect("non-empty thread sweep");
-        let strategy = ExecStrategy::Morsel(MorselSpec::with_pages(morsel_pages));
         let rerun = |cube: &Cube, spec: &ClassSpec| {
             let mut ctx = ExecContext::paper_1998();
             ctx.telemetry = tele.clone();
-            let outcomes =
-                execute_classes_with(&mut ctx, cube, std::slice::from_ref(spec), top, strategy)
-                    .expect("bench workload executes");
-            for oc in &outcomes {
-                tele.metrics(|m| m.observe_exec(&oc.report.io, oc.report.sim, oc.report.critical));
-            }
+            let oc = execute_class(&mut ctx, cube, spec, top, ExecStrategy::default())
+                .expect("bench workload executes");
+            tele.metrics(|m| m.observe_exec(&oc.report.io, oc.report.sim, oc.report.critical));
         };
         rerun(engine.cube(), &scan_spec);
         rerun(&probe.cube, &probe_spec);
@@ -300,7 +212,7 @@ pub fn render_parallel_bench(r: &ParallelBenchResult) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Parallel scaling bench — legacy fixed-8 vs morsel scheduler, scale {}, {} repeats",
+        "Parallel scaling bench — morsel executor, scale {}, {} repeats",
         r.scale, r.repeats
     );
     for w in &r.workloads {
@@ -311,14 +223,13 @@ pub fn render_parallel_bench(r: &ParallelBenchResult) -> String {
         let _ = writeln!(out, ")");
         let _ = writeln!(
             out,
-            "  {:>14} {:>7} {:>12} {:>12} {:>11} {:>11}",
-            "strategy", "threads", "wall", "busy", "sim", "critical"
+            "  {:>7} {:>12} {:>12} {:>11} {:>11}",
+            "threads", "wall", "busy", "sim", "critical"
         );
         for row in &w.runs {
             let _ = writeln!(
                 out,
-                "  {:>14} {:>7} {:>12?} {:>12?} {:>10.3}s {:>10.3}s",
-                row.strategy,
+                "  {:>7} {:>12?} {:>12?} {:>10.3}s {:>10.3}s",
                 row.threads,
                 row.wall,
                 row.busy,
@@ -328,11 +239,8 @@ pub fn render_parallel_bench(r: &ParallelBenchResult) -> String {
         }
         let _ = writeln!(
             out,
-            "  speedup at {} threads: {:.2}x   results match: {}   clock invariant: {}",
-            r.threads.iter().max().unwrap_or(&1),
-            w.speedup,
-            w.results_match,
-            w.clock_invariant
+            "  results match: {}   clock invariant: {}",
+            w.results_match, w.clock_invariant
         );
     }
     out
@@ -356,12 +264,11 @@ pub fn parallel_bench_json(r: &ParallelBenchResult) -> String {
                 .map(|row| {
                     format!(
                         concat!(
-                            "        {{ \"strategy\": \"{strategy}\", \"threads\": {threads}, ",
+                            "        {{ \"threads\": {threads}, ",
                             "\"wall_ms\": {wall:.3}, \"busy_ms\": {busy:.3}, ",
                             "\"sim_ms\": {sim:.3}, \"critical_ms\": {critical:.3}, ",
                             "\"io\": {{ \"seq_faults\": {seq}, \"random_faults\": {rand}, \"hits\": {hits} }} }}"
                         ),
-                        strategy = row.strategy,
                         threads = row.threads,
                         wall = row.wall.as_secs_f64() * 1e3,
                         busy = row.busy.as_secs_f64() * 1e3,
@@ -385,8 +292,7 @@ pub fn parallel_bench_json(r: &ParallelBenchResult) -> String {
                     "      \"candidates\": {candidates},\n",
                     "      \"runs\": [\n{runs}\n      ],\n",
                     "      \"results_match\": {rm},\n",
-                    "      \"clock_invariant\": {ci},\n",
-                    "      \"speedup\": {speedup:.3}\n",
+                    "      \"clock_invariant\": {ci}\n",
                     "    }}"
                 ),
                 name = w.name,
@@ -395,7 +301,6 @@ pub fn parallel_bench_json(r: &ParallelBenchResult) -> String {
                 runs = runs,
                 rm = w.results_match,
                 ci = w.clock_invariant,
-                speedup = w.speedup,
             )
         })
         .collect::<Vec<_>>()
@@ -424,18 +329,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn both_strategies_agree_and_keep_the_clock_still() {
+    fn thread_counts_agree_and_keep_the_clock_still() {
         let r = parallel_bench(0.002, 1, &[1, 2], Some(20_000));
         assert_eq!(r.workloads.len(), 2);
         for w in &r.workloads {
             assert!(w.results_match, "{}: results diverge", w.name);
             assert!(w.clock_invariant, "{}: clock moved with threads", w.name);
-            assert_eq!(
-                w.runs.len(),
-                4,
-                "{}: 2 strategies x 2 thread counts",
-                w.name
-            );
+            assert_eq!(w.runs.len(), 2, "{}: one row per thread count", w.name);
         }
         let snap = r.metrics.expect("telemetry run must snapshot");
         assert!(snap.registry().morsels >= 2, "both workloads rerun");
@@ -445,6 +345,6 @@ mod tests {
         assert!(json.contains("skewed-probe"));
         assert!(json.contains("\"metrics\": {"), "{json}");
         let rendered = render_parallel_bench(&r);
-        assert!(rendered.contains("speedup"), "{rendered}");
+        assert!(rendered.contains("clock invariant: true"), "{rendered}");
     }
 }

@@ -26,7 +26,7 @@
 use std::time::{Duration, Instant};
 
 use starshare_core::{
-    execute_classes_with, paper_schema, ClassSpec, CubeBuilder, Engine, EngineConfig, ExecContext,
+    execute_class, paper_schema, ClassSpec, CubeBuilder, Engine, EngineConfig, ExecContext,
     ExecStrategy, GroupByQuery, HardwareModel, IndexFormat, JoinMethod, MemberPred,
     MetricsSnapshot, MorselSpec, PaperCubeSpec, QueryResult, SimTime, Telemetry, TelemetryConfig,
     PAGE_SIZE,
@@ -348,17 +348,9 @@ fn armed_metrics(rows: u64, d_leaf: u32) -> Option<MetricsSnapshot> {
     let tele = Telemetry::new(TelemetryConfig::enabled(0));
     let mut ctx = ExecContext::paper_1998();
     ctx.telemetry = tele.clone();
-    let outcomes = execute_classes_with(
-        &mut ctx,
-        &cube,
-        std::slice::from_ref(&spec),
-        4,
-        ExecStrategy::Morsel(MorselSpec::whole_table()),
-    )
-    .ok()?;
-    for oc in &outcomes {
-        tele.metrics(|m| m.observe_exec(&oc.report.io, oc.report.sim, oc.report.critical));
-    }
+    let strategy = ExecStrategy::Morsel(MorselSpec::whole_table());
+    let oc = execute_class(&mut ctx, &cube, &spec, 4, strategy).ok()?;
+    tele.metrics(|m| m.observe_exec(&oc.report.io, oc.report.sim, oc.report.critical));
     tele.snapshot()
 }
 

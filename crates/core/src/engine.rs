@@ -4,14 +4,15 @@ use std::time::Duration;
 
 use starshare_bitmap::IndexFormat;
 use starshare_exec::{
-    shared_hybrid_join, shared_index_join, CacheHit, CacheStats, ExecContext, ExecError,
-    ExecReport, ExecStrategy, MetricsSnapshot, MorselSpec, Provenance, QueryProfile, QueryResult,
-    ResultCache, Telemetry, TelemetryConfig, WindowReport, WindowTimer,
+    execute_class, shared_hybrid_join, shared_index_join, CacheHit, CacheStats, ClassSpec,
+    ExecContext, ExecError, ExecReport, ExecStrategy, MetricsSnapshot, MorselSpec, Provenance,
+    QueryProfile, QueryResult, ResultCache, Telemetry, TelemetryConfig, WindowReport, WindowTimer,
 };
 use starshare_mdx::{bind, parse, BoundMdx};
 use starshare_olap::{paper_cube, Cube, GroupByQuery, PaperCubeSpec};
 use starshare_opt::{
-    plan_window, CostModel, GlobalPlan, JoinMethod, OptimizerKind, PlanClass, SharingStats,
+    plan_window, CostModel, GlobalPlan, JoinMethod, OptimizerKind, PlanClass, QueryPlan,
+    SharingStats,
 };
 use starshare_storage::{CpuCounters, FaultPlan, FaultStats, HardwareModel, SimTime};
 
@@ -351,8 +352,8 @@ impl WindowConfig {
 }
 
 /// Everything configurable about an [`Engine`], as one plain, clonable
-/// value — optimizer, result cache, worker threads, execution strategy,
-/// and the serving-window knobs ([`WindowConfig`]).
+/// value — optimizer, result cache, worker threads, morsel size, and the
+/// serving-window knobs ([`WindowConfig`]).
 ///
 /// This replaces the old `Engine::new(..)` vs `EngineBuilder` split: a
 /// config is built once (and can be cloned, stored, and shared — unlike a
@@ -398,7 +399,8 @@ pub struct EngineConfig {
     /// path). Results and simulated times are identical at any thread
     /// count; only wall time changes.
     pub threads: usize,
-    /// How the parallel path carves classes into work units.
+    /// How the parallel path carves a class into morsels (set through
+    /// [`morsel_pages`](EngineConfig::morsel_pages)).
     pub strategy: ExecStrategy,
     /// Serving-window behavior (used by `starshare-serve`).
     pub window: WindowConfig,
@@ -509,13 +511,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the execution strategy directly (e.g.
-    /// [`ExecStrategy::LegacyFixed8`] for the pre-morsel baseline).
-    pub fn strategy(mut self, strategy: ExecStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Sets the serving-window knobs.
     pub fn window(mut self, window: WindowConfig) -> Self {
         self.window = window;
@@ -607,6 +602,17 @@ impl EngineConfig {
     }
 }
 
+/// Where [`Engine::run_class`] executes a class.
+#[derive(Debug, Clone, Copy)]
+enum ClassPath {
+    /// The sequential shared operators against the live pool: injected
+    /// faults apply, and the pages a class faults in stay resident for
+    /// the next.
+    InPlace,
+    /// The morsel executor at this many worker threads.
+    Morsel(usize, ExecStrategy),
+}
+
 /// An OLAP engine over one cube.
 ///
 /// Holds the buffer pool across calls (repeated queries benefit from cached
@@ -666,23 +672,15 @@ impl Engine {
         self.config.threads = n.max(1);
     }
 
-    /// Pages per morsel used by the parallel path (the morsel default if
-    /// a non-morsel strategy is selected).
+    /// Pages per morsel used by the parallel path.
     pub fn morsel_pages(&self) -> u32 {
-        match self.config.strategy {
-            ExecStrategy::Morsel(spec) => spec.pages,
-            _ => starshare_exec::DEFAULT_MORSEL_PAGES,
-        }
+        let ExecStrategy::Morsel(spec) = self.config.strategy;
+        spec.pages
     }
 
     /// Sets the pages-per-morsel size on a live engine (clamped to ≥ 1).
     pub fn set_morsel_pages(&mut self, pages: u32) {
         self.config.strategy = ExecStrategy::Morsel(MorselSpec::with_pages(pages));
-    }
-
-    /// The [`ExecStrategy`] the engine's parallel path runs under.
-    fn exec_strategy(&self) -> ExecStrategy {
-        self.config.strategy
     }
 
     /// Cached results currently held (0 when the cache is disabled).
@@ -860,7 +858,7 @@ impl Engine {
     /// by rolling up a cached finer result) never reach the planner — an
     /// all-exact-hit batch is served from memory with zero simulated cost.
     pub fn mdx_many(&mut self, texts: &[&str]) -> Result<Outcome> {
-        let window = self.mdx_window(&[texts], self.config.optimizer, self.exec_strategy())?;
+        let window = self.mdx_window(&[texts], self.config.optimizer, self.config.strategy)?;
         let mut submissions = window.submissions;
         let mut profiles = window.profiles;
         Ok(Outcome {
@@ -1145,7 +1143,8 @@ impl Engine {
             )
         });
 
-        let exec = self.execute_plan_degraded_with(&plan, strategy);
+        let path = self.class_path(strategy);
+        let (exec, _) = self.run_plan(&plan, path, false);
         let mut results = exec.results;
         let per_class = exec.per_class;
         let class_merge_cpu = exec.merge_cpu;
@@ -1209,13 +1208,12 @@ impl Engine {
                             .map(|(p, _)| p.clone())
                             .collect(),
                     };
-                    match self.run_class(&sub, strategy) {
+                    match self.run_class(&sub, path) {
                         Ok((rs, rep, _)) => {
-                            let mut it = rs.into_iter();
-                            for (slot, &po) in slots.clone().zip(owner_slice) {
-                                if po == o {
-                                    results[slot] = Ok(it.next().expect("one result per query"));
-                                }
+                            // `run_class` answers exactly `sub.plans`, in order.
+                            let owned = slots.clone().zip(owner_slice).filter(|&(_, &po)| po == o);
+                            for ((slot, _), r) in owned.zip(rs) {
+                                results[slot] = Ok(r);
                             }
                             total.merge(&rep);
                         }
@@ -1357,33 +1355,33 @@ impl Engine {
 
     /// Executes a global plan: each class runs as one shared operator
     /// (hybrid scan if any member is hash-based, shared index join
-    /// otherwise).
+    /// otherwise), one class after another.
     ///
-    /// With [`threads`](Engine::threads) > 1 the classes run through the
-    /// partitioned parallel subsystem
-    /// ([`execute_plan_threads`](Engine::execute_plan_threads)); the default
-    /// of 1 keeps the sequential in-place path, whose pool accounting
-    /// existing experiments depend on.
+    /// With [`threads`](Engine::threads) > 1 each class runs on the morsel
+    /// executor (`starshare_exec::parallel`); the default of 1 keeps the
+    /// sequential in-place path, whose pool accounting existing
+    /// experiments depend on. Either way the plan's totals are the classes'
+    /// reports summed, `critical` included.
     pub fn execute_plan(&mut self, plan: &GlobalPlan) -> Result<PlanExecution> {
-        if self.config.threads > 1 {
-            return self.execute_plan_threads(plan, self.config.threads);
-        }
-        let mut results = Vec::with_capacity(plan.n_queries());
-        let mut per_class = Vec::with_capacity(plan.classes.len());
-        let mut total = ExecReport::default();
-        for class in &plan.classes {
-            // One thread: `run_class` takes the sequential operators and
-            // ignores the strategy.
-            let (rs, rep, _) = self.run_class(class, self.config.strategy)?;
-            results.extend(rs);
-            per_class.push(rep);
-            total.merge(&rep);
-        }
-        Ok(PlanExecution {
-            results,
-            per_class,
-            total,
-        })
+        let path = self.class_path(self.config.strategy);
+        self.run_plan_strict(plan, path)
+    }
+
+    /// Executes a global plan on the morsel executor at `threads` worker
+    /// threads, **regardless of the engine's own thread setting** —
+    /// `threads = 1` still partitions, so runs at different thread counts
+    /// are comparable unit-for-unit.
+    ///
+    /// The returned results and simulated times (`sim` and the
+    /// critical-path `critical`) are bit-identical at every thread count;
+    /// only host wall time responds to `threads`. Classes run one after
+    /// another, so the plan's `critical` is the sum of its classes'.
+    pub fn execute_plan_threads(
+        &mut self,
+        plan: &GlobalPlan,
+        threads: usize,
+    ) -> Result<PlanExecution> {
+        self.run_plan_strict(plan, ClassPath::Morsel(threads, self.config.strategy))
     }
 
     /// Executes a global plan with **per-query graceful degradation**: each
@@ -1399,7 +1397,7 @@ impl Engine {
     /// A failed class's report stays at the defaults: its partial work is
     /// interleaved into the shared pool and not separable per class.
     pub fn execute_plan_degraded(&mut self, plan: &GlobalPlan) -> DegradedExecution {
-        self.execute_plan_degraded_with(plan, self.exec_strategy())
+        self.execute_plan_degraded_with(plan, self.config.strategy)
     }
 
     /// [`execute_plan_degraded`](Engine::execute_plan_degraded) under an
@@ -1412,12 +1410,54 @@ impl Engine {
         plan: &GlobalPlan,
         strategy: ExecStrategy,
     ) -> DegradedExecution {
+        let path = self.class_path(strategy);
+        self.run_plan(plan, path, false).0
+    }
+
+    /// Where this engine runs a class under `strategy`: on the morsel
+    /// executor when it has more than one worker thread, in place
+    /// otherwise.
+    fn class_path(&self, strategy: ExecStrategy) -> ClassPath {
+        if self.config.threads > 1 {
+            ClassPath::Morsel(self.config.threads, strategy)
+        } else {
+            ClassPath::InPlace
+        }
+    }
+
+    /// [`run_plan`](Engine::run_plan) that stops at the first failed class
+    /// and returns its error.
+    fn run_plan_strict(&mut self, plan: &GlobalPlan, path: ClassPath) -> Result<PlanExecution> {
+        let (exec, failed) = self.run_plan(plan, path, true);
+        if let Some(e) = failed {
+            return Err(e.into());
+        }
+        Ok(PlanExecution {
+            results: exec.results.into_iter().collect::<Result<_>>()?,
+            per_class: exec.per_class,
+            total: exec.total,
+        })
+    }
+
+    /// The one per-class loop behind every plan execution: runs each class
+    /// through [`run_class`](Engine::run_class) in plan order and totals
+    /// the class reports with [`ExecReport::merge`]. A failed class yields
+    /// `Err` for exactly its member queries, and later classes still run —
+    /// unless `strict`, where the first failure ends the run and comes
+    /// back alongside (a class with no queries has no slot to carry it).
+    fn run_plan(
+        &mut self,
+        plan: &GlobalPlan,
+        path: ClassPath,
+        strict: bool,
+    ) -> (DegradedExecution, Option<ExecError>) {
         let mut results: Vec<Result<QueryResult>> = Vec::with_capacity(plan.n_queries());
         let mut per_class = Vec::with_capacity(plan.classes.len());
         let mut merge_cpu = Vec::with_capacity(plan.classes.len());
         let mut total = ExecReport::default();
+        let mut failed = None;
         for class in &plan.classes {
-            match self.run_class(class, strategy) {
+            match self.run_class(class, path) {
                 Ok((rs, rep, mc)) => {
                     results.extend(rs.into_iter().map(Ok));
                     total.merge(&rep);
@@ -1430,84 +1470,86 @@ impl Engine {
                     }
                     per_class.push(ExecReport::default());
                     merge_cpu.push(CpuCounters::default());
+                    if strict {
+                        failed = Some(e);
+                        break;
+                    }
                 }
             }
         }
-        DegradedExecution {
+        let exec = DegradedExecution {
             results,
             per_class,
             merge_cpu,
             total,
-        }
+        };
+        (exec, failed)
     }
 
-    /// Runs one plan class as a shared operator, returning its results
-    /// **in class plan order** plus the class's report. Each call is one
-    /// executor invocation, so a faulted class cannot take its neighbours
-    /// down with it — both the degraded path and the window path's
-    /// per-owner fault-isolation re-runs build on this.
+    /// Runs one plan class as a shared operator on `path`, returning its
+    /// results **in class plan order**, the class's report, and the
+    /// report's merge-phase CPU (zero in place). Each call is one executor
+    /// invocation, so a faulted class cannot take its neighbours down with
+    /// it — the plan loop and the window path's per-owner fault-isolation
+    /// re-runs both build on this.
     fn run_class(
         &mut self,
         class: &PlanClass,
-        strategy: ExecStrategy,
+        path: ClassPath,
     ) -> std::result::Result<(Vec<QueryResult>, ExecReport, CpuCounters), ExecError> {
-        let hash_qs: Vec<GroupByQuery> = class
-            .plans
-            .iter()
-            .filter(|p| p.method == JoinMethod::Hash)
-            .map(|p| p.query.clone())
-            .collect();
-        let index_qs: Vec<GroupByQuery> = class
-            .plans
-            .iter()
-            .filter(|p| p.method == JoinMethod::Index)
-            .map(|p| p.query.clone())
-            .collect();
-        let (rs, rep, merge_cpu) = if self.config.threads > 1 {
-            let mut outs = starshare_exec::execute_classes_with(
-                &mut self.ctx,
-                &self.cube,
-                std::slice::from_ref(&starshare_exec::ClassSpec {
-                    table: class.table,
-                    hash_queries: hash_qs.clone(),
-                    index_queries: index_qs.clone(),
-                }),
-                self.config.threads,
-                strategy,
-            )?;
-            let out = outs
-                .pop()
-                .ok_or_else(|| ExecError::new("the executor returned no outcome for a class"))?;
-            (out.results, out.report, out.merge_cpu)
-        } else if hash_qs.is_empty() {
-            let (rs, rep) = shared_index_join(&mut self.ctx, &self.cube, class.table, &index_qs)?;
-            (rs, rep, CpuCounters::default())
-        } else {
-            let (rs, rep) =
-                shared_hybrid_join(&mut self.ctx, &self.cube, class.table, &hash_qs, &index_qs)?;
-            (rs, rep, CpuCounters::default())
+        let members = |method| {
+            class
+                .plans
+                .iter()
+                .filter(|p| p.method == method)
+                .map(|p| p.query.clone())
+                .collect::<Vec<GroupByQuery>>()
         };
+        let spec = ClassSpec {
+            table: class.table,
+            hash_queries: members(JoinMethod::Hash),
+            index_queries: members(JoinMethod::Index),
+        };
+        let n_hash = spec.hash_queries.len();
+        let (mut rs, rep, merge_cpu) = match path {
+            ClassPath::Morsel(threads, strategy) => {
+                let out = execute_class(&mut self.ctx, &self.cube, &spec, threads, strategy)?;
+                (out.results, out.report, out.merge_cpu)
+            }
+            ClassPath::InPlace if n_hash == 0 => {
+                let (rs, rep) =
+                    shared_index_join(&mut self.ctx, &self.cube, spec.table, &spec.index_queries)?;
+                (rs, rep, CpuCounters::default())
+            }
+            ClassPath::InPlace => {
+                let (rs, rep) = shared_hybrid_join(
+                    &mut self.ctx,
+                    &self.cube,
+                    spec.table,
+                    &spec.hash_queries,
+                    &spec.index_queries,
+                )?;
+                (rs, rep, CpuCounters::default())
+            }
+        };
+        if rs.len() != class.plans.len() {
+            return Err(ExecError::new(format!(
+                "the operator returned {} results for a class of {} queries",
+                rs.len(),
+                class.plans.len()
+            )));
+        }
         // rs is ordered hash-then-index — map back to class plan order.
-        let mut hash_iter = rs.iter().take(hash_qs.len());
-        let mut index_iter = rs.iter().skip(hash_qs.len());
+        let mut index_iter = rs.split_off(n_hash).into_iter();
+        let mut hash_iter = rs.into_iter();
         let ordered = class
             .plans
             .iter()
-            .map(|p| {
-                match p.method {
-                    JoinMethod::Hash => hash_iter.next(),
-                    JoinMethod::Index => index_iter.next(),
-                }
-                .cloned()
-                .ok_or_else(|| {
-                    ExecError::new(format!(
-                        "the operator returned {} results for a class of {} queries",
-                        rs.len(),
-                        class.plans.len()
-                    ))
-                })
+            .filter_map(|p| match p.method {
+                JoinMethod::Hash => hash_iter.next(),
+                JoinMethod::Index => index_iter.next(),
             })
-            .collect::<std::result::Result<_, _>>()?;
+            .collect();
         Ok((ordered, rep, merge_cpu))
     }
 
@@ -1533,83 +1575,6 @@ impl Engine {
         self.ctx.pool.fault_stats()
     }
 
-    /// Executes a global plan on `threads` worker threads through the
-    /// partitioned subsystem (`starshare_exec::parallel`), **regardless of
-    /// the engine's own thread setting** — `threads = 1` still partitions,
-    /// so runs at different thread counts are comparable unit-for-unit.
-    ///
-    /// The returned results and simulated times (`sim` and the
-    /// critical-path `critical`) are bit-identical at every thread count;
-    /// only host wall time responds to `threads`. The total's `critical`
-    /// treats classes as fully concurrent (the slowest class bounds the
-    /// plan), matching the fixed-partition model's idealized machine.
-    pub fn execute_plan_threads(
-        &mut self,
-        plan: &GlobalPlan,
-        threads: usize,
-    ) -> Result<PlanExecution> {
-        let specs: Vec<starshare_exec::ClassSpec> = plan
-            .classes
-            .iter()
-            .map(|class| starshare_exec::ClassSpec {
-                table: class.table,
-                hash_queries: class
-                    .plans
-                    .iter()
-                    .filter(|p| p.method == JoinMethod::Hash)
-                    .map(|p| p.query.clone())
-                    .collect(),
-                index_queries: class
-                    .plans
-                    .iter()
-                    .filter(|p| p.method == JoinMethod::Index)
-                    .map(|p| p.query.clone())
-                    .collect(),
-            })
-            .collect();
-        let strategy = self.exec_strategy();
-        let wall_start = std::time::Instant::now();
-        let outcomes = starshare_exec::execute_classes_with(
-            &mut self.ctx,
-            &self.cube,
-            &specs,
-            threads,
-            strategy,
-        )?;
-        let wall = wall_start.elapsed();
-
-        let mut results = Vec::with_capacity(plan.n_queries());
-        let mut per_class = Vec::with_capacity(plan.classes.len());
-        let mut total = ExecReport::default();
-        for (class, outcome) in plan.classes.iter().zip(outcomes) {
-            let n_hash = class
-                .plans
-                .iter()
-                .filter(|p| p.method == JoinMethod::Hash)
-                .count();
-            // Outcome results are hash-then-index — map back to plan order.
-            let mut hash_iter = outcome.results.iter().take(n_hash);
-            let mut index_iter = outcome.results.iter().skip(n_hash);
-            for p in &class.plans {
-                let r = match p.method {
-                    JoinMethod::Hash => hash_iter.next(),
-                    JoinMethod::Index => index_iter.next(),
-                }
-                .expect("one result per query");
-                results.push(r.clone());
-            }
-            total.merge_concurrent(&outcome.report);
-            per_class.push(outcome.report);
-        }
-        // Worker walls overlap; the plan's wall is what the host measured.
-        total.wall = wall;
-        Ok(PlanExecution {
-            results,
-            per_class,
-            total,
-        })
-    }
-
     /// Executes each query completely independently (no shared operators,
     /// buffer pool flushed before each) — the naive baseline the paper's
     /// dotted bars show.
@@ -1621,12 +1586,15 @@ impl Engine {
         let mut total = ExecReport::default();
         for (t, q, m) in plans {
             self.ctx.flush();
-            let qs = std::slice::from_ref(q);
-            let (mut rs, rep) = match m {
-                JoinMethod::Hash => shared_hybrid_join(&mut self.ctx, &self.cube, *t, qs, &[])?,
-                JoinMethod::Index => shared_index_join(&mut self.ctx, &self.cube, *t, qs)?,
+            let class = PlanClass {
+                table: *t,
+                plans: vec![QueryPlan {
+                    query: q.clone(),
+                    method: *m,
+                }],
             };
-            results.push(rs.pop().expect("one result"));
+            let (rs, rep, _) = self.run_class(&class, ClassPath::InPlace)?;
+            results.extend(rs);
             total.merge(&rep);
         }
         Ok((results, total))
@@ -1840,6 +1808,27 @@ mod tests {
         }
         assert_eq!(degraded.total.sim, strict.total.sim);
         assert_eq!(degraded.per_class.len(), plan.classes.len());
+    }
+
+    #[test]
+    fn a_failed_class_without_queries_still_fails_a_strict_run() {
+        // The empty class owns no result slot to carry its error, so the
+        // strict entry points must surface it themselves.
+        let mut e = engine();
+        let queries = bind_paper_test(&e.cube().schema, 1).unwrap();
+        let mut plan = e.optimize(&queries, OptimizerKind::Gg).unwrap();
+        plan.classes.insert(
+            0,
+            PlanClass {
+                table: plan.classes[0].table,
+                plans: Vec::new(),
+            },
+        );
+        assert!(e.execute_plan(&plan).is_err(), "in place");
+        assert!(e.execute_plan_threads(&plan, 2).is_err(), "morsel");
+        let degraded = e.execute_plan_degraded(&plan);
+        assert_eq!(degraded.results.len(), queries.len());
+        assert!(degraded.results.iter().all(|r| r.is_ok()));
     }
 
     #[test]

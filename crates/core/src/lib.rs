@@ -36,11 +36,11 @@ pub use grid::{pivot, render_pivot, PivotGrid, PivotPage};
 
 pub use starshare_bitmap::{Bitmap, BitmapJoinIndex, CompressedBitmap, IndexFormat, MemberBits};
 pub use starshare_exec::{
-    execute_classes, execute_classes_with, hash_star_join, index_star_join, reference_eval,
-    result_bytes, shared_hybrid_join, shared_index_join, shared_scan_hash_join, AggKernel,
-    CacheHit, CacheStats, ClassOutcome, ClassSpec, DimPipeline, ExecContext, ExecError, ExecReport,
-    ExecStrategy, GroupAcc, KernelTier, MetricsRegistry, MetricsSnapshot, MorselSpec, Provenance,
-    QueryProfile, QueryResult, ResultCache, Telemetry, TelemetryConfig, WindowReport, WindowTimer,
+    execute_class, hash_star_join, index_star_join, reference_eval, result_bytes,
+    shared_hybrid_join, shared_index_join, shared_scan_hash_join, AggKernel, CacheHit, CacheStats,
+    ClassOutcome, ClassSpec, DimPipeline, ExecContext, ExecError, ExecReport, ExecStrategy,
+    GroupAcc, KernelTier, MetricsRegistry, MetricsSnapshot, MorselSpec, Provenance, QueryProfile,
+    QueryResult, ResultCache, Telemetry, TelemetryConfig, WindowReport, WindowTimer,
     DEFAULT_MORSEL_PAGES, DENSE_MAX_GROUPS,
 };
 pub use starshare_mdx::{

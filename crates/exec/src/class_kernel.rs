@@ -381,7 +381,7 @@ mod tests {
     use crate::context::ExecContext;
     use crate::operators::hybrid_join_with;
     use crate::parallel::{
-        execute_classes_compiled, ClassOutcome, ClassSpec, ExecStrategy, MorselSpec,
+        execute_class_compiled, ClassOutcome, ClassSpec, ExecStrategy, MorselSpec,
         DEFAULT_MORSEL_PAGES,
     };
     use crate::result::QueryResult;
@@ -552,10 +552,8 @@ mod tests {
                 let run = |compile: CompileKernel| {
                     let mut ctx = ExecContext::paper_1998();
                     let strategy = ExecStrategy::Morsel(MorselSpec::with_pages(pages));
-                    let slice = std::slice::from_ref(spec);
-                    execute_classes_compiled(&mut ctx, cube, slice, threads, strategy, compile)
+                    execute_class_compiled(&mut ctx, cube, spec, threads, strategy, compile)
                         .unwrap()
-                        .remove(0)
                 };
                 assert_outcomes_identical(
                     &run(ClassKernel::compile),

@@ -78,8 +78,9 @@ pub struct ExecReport {
     pub sim: SimTime,
     /// Simulated *critical-path* time: what the clock would read if every
     /// concurrent piece of the run truly overlapped. Sequential runs have
-    /// `critical == sim`; partitioned runs report the coordinator phases
-    /// plus the slowest partition (see `starshare_exec::parallel`).
+    /// `critical == sim`; a morsel-parallel class reports its coordinator
+    /// phase plus the slowest morsel plus the merge tree's critical path
+    /// (see `starshare_exec::parallel`).
     /// Deterministic and independent of the host's thread count.
     pub critical: SimTime,
     /// Real *elapsed* wall-clock time of the run on the host machine:
@@ -102,18 +103,6 @@ impl ExecReport {
         self.cpu.merge(&other.cpu);
         self.sim += other.sim;
         self.critical += other.critical;
-        self.wall += other.wall;
-        self.busy += other.busy;
-    }
-
-    /// Folds in a report for work that ran *concurrently* with this one:
-    /// totals (I/O, CPU, sim, wall) still sum — they count work — but the
-    /// critical path is the slower of the two.
-    pub fn merge_concurrent(&mut self, other: &ExecReport) {
-        self.io.merge(&other.io);
-        self.cpu.merge(&other.cpu);
-        self.sim += other.sim;
-        self.critical = self.critical.max(other.critical);
         self.wall += other.wall;
         self.busy += other.busy;
     }
@@ -231,23 +220,6 @@ mod tests {
         assert_eq!(a.critical.as_nanos(), 600, "sequential criticals add");
         assert_eq!(a.wall, Duration::from_micros(2));
         assert_eq!(a.busy, Duration::from_micros(4));
-    }
-
-    #[test]
-    fn concurrent_merge_takes_the_slower_critical_path() {
-        let mut a = ExecReport {
-            sim: SimTime::from_nanos(500),
-            critical: SimTime::from_nanos(500),
-            ..Default::default()
-        };
-        let b = ExecReport {
-            sim: SimTime::from_nanos(200),
-            critical: SimTime::from_nanos(200),
-            ..Default::default()
-        };
-        a.merge_concurrent(&b);
-        assert_eq!(a.sim.as_nanos(), 700, "work still sums");
-        assert_eq!(a.critical.as_nanos(), 500, "path is the slower branch");
     }
 
     #[test]

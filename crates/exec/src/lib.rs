@@ -16,10 +16,10 @@
 //! counters feed the simulated clock. Results are exact; times are the
 //! deterministic 1998-calibrated simulation plus measured wall time.
 //!
-//! The [`parallel`] module runs whole *sets* of classes on worker threads,
-//! carving each base-table pass into work-stealing morsels (see the
-//! [`morsel`] module), without perturbing the simulated clock (see its
-//! docs for the determinism contract).
+//! The [`parallel`] module runs one class on worker threads, carving its
+//! base-table pass into work-stealing morsels (see the [`morsel`] module),
+//! without perturbing the simulated clock (see its docs for the
+//! determinism contract).
 
 pub mod cache;
 mod class_kernel;
@@ -45,8 +45,7 @@ pub use operators::{
     hash_star_join, index_star_join, shared_hybrid_join, shared_index_join, shared_scan_hash_join,
 };
 pub use parallel::{
-    execute_classes, execute_classes_with, ClassOutcome, ClassSpec, ExecStrategy, MorselSpec,
-    DEFAULT_MORSEL_PAGES,
+    execute_class, ClassOutcome, ClassSpec, ExecStrategy, MorselSpec, DEFAULT_MORSEL_PAGES,
 };
 pub use reference::reference_eval;
 pub use result::QueryResult;

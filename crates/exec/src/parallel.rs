@@ -1,16 +1,16 @@
-//! Morsel-driven, multi-threaded execution of a global plan's classes,
-//! with a deterministic clock.
+//! Morsel-driven, multi-threaded execution of one class of a global
+//! plan, with a deterministic clock.
 //!
-//! A `GlobalPlan`'s classes are independent by construction (each reads its
-//! own base table through its own shared operator), so they can run
-//! concurrently. Within a class, the dominant cost is the base-table pass;
-//! it is carved into page-aligned *morsels* (see [`crate::morsel`]): scan
-//! classes into fixed-size page chunks, probe classes into ranges balanced
-//! by the candidate popcount of the OR'd bitmap, so skewed bitmaps no
-//! longer pile all the work into one range. Morsels are dispatched through
-//! per-worker deques with work-stealing, each absorbed into *private*
-//! per-morsel aggregation states that merge afterwards in a deterministic
-//! balanced binary tree.
+//! A class's dominant cost is its base-table pass; it is carved into
+//! page-aligned *morsels* (see [`crate::morsel`]): scan classes into
+//! fixed-size page chunks, probe classes into ranges balanced by the
+//! candidate popcount of the OR'd bitmap, so skewed bitmaps do not pile all
+//! the work into one range. Morsels are dispatched through per-worker
+//! deques with work-stealing, each absorbed into *private* per-morsel
+//! aggregation states that merge afterwards in a deterministic balanced
+//! binary tree. A plan's classes run one [`execute_class`] call after
+//! another (the paper's §3 evaluates each class as one shared-operator
+//! pass), so a plan's critical path is the sum of its classes'.
 //!
 //! Everything the simulated clock sees is independent of how many host
 //! threads actually ran:
@@ -20,15 +20,15 @@
 //!   count or the stealing order;
 //! * each worker counts I/O and CPU privately against a
 //!   [`BufferPool::clone_residency`] snapshot, writing into its morsel's
-//!   pre-assigned slot; the coordinator folds the partials back in
-//!   class/morsel order;
+//!   pre-assigned slot; the coordinator folds the partials back in morsel
+//!   order;
 //! * partial aggregates merge pairwise in a balanced tree whose shape is a
 //!   pure function of the morsel count — `new[i] = merge(old[2*i] <-
 //!   old[2*i+1])` level by level, an odd leftover passing through — so
 //!   floating-point sums associate the same way every run;
 //! * [`ExecReport::sim`] still totals *all* work, while
-//!   [`ExecReport::critical`] reports the critical path — coordinator
-//!   phases, plus the slowest morsel, plus the slowest pair of each merge
+//!   [`ExecReport::critical`] reports the critical path — the coordinator
+//!   phase, plus the slowest morsel, plus the slowest pair of each merge
 //!   level — which is what an ideally-parallel 1998 machine's clock would
 //!   read.
 //!
@@ -38,16 +38,10 @@
 //! [`ExecReport::busy`] is *summed* worker time (total host work, roughly
 //! flat across thread counts).
 //!
-//! Pool semantics differ from the sequential path in one way: every class
-//! starts from the residency the *plan* started with (a snapshot), and the
-//! shared pool's residency is left untouched — concurrent classes cannot
-//! warm pages for each other, because "which class ran first" would be a
-//! scheduling accident.
-//!
-//! [`ExecStrategy::LegacyFixed8`] keeps the pre-morsel executor — a fixed
-//! 8-way page-even split with a serial coordinator fold and a full-bitmap
-//! probe filter — frozen as the benchmark baseline `starshare-bench`
-//! races the morsel path against.
+//! Pool semantics differ from the sequential path in one way: the class
+//! reads against a snapshot of the shared pool's residency, and the shared
+//! pool receives the class's counters but keeps its residency — which
+//! pages a morsel warmed for another would be a scheduling accident.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -70,21 +64,18 @@ use crate::result::QueryResult;
 
 pub use crate::morsel::{MorselSpec, DEFAULT_MORSEL_PAGES};
 
-/// Partition count of the frozen legacy executor
-/// ([`ExecStrategy::LegacyFixed8`]).
-const LEGACY_PARTITIONS: usize = 8;
-
 /// How a class's base-table pass is split and merged.
+///
+/// Morsel-driven execution is the only strategy. The enum keeps its single
+/// variant because the engine's public surface names it —
+/// `EngineConfig::strategy`, `Engine::mdx_window` and
+/// `Engine::execute_plan_degraded_with` all carry one — and the morsel size
+/// travels inside it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecStrategy {
     /// Morsel-driven work-stealing execution with a deterministic tree
-    /// merge (the default).
+    /// merge.
     Morsel(MorselSpec),
-    /// The pre-morsel executor: fixed 8-way page-even split, full-bitmap
-    /// probe filter, serial coordinator fold. Kept as the benchmark
-    /// baseline; `wall` reports summed worker time (its historical
-    /// behavior), identical to `busy`.
-    LegacyFixed8,
 }
 
 impl Default for ExecStrategy {
@@ -116,7 +107,7 @@ pub struct ClassOutcome {
     pub report: ExecReport,
     /// The partial-merge portion of the class's CPU (already included in
     /// `report.cpu`), broken out so per-query profiles can attribute the
-    /// fold separately. Zero on the sequential operators.
+    /// fold separately.
     pub merge_cpu: CpuCounters,
     /// Morsels the class split into.
     pub n_morsels: u64,
@@ -151,7 +142,6 @@ struct PreparedClass<'a> {
     morsels: Vec<(u64, u64)>,
     phase1_io: IoStats,
     phase1_cpu: CpuCounters,
-    phase1_wall: Duration,
 }
 
 /// What one morsel worker produced: private accumulators and privately
@@ -165,9 +155,8 @@ struct MorselOutput {
 }
 
 /// Reusable per-worker buffers: one columnar batch, the class kernel's
-/// selection vectors, and the probe path's row-major key buffer, reshaped
-/// per morsel so a worker can hop between classes with different tuple
-/// layouts without reallocating.
+/// selection vectors, and the probe path's row-major key buffer, reused
+/// across every morsel the worker runs.
 #[derive(Default)]
 struct WorkerScratch {
     batch: Option<ScanBatch>,
@@ -176,43 +165,18 @@ struct WorkerScratch {
     scratch: Vec<u32>,
 }
 
-/// Splits `heap` into up to [`LEGACY_PARTITIONS`] contiguous page-aligned
-/// tuple ranges (the frozen legacy split). Page alignment keeps partitions
-/// on disjoint pages, so private fault counts sum to exactly what one cold
-/// scan would fault.
-fn page_partitions(heap: &HeapFile) -> Vec<(u64, u64)> {
-    let n = heap.n_tuples();
-    if n == 0 {
-        return Vec::new();
-    }
-    let per_page = heap.layout().tuples_per_page() as u64;
-    let pages_per_part = (heap.page_count() as u64)
-        .div_ceil(LEGACY_PARTITIONS as u64)
-        .max(1);
-    (0..LEGACY_PARTITIONS as u64)
-        .map(|p| {
-            let lo = (p * pages_per_part * per_page).min(n);
-            let hi = ((p + 1) * pages_per_part * per_page).min(n);
-            (lo, hi)
-        })
-        .filter(|(lo, hi)| lo < hi)
-        .collect()
-}
-
-/// Computes a prepared class's morsel boundaries under `strategy`.
-fn class_morsels(strategy: ExecStrategy, heap: &HeapFile, scan: &ScanKind) -> Vec<(u64, u64)> {
-    match strategy {
-        ExecStrategy::LegacyFixed8 => page_partitions(heap),
-        ExecStrategy::Morsel(spec) => match scan {
-            ScanKind::Scan => scan_morsels(heap, spec.pages),
-            ScanKind::Probe {
-                total: Some(tot),
-                everything: false,
-            } => probe_morsels(heap, tot, spec.pages),
-            // Probing everything is a uniform pass: page chunks are already
-            // candidate-balanced.
-            ScanKind::Probe { .. } => scan_morsels(heap, spec.pages),
-        },
+/// Computes a prepared class's morsel boundaries at `pages` pages per
+/// scan morsel.
+fn class_morsels(heap: &HeapFile, scan: &ScanKind, pages: u32) -> Vec<(u64, u64)> {
+    match scan {
+        ScanKind::Scan => scan_morsels(heap, pages),
+        ScanKind::Probe {
+            total: Some(tot),
+            everything: false,
+        } => probe_morsels(heap, tot, pages),
+        // Probing everything is a uniform pass: page chunks are already
+        // candidate-balanced.
+        ScanKind::Probe { .. } => scan_morsels(heap, pages),
     }
 }
 
@@ -225,7 +189,6 @@ fn run_morsel(
     class: &PreparedClass<'_>,
     lo: u64,
     hi: u64,
-    strategy: ExecStrategy,
     ws: &mut WorkerScratch,
 ) -> MorselOutput {
     let start = Instant::now();
@@ -241,7 +204,7 @@ fn run_morsel(
     keys.clear();
     keys.resize(cube.schema.n_dims(), 0);
 
-    // The probe paths' per-candidate step: every member is index-fed.
+    // The probe path's per-candidate step: every member is index-fed.
     let feed_states = |keys: &[u32],
                        measure: f64,
                        pos: u64,
@@ -264,84 +227,52 @@ fn run_morsel(
             // for index members.
             let mut batches = class.heap.scan_batches(lo, hi);
             let batch = batch.get_or_insert_with(|| ScanBatch::new(class.heap.layout()));
-            batch.reshape(class.heap.layout());
             while batches.next_into(&mut pool, batch) {
                 class
                     .kernel
                     .feed_batch(&class.states, &mut groups, batch, kernel, &mut cpu);
             }
         }
-        ScanKind::Probe { total, everything } => match strategy {
-            ExecStrategy::Morsel(_) => {
-                // Run-coalesced probe: clustered candidates share heap
-                // pages, so each page's run of positions is charged in one
-                // [`BufferPool::access_run`] — counters and LRU state come
-                // out identical to per-candidate fetches — and the rows are
-                // decoded straight from the page without re-walking the
-                // pool's map per tuple.
-                let mut probe = |positions: &mut dyn Iterator<Item = u64>,
-                                 pool: &mut BufferPool,
-                                 cpu: &mut CpuCounters| {
-                    let per_page = class.heap.layout().tuples_per_page() as u64;
-                    let file = class.heap.file_id();
-                    let mut it = positions.peekable();
-                    while let Some(first) = it.next() {
-                        let page = (first / per_page) as u32;
-                        let run_end = (u64::from(page) + 1) * per_page;
-                        let measure = class.heap.read_at(first, keys);
-                        feed_states(keys, measure, first, cpu, &mut groups, scratch);
-                        let mut n = 1;
-                        while let Some(&pos) = it.peek() {
-                            if pos >= run_end {
-                                break;
-                            }
-                            it.next();
-                            let measure = class.heap.read_at(pos, keys);
-                            feed_states(keys, measure, pos, cpu, &mut groups, scratch);
-                            n += 1;
+        ScanKind::Probe { total, everything } => {
+            // Run-coalesced probe: clustered candidates share heap pages,
+            // so each page's run of positions is charged in one
+            // [`BufferPool::access_run`] — counters and LRU state come out
+            // identical to per-candidate fetches — and the rows are decoded
+            // straight from the page without re-walking the pool's map per
+            // tuple.
+            let mut probe = |positions: &mut dyn Iterator<Item = u64>,
+                             pool: &mut BufferPool,
+                             cpu: &mut CpuCounters| {
+                let per_page = class.heap.layout().tuples_per_page() as u64;
+                let file = class.heap.file_id();
+                let mut it = positions.peekable();
+                while let Some(first) = it.next() {
+                    let page = (first / per_page) as u32;
+                    let run_end = (u64::from(page) + 1) * per_page;
+                    let measure = class.heap.read_at(first, keys);
+                    feed_states(keys, measure, first, cpu, &mut groups, scratch);
+                    let mut n = 1;
+                    while let Some(&pos) = it.peek() {
+                        if pos >= run_end {
+                            break;
                         }
-                        let (io_bytes, dec_bytes) = class.heap.page_cost(page);
-                        pool.access_run_sized(
-                            file,
-                            page,
-                            AccessKind::Random,
-                            n,
-                            io_bytes,
-                            dec_bytes,
-                        );
-                    }
-                };
-                if *everything {
-                    probe(&mut (lo..hi), &mut pool, &mut cpu);
-                } else if let Some(tot) = total {
-                    // The hot-spot fix: seek straight into the range's
-                    // words instead of walking the whole bitmap and
-                    // discarding out-of-range positions.
-                    probe(&mut tot.iter_ones_in(lo, hi), &mut pool, &mut cpu);
-                }
-            }
-            ExecStrategy::LegacyFixed8 => {
-                // The historical fetch-per-candidate loop over the whole
-                // bitmap, filtered down to this partition's range.
-                let mut probe = |positions: &mut dyn Iterator<Item = u64>,
-                                 pool: &mut BufferPool,
-                                 cpu: &mut CpuCounters| {
-                    for pos in positions {
-                        let measure = class.heap.fetch(pos, pool, AccessKind::Random, keys);
+                        it.next();
+                        let measure = class.heap.read_at(pos, keys);
                         feed_states(keys, measure, pos, cpu, &mut groups, scratch);
+                        n += 1;
                     }
-                };
-                if *everything {
-                    probe(&mut (lo..hi), &mut pool, &mut cpu);
-                } else if let Some(tot) = total {
-                    probe(
-                        &mut tot.iter_ones().filter(|p| (lo..hi).contains(p)),
-                        &mut pool,
-                        &mut cpu,
-                    );
+                    let (io_bytes, dec_bytes) = class.heap.page_cost(page);
+                    pool.access_run_sized(file, page, AccessKind::Random, n, io_bytes, dec_bytes);
                 }
+            };
+            if *everything {
+                probe(&mut (lo..hi), &mut pool, &mut cpu);
+            } else if let Some(tot) = total {
+                // Seek straight into the range's words instead of walking
+                // the whole bitmap and discarding out-of-range positions.
+                probe(&mut tot.iter_ones_in(lo, hi), &mut pool, &mut cpu);
             }
-        },
+        }
     }
     MorselOutput {
         groups,
@@ -354,13 +285,12 @@ fn run_morsel(
 /// What a class's partial-aggregate merge cost.
 struct MergeCost {
     cpu: CpuCounters,
-    /// Critical path through the merge: for the tree, the sum over levels
-    /// of each level's slowest pair; for the legacy fold, the whole fold.
+    /// Critical path through the merge: the sum over levels of each
+    /// level's slowest pair.
     critical: SimTime,
     /// Summed worker time spent merging.
     busy: Duration,
-    /// Pair merges performed (tree: exactly `morsels - 1`; fold: one
-    /// absorption per partial). Deterministic.
+    /// Pair merges performed (exactly `morsels - 1`). Deterministic.
     pairs: u64,
     /// Successful steals inside the merge scheduler — a scheduling
     /// accident, reported to metrics only.
@@ -453,318 +383,249 @@ fn tree_merge(
     (merged, cost)
 }
 
-/// The legacy serial coordinator fold: every morsel's partials absorbed
-/// into fresh accumulators, in morsel order, on the coordinator thread.
-fn serial_fold(
-    states: &[QueryState],
-    model: &HardwareModel,
-    parts: Vec<Vec<GroupAcc>>,
-) -> (Vec<GroupAcc>, MergeCost) {
-    let start = Instant::now();
-    let mut cpu = CpuCounters::default();
-    let mut merged: Vec<GroupAcc> = states.iter().map(QueryState::new_acc).collect();
-    for part in &parts {
-        for (qi, part_groups) in part.iter().enumerate() {
-            let st = &states[qi];
-            st.pipeline
-                .kernel()
-                .merge_partial(&mut merged[qi], part_groups, st.mode, &mut cpu);
-        }
-    }
-    let critical = model.cpu_time(&cpu);
-    let pairs = parts.len() as u64;
-    let cost = MergeCost {
-        cpu,
-        critical,
-        busy: start.elapsed(),
-        pairs,
-        steals: 0,
-    };
-    (merged, cost)
-}
-
 /// Caps a requested worker count at the host's available parallelism
 /// (passing the request through unchanged when the host won't say).
 fn host_capped(threads: usize) -> usize {
     std::thread::available_parallelism().map_or(threads, |n| threads.min(n.get()))
 }
 
-/// Executes a set of independent classes on `threads` worker threads with
-/// the default [`ExecStrategy`] (morsel-driven, default morsel size).
-pub fn execute_classes(
-    ctx: &mut ExecContext,
-    cube: &Cube,
-    classes: &[ClassSpec],
-    threads: usize,
-) -> Result<Vec<ClassOutcome>, ExecError> {
-    execute_classes_with(ctx, cube, classes, threads, ExecStrategy::default())
-}
-
-/// Executes a set of independent classes on `threads` worker threads under
-/// an explicit [`ExecStrategy`].
+/// Executes one class on `threads` worker threads under `strategy`.
 ///
-/// Every `(class, morsel)` pair becomes one unit in the work-stealing
-/// scheduler, so morsels of different classes interleave freely across
-/// workers — class-level and morsel-level parallelism fall out of the same
-/// pool. Results per class come back in hash-then-index order; the shared
-/// pool receives every partial [`IoStats`] in class/morsel order and keeps
-/// its residency (see the module docs for why).
-pub fn execute_classes_with(
+/// The class's morsels are the units of the work-stealing scheduler.
+/// Results come back in hash-then-index order; the shared pool receives
+/// the class's [`IoStats`] and keeps its residency (see the module docs
+/// for why).
+pub fn execute_class(
     ctx: &mut ExecContext,
     cube: &Cube,
-    classes: &[ClassSpec],
+    spec: &ClassSpec,
     threads: usize,
     strategy: ExecStrategy,
-) -> Result<Vec<ClassOutcome>, ExecError> {
-    execute_classes_compiled(ctx, cube, classes, threads, strategy, ClassKernel::compile)
+) -> Result<ClassOutcome, ExecError> {
+    execute_class_compiled(ctx, cube, spec, threads, strategy, ClassKernel::compile)
 }
 
-/// [`execute_classes_with`] with each class kernel compiled by `compile`.
-pub(crate) fn execute_classes_compiled(
+/// Phase 1 on the coordinator: compiles the member states and the class
+/// kernel, builds the index members' bitmaps and the hash tables, and
+/// computes the morsel boundaries.
+fn prepare<'a>(
+    ctx: &ExecContext,
+    cube: &'a Cube,
+    spec: &ClassSpec,
+    pages: u32,
+    compile: CompileKernel,
+) -> Result<PreparedClass<'a>, ExecError> {
+    if spec.hash_queries.is_empty() && spec.index_queries.is_empty() {
+        return Err("a plan class needs at least one query".into());
+    }
+    let mut states: Vec<QueryState> = spec
+        .hash_queries
+        .iter()
+        .chain(&spec.index_queries)
+        .map(|q| QueryState::compile(cube, spec.table, q))
+        .collect::<Result<_, _>>()?;
+    let n_hash = spec.hash_queries.len();
+
+    let mut pool = ctx.pool.clone_residency();
+    let mut cpu = CpuCounters::default();
+    let t = cube.catalog.table(spec.table);
+    // Index members need their result bitmaps up front in both shapes.
+    // `pool` is a residency clone, which never carries a fault injector, so
+    // this can only surface plan-level errors here.
+    for st in states.iter_mut().skip(n_hash) {
+        st.bitmap = Some(build_query_bitmap(
+            &cube.schema,
+            t,
+            &st.query,
+            &mut pool,
+            &mut cpu,
+        )?);
+    }
+    let kernel = compile(cube, spec.table, &states, n_hash);
+    charge_hash_builds(cube, spec.table, kernel.probe_mask(), &mut cpu);
+
+    let scan = if n_hash > 0 {
+        ScanKind::Scan
+    } else {
+        // OR the member bitmaps into the candidate set, as the shared index
+        // join does.
+        let mut total: Option<Bitmap> = None;
+        let mut everything = false;
+        for st in &states {
+            match st.bitmap.as_ref().and_then(|qb| qb.bitmap.as_ref()) {
+                Some(bm) => match total.as_mut() {
+                    Some(tot) => cpu.bitmap_words += tot.or_assign(bm),
+                    None => total = Some(bm.clone()),
+                },
+                None => everything = true,
+            }
+        }
+        ScanKind::Probe { total, everything }
+    };
+    let heap = t.heap();
+    // Boundary computation (page counts, range popcounts, zone-map checks)
+    // is coordinator scheduling bookkeeping: it is not charged to the
+    // simulated clock. See DESIGN.md.
+    //
+    // Scan classes over compressed heaps first consult the zone maps: a
+    // zone no class query can match is never scheduled at all. The
+    // sequential `shared_hybrid_join` prunes with the same query set, so
+    // both paths fault the same pages. Probe classes are already
+    // position-exact.
+    let pruned = match scan {
+        ScanKind::Scan => keep_tuple_ranges(&cube.schema, t, states.iter().map(|s| &s.query)),
+        ScanKind::Probe { .. } => None,
+    };
+    let morsels = match pruned {
+        Some(ranges) => scan_morsels_in_ranges(heap, pages, &ranges),
+        None => class_morsels(heap, &scan, pages),
+    };
+    Ok(PreparedClass {
+        morsels,
+        heap,
+        states,
+        kernel,
+        scan,
+        phase1_io: pool.stats(),
+        phase1_cpu: cpu,
+        pool,
+    })
+}
+
+/// [`execute_class`] with the class kernel compiled by `compile`.
+pub(crate) fn execute_class_compiled(
     ctx: &mut ExecContext,
     cube: &Cube,
-    classes: &[ClassSpec],
+    spec: &ClassSpec,
     threads: usize,
     strategy: ExecStrategy,
     compile: CompileKernel,
-) -> Result<Vec<ClassOutcome>, ExecError> {
-    let threads = threads.max(1);
+) -> Result<ClassOutcome, ExecError> {
+    let start = Instant::now();
     let model = ctx.model;
+    let ExecStrategy::Morsel(morsel) = strategy;
 
-    // ---- Phase 1 (coordinator, class order): compile, bitmaps, builds.
-    let mut prepared = Vec::with_capacity(classes.len());
-    for spec in classes {
-        if spec.hash_queries.is_empty() && spec.index_queries.is_empty() {
-            return Err("a plan class needs at least one query".into());
-        }
-        let start = Instant::now();
-        let mut states: Vec<QueryState> = spec
-            .hash_queries
-            .iter()
-            .chain(&spec.index_queries)
-            .map(|q| QueryState::compile(cube, spec.table, q))
-            .collect::<Result<_, _>>()?;
-        let n_hash = spec.hash_queries.len();
+    // ---- Phase 1 (coordinator): compile, bitmaps, builds, boundaries.
+    let class = prepare(ctx, cube, spec, morsel.pages, compile)?;
+    let phase1_wall = start.elapsed();
 
-        let mut pool = ctx.pool.clone_residency();
-        let mut cpu = CpuCounters::default();
-        let t = cube.catalog.table(spec.table);
-        // Index members need their result bitmaps up front in both shapes.
-        // `pool` is a residency clone, which never carries a fault injector,
-        // so this can only surface plan-level errors here.
-        for st in states.iter_mut().skip(n_hash) {
-            st.bitmap = Some(build_query_bitmap(
-                &cube.schema,
-                t,
-                &st.query,
-                &mut pool,
-                &mut cpu,
-            )?);
-        }
-        let kernel = compile(cube, spec.table, &states, n_hash);
-        charge_hash_builds(cube, spec.table, kernel.probe_mask(), &mut cpu);
-
-        let scan = if n_hash > 0 {
-            ScanKind::Scan
-        } else {
-            // OR the member bitmaps into the candidate set, as the shared
-            // index join does.
-            let mut total: Option<Bitmap> = None;
-            let mut everything = false;
-            for st in &states {
-                match st.bitmap.as_ref().and_then(|qb| qb.bitmap.as_ref()) {
-                    Some(bm) => match total.as_mut() {
-                        Some(tot) => cpu.bitmap_words += tot.or_assign(bm),
-                        None => total = Some(bm.clone()),
-                    },
-                    None => everything = true,
-                }
-            }
-            ScanKind::Probe { total, everything }
-        };
-        let heap = t.heap();
-        // Boundary computation (page counts, range popcounts, zone-map
-        // checks) is coordinator scheduling bookkeeping, like the legacy
-        // split arithmetic: it is not charged to the simulated clock. See
-        // DESIGN.md.
-        //
-        // Scan classes over compressed heaps first consult the zone maps:
-        // a zone no class query can match is never scheduled at all. The
-        // sequential `shared_hybrid_join` prunes with the same query set,
-        // so both paths fault the same pages. Probe classes are already
-        // position-exact; the legacy strategy keeps its frozen split.
-        let morsels = match (strategy, &scan) {
-            (ExecStrategy::Morsel(spec), ScanKind::Scan) => {
-                match keep_tuple_ranges(&cube.schema, t, states.iter().map(|s| &s.query)) {
-                    Some(ranges) => scan_morsels_in_ranges(heap, spec.pages, &ranges),
-                    None => class_morsels(strategy, heap, &scan),
-                }
-            }
-            _ => class_morsels(strategy, heap, &scan),
-        };
-        prepared.push(PreparedClass {
-            morsels,
-            heap,
-            states,
-            kernel,
-            scan,
-            phase1_io: pool.stats(),
-            phase1_cpu: cpu,
-            phase1_wall: start.elapsed(),
-            pool,
-        });
-    }
-
-    // ---- Phase 2 (parallel): every (class, morsel) is one stealable unit.
-    let phase2_start = Instant::now();
-    let units: Vec<(usize, usize)> = prepared
-        .iter()
-        .enumerate()
-        .flat_map(|(c, pc)| (0..pc.morsels.len()).map(move |m| (c, m)))
-        .collect();
-    let slots: Vec<Mutex<Option<MorselOutput>>> = units.iter().map(|_| Mutex::new(None)).collect();
-    // The morsel scheduler never spawns more workers than the host has
-    // cores: oversubscription cannot speed up a work-stealing pool, it only
+    // ---- Phase 2 (parallel): every morsel is one stealable unit. The
+    // scheduler never spawns more workers than the host has cores:
+    // oversubscription cannot speed up a work-stealing pool, it only
     // inflates every unit's elapsed time with involuntary context switches.
     // The determinism contract makes this safe — outcomes depend on morsel
     // boundaries, never on which worker ran a morsel — so the requested
-    // thread count is purely a resource ceiling here. The legacy strategy
-    // keeps its historical spawn-per-request behavior.
-    let workers = match strategy {
-        ExecStrategy::Morsel(_) => host_capped(threads),
-        ExecStrategy::LegacyFixed8 => threads,
-    };
-    let steals = run_units(workers, units.len(), WorkerScratch::default, |ws, u| {
-        let (c, m) = units[u];
-        let class = &prepared[c];
+    // thread count is purely a resource ceiling here.
+    let workers = host_capped(threads.max(1));
+    let slots: Vec<Mutex<Option<MorselOutput>>> =
+        class.morsels.iter().map(|_| Mutex::new(None)).collect();
+    let steals = run_units(workers, slots.len(), WorkerScratch::default, |ws, m| {
         let (lo, hi) = class.morsels[m];
-        let out = run_morsel(cube, class, lo, hi, strategy, ws);
-        *slots[u].lock().expect("no panics hold result slots") = Some(out);
+        let out = run_morsel(cube, &class, lo, hi, ws);
+        *slots[m].lock().expect("no panics hold result slots") = Some(out);
     });
-    let mut outputs: Vec<Vec<MorselOutput>> = prepared.iter().map(|_| Vec::new()).collect();
-    for (&(c, _), slot) in units.iter().zip(slots) {
-        outputs[c].push(slot.into_inner().expect("scope joined").expect("unit ran"));
-    }
     // Steals are scheduling accidents: metrics only, never traced (see the
     // determinism rules in `starshare_obs::trace`).
     let tele = ctx.telemetry.clone();
     tele.metrics(|m| {
-        m.morsels += units.len() as u64;
+        m.morsels += slots.len() as u64;
         m.steals += steals;
     });
 
-    // ---- Phase 3 (coordinator, class order): merge partials, total up.
-    // Trace emission happens here, in class/morsel slot order, from
-    // data-derived quantities only — byte-identical across thread counts.
-    let mut outcomes = Vec::with_capacity(prepared.len());
-    for (ci, (class, parts)) in prepared.into_iter().zip(outputs).enumerate() {
-        let mut io = class.phase1_io;
-        let mut cpu = class.phase1_cpu;
-        let sim1 = class.phase1_io.io_time(&model) + model.cpu_time(&class.phase1_cpu);
-        let mut sim = sim1;
-        let mut slowest = SimTime::ZERO;
-        let mut busy = class.phase1_wall;
+    // ---- Phase 3 (coordinator): fold partials in morsel order, merge.
+    // Trace emission happens here, in morsel slot order, from data-derived
+    // quantities only — byte-identical across thread counts.
+    let mut io = class.phase1_io;
+    let mut cpu = class.phase1_cpu;
+    let sim1 = class.phase1_io.io_time(&model) + model.cpu_time(&class.phase1_cpu);
+    let mut sim = sim1;
+    let mut slowest = SimTime::ZERO;
+    let mut busy = phase1_wall;
+    tele.trace(|t| {
+        t.start(
+            "exec.class",
+            vec![
+                ("n_queries", class.states.len().into()),
+                ("n_morsels", slots.len().into()),
+                ("prepare_ns", sim1.into()),
+            ],
+        )
+    });
+    let mut groups_per_morsel = Vec::with_capacity(slots.len());
+    for (mi, slot) in slots.into_iter().enumerate() {
+        let part = slot.into_inner().expect("scope joined").expect("unit ran");
+        io.merge(&part.io);
+        cpu.merge(&part.cpu);
+        let part_sim = part.io.io_time(&model) + model.cpu_time(&part.cpu);
+        sim += part_sim;
+        slowest = slowest.max(part_sim);
+        busy += part.wall;
         tele.trace(|t| {
-            t.start(
-                "exec.class",
-                vec![
-                    ("class", ci.into()),
-                    ("n_queries", class.states.len().into()),
-                    ("n_morsels", parts.len().into()),
-                    ("prepare_ns", sim1.into()),
-                ],
-            )
-        });
-        let mut groups_per_morsel = Vec::with_capacity(parts.len());
-        for (mi, part) in parts.into_iter().enumerate() {
-            io.merge(&part.io);
-            cpu.merge(&part.cpu);
-            let part_sim = part.io.io_time(&model) + model.cpu_time(&part.cpu);
-            sim += part_sim;
-            slowest = slowest.max(part_sim);
-            busy += part.wall;
-            tele.trace(|t| {
-                let (lo, hi) = class.morsels[mi];
-                t.event(
-                    "exec.morsel",
-                    vec![
-                        ("slot", mi.into()),
-                        ("lo", lo.into()),
-                        ("hi", hi.into()),
-                        ("sim_ns", part_sim.into()),
-                        ("seq_faults", part.io.seq_faults.into()),
-                        ("random_faults", part.io.random_faults.into()),
-                    ],
-                )
-            });
-            groups_per_morsel.push(part.groups);
-        }
-        let n_morsels = groups_per_morsel.len() as u64;
-
-        let (merged, merge) = match strategy {
-            ExecStrategy::Morsel(_) => {
-                tree_merge(&class.states, &model, groups_per_morsel, workers)
-            }
-            ExecStrategy::LegacyFixed8 => serial_fold(&class.states, &model, groups_per_morsel),
-        };
-        cpu.merge(&merge.cpu);
-        sim += model.cpu_time(&merge.cpu);
-        busy += merge.busy;
-        tele.metrics(|m| {
-            m.merge_pairs += merge.pairs;
-            m.steals += merge.steals;
-        });
-        tele.trace(|t| {
+            let (lo, hi) = class.morsels[mi];
             t.event(
-                "exec.merge",
+                "exec.morsel",
                 vec![
-                    ("pairs", merge.pairs.into()),
-                    ("cpu_ns", model.cpu_time(&merge.cpu).into()),
-                    ("critical_ns", merge.critical.into()),
+                    ("slot", mi.into()),
+                    ("lo", lo.into()),
+                    ("hi", hi.into()),
+                    ("sim_ns", part_sim.into()),
+                    ("seq_faults", part.io.seq_faults.into()),
+                    ("random_faults", part.io.random_faults.into()),
                 ],
             )
         });
-        // Elapsed latency: phase 1 (serial, per class) plus everything from
-        // the parallel phase's start through this class's merge. Classes
-        // share the worker pool, so their elapsed windows overlap; the
-        // legacy strategy keeps its historical behavior of reporting summed
-        // worker time as `wall`.
-        let wall = match strategy {
-            ExecStrategy::Morsel(_) => class.phase1_wall + phase2_start.elapsed(),
-            ExecStrategy::LegacyFixed8 => busy,
-        };
-
-        let results: Vec<QueryResult> = class
-            .states
-            .iter()
-            .zip(merged)
-            .map(|(st, acc)| st.finish(acc))
-            .collect();
-
-        ctx.pool.add_stats(&io);
-        let critical = sim1 + slowest + merge.critical;
-        tele.trace(|t| {
-            t.advance(critical);
-            t.end(
-                "exec.class",
-                vec![("sim_ns", sim.into()), ("critical_ns", critical.into())],
-            )
-        });
-        outcomes.push(ClassOutcome {
-            results,
-            report: ExecReport {
-                io,
-                cpu,
-                sim,
-                critical,
-                wall,
-                busy,
-            },
-            merge_cpu: merge.cpu,
-            n_morsels,
-        });
+        groups_per_morsel.push(part.groups);
     }
-    Ok(outcomes)
+    let n_morsels = groups_per_morsel.len() as u64;
+
+    let (merged, merge) = tree_merge(&class.states, &model, groups_per_morsel, workers);
+    cpu.merge(&merge.cpu);
+    sim += model.cpu_time(&merge.cpu);
+    busy += merge.busy;
+    tele.metrics(|m| {
+        m.merge_pairs += merge.pairs;
+        m.steals += merge.steals;
+    });
+    tele.trace(|t| {
+        t.event(
+            "exec.merge",
+            vec![
+                ("pairs", merge.pairs.into()),
+                ("cpu_ns", model.cpu_time(&merge.cpu).into()),
+                ("critical_ns", merge.critical.into()),
+            ],
+        )
+    });
+
+    let results: Vec<QueryResult> = class
+        .states
+        .iter()
+        .zip(merged)
+        .map(|(st, acc)| st.finish(acc))
+        .collect();
+
+    ctx.pool.add_stats(&io);
+    let critical = sim1 + slowest + merge.critical;
+    tele.trace(|t| {
+        t.advance(critical);
+        t.end(
+            "exec.class",
+            vec![("sim_ns", sim.into()), ("critical_ns", critical.into())],
+        )
+    });
+    Ok(ClassOutcome {
+        results,
+        report: ExecReport {
+            io,
+            cpu,
+            sim,
+            critical,
+            wall: start.elapsed(),
+            busy,
+        },
+        merge_cpu: merge.cpu,
+        n_morsels,
+    })
 }
 
 #[cfg(test)]
@@ -811,22 +672,17 @@ mod tests {
         let cube = cube();
         let t = cube.catalog.base_table().unwrap();
         let heap = cube.catalog.table(t).heap();
-        for strategy in [
-            ExecStrategy::Morsel(MorselSpec::with_pages(1)),
-            ExecStrategy::Morsel(MorselSpec::default()),
-            ExecStrategy::Morsel(MorselSpec::whole_table()),
-            ExecStrategy::LegacyFixed8,
-        ] {
-            let parts = class_morsels(strategy, heap, &ScanKind::Scan);
-            assert!(!parts.is_empty(), "{strategy:?}");
+        for pages in [1, DEFAULT_MORSEL_PAGES, u32::MAX] {
+            let parts = class_morsels(heap, &ScanKind::Scan, pages);
+            assert!(!parts.is_empty(), "{pages} pages");
             let per_page = heap.layout().tuples_per_page() as u64;
             let mut expect_lo = 0;
             for &(lo, hi) in &parts {
-                assert_eq!(lo, expect_lo, "contiguous ({strategy:?})");
-                assert_eq!(lo % per_page, 0, "page-aligned start ({strategy:?})");
+                assert_eq!(lo, expect_lo, "contiguous ({pages} pages)");
+                assert_eq!(lo % per_page, 0, "page-aligned start ({pages} pages)");
                 expect_lo = hi;
             }
-            assert_eq!(expect_lo, heap.n_tuples(), "full coverage ({strategy:?})");
+            assert_eq!(expect_lo, heap.n_tuples(), "full coverage ({pages} pages)");
         }
     }
 
@@ -844,13 +700,13 @@ mod tests {
             hash_queries: hash_qs,
             index_queries: index_qs,
         };
-        let out = execute_classes(&mut ctx2, &cube, std::slice::from_ref(&spec), 2).unwrap();
-        assert_eq!(out.len(), 1);
-        for (par, seq) in out[0].results.iter().zip(&seq_rs) {
+        let out = execute_class(&mut ctx2, &cube, &spec, 2, ExecStrategy::default()).unwrap();
+        assert_eq!(out.results.len(), seq_rs.len());
+        for (par, seq) in out.results.iter().zip(&seq_rs) {
             assert!(par.approx_eq(seq, 1e-9));
         }
-        assert!(out[0].report.critical <= out[0].report.sim);
-        assert!(out[0].report.critical > SimTime::ZERO);
+        assert!(out.report.critical <= out.report.sim);
+        assert!(out.report.critical > SimTime::ZERO);
     }
 
     #[test]
@@ -860,56 +716,14 @@ mod tests {
         let qs = vec![q_selective(&cube)];
         let mut ctx = ExecContext::paper_1998();
         let (seq_rs, _) = shared_index_join(&mut ctx, &cube, t, &qs).unwrap();
-        for strategy in [ExecStrategy::default(), ExecStrategy::LegacyFixed8] {
-            let mut ctx2 = ExecContext::paper_1998();
-            let spec = ClassSpec {
-                table: t,
-                hash_queries: vec![],
-                index_queries: qs.clone(),
-            };
-            let out =
-                execute_classes_with(&mut ctx2, &cube, std::slice::from_ref(&spec), 3, strategy)
-                    .unwrap();
-            assert!(
-                out[0].results[0].approx_eq(&seq_rs[0], 1e-9),
-                "{strategy:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn legacy_and_morsel_agree_on_io_and_feed_work() {
-        // The two strategies split the same pages and probe the same
-        // candidates: I/O and per-tuple feed counters must agree exactly
-        // (merge charges legitimately differ — the tree merges pairs, the
-        // fold re-absorbs every partial into a fresh accumulator).
-        let cube = cube();
-        let t = cube.catalog.find_by_name("A'B'C'D").unwrap();
+        let mut ctx2 = ExecContext::paper_1998();
         let spec = ClassSpec {
             table: t,
-            hash_queries: vec![q_broad(&cube)],
-            index_queries: vec![q_selective(&cube)],
+            hash_queries: vec![],
+            index_queries: qs,
         };
-        let run = |strategy| {
-            let mut ctx = ExecContext::paper_1998();
-            execute_classes_with(&mut ctx, &cube, std::slice::from_ref(&spec), 2, strategy)
-                .unwrap()
-                .remove(0)
-        };
-        let legacy = run(ExecStrategy::LegacyFixed8);
-        let morsel = run(ExecStrategy::default());
-        assert_eq!(legacy.report.io, morsel.report.io);
-        // `bitmap_tests` is charged only on the feed path, so it is
-        // invariant in the split; the other CPU counters also accrue in
-        // `merge_partial` (once per merged group) and legitimately track
-        // the partial count.
-        assert_eq!(
-            legacy.report.cpu.bitmap_tests,
-            morsel.report.cpu.bitmap_tests
-        );
-        for (a, b) in legacy.results.iter().zip(&morsel.results) {
-            assert!(a.approx_eq(b, 1e-9));
-        }
+        let out = execute_class(&mut ctx2, &cube, &spec, 3, ExecStrategy::default()).unwrap();
+        assert!(out.results[0].approx_eq(&seq_rs[0], 1e-9));
     }
 
     #[test]
@@ -924,15 +738,12 @@ mod tests {
         for strategy in [
             ExecStrategy::Morsel(MorselSpec::with_pages(1)),
             ExecStrategy::default(),
-            ExecStrategy::LegacyFixed8,
         ] {
             let runs: Vec<ClassOutcome> = [1usize, 2, 7, 16]
                 .iter()
                 .map(|&n| {
                     let mut ctx = ExecContext::paper_1998();
-                    execute_classes_with(&mut ctx, &cube, std::slice::from_ref(&spec), n, strategy)
-                        .unwrap()
-                        .remove(0)
+                    execute_class(&mut ctx, &cube, &spec, n, strategy).unwrap()
                 })
                 .collect();
             for other in &runs[1..] {
@@ -967,15 +778,8 @@ mod tests {
             .iter()
             .map(|&pages| {
                 let mut ctx = ExecContext::paper_1998();
-                execute_classes_with(
-                    &mut ctx,
-                    &cube,
-                    std::slice::from_ref(&spec),
-                    4,
-                    ExecStrategy::Morsel(MorselSpec::with_pages(pages)),
-                )
-                .unwrap()
-                .remove(0)
+                let strategy = ExecStrategy::Morsel(MorselSpec::with_pages(pages));
+                execute_class(&mut ctx, &cube, &spec, 4, strategy).unwrap()
             })
             .collect();
         for other in &runs[1..] {
@@ -1011,12 +815,12 @@ mod tests {
             index_queries: vec![q.clone()],
         };
         let mut ctx = ExecContext::paper_1998();
-        let out = execute_classes(&mut ctx, &cube, std::slice::from_ref(&spec), 2).unwrap();
+        let out = execute_class(&mut ctx, &cube, &spec, 2, ExecStrategy::default()).unwrap();
         let n = cube.catalog.table(t).n_rows();
-        assert_eq!(out[0].report.cpu.bitmap_tests, n);
+        assert_eq!(out.report.cpu.bitmap_tests, n);
         let mut ctx2 = ExecContext::paper_1998();
         let (seq_rs, _) = shared_index_join(&mut ctx2, &cube, t, &[q]).unwrap();
-        assert!(out[0].results[0].approx_eq(&seq_rs[0], 1e-9));
+        assert!(out.results[0].approx_eq(&seq_rs[0], 1e-9));
     }
 
     #[test]
@@ -1029,7 +833,7 @@ mod tests {
             hash_queries: vec![],
             index_queries: vec![],
         };
-        assert!(execute_classes(&mut ctx, &cube, &[spec], 2).is_err());
+        assert!(execute_class(&mut ctx, &cube, &spec, 2, ExecStrategy::default()).is_err());
     }
 
     #[test]
@@ -1043,9 +847,9 @@ mod tests {
         };
         let mut ctx = ExecContext::paper_1998();
         let before = ctx.pool.stats();
-        let out = execute_classes(&mut ctx, &cube, &[spec], 2).unwrap();
+        let out = execute_class(&mut ctx, &cube, &spec, 2, ExecStrategy::default()).unwrap();
         let delta = ctx.pool.stats().since(&before);
-        assert_eq!(delta, out[0].report.io);
+        assert_eq!(delta, out.report.io);
         assert!(delta.seq_faults > 0);
     }
 }

@@ -257,7 +257,7 @@ mod tests {
     fn pruned_execution_is_bit_identical_to_unpruned() {
         use crate::context::ExecContext;
         use crate::operators::shared_hybrid_join;
-        use crate::parallel::{execute_classes_with, ClassSpec, ExecStrategy, MorselSpec};
+        use crate::parallel::{execute_class, ClassSpec, ExecStrategy, MorselSpec};
 
         let build = |compress: bool| {
             let b = CubeBuilder::new(paper_schema(24))
@@ -319,24 +319,16 @@ mod tests {
         let tid = comp.catalog.base_table().unwrap();
         for threads in [1usize, 4] {
             let mut ctx = ExecContext::paper_1998();
-            let out = execute_classes_with(
-                &mut ctx,
-                &comp,
-                &[ClassSpec {
-                    table: tid,
-                    hash_queries: queries(&comp),
-                    index_queries: vec![],
-                }],
-                threads,
-                ExecStrategy::Morsel(MorselSpec::default()),
-            )
-            .unwrap();
-            assert_eq!(out[0].results, comp_rs, "{threads} threads");
-            assert_eq!(out[0].report.io.seq_faults, comp_rep.io.seq_faults);
-            assert_eq!(
-                out[0].report.io.bytes_scanned(),
-                comp_rep.io.bytes_scanned()
-            );
+            let spec = ClassSpec {
+                table: tid,
+                hash_queries: queries(&comp),
+                index_queries: vec![],
+            };
+            let strategy = ExecStrategy::Morsel(MorselSpec::default());
+            let out = execute_class(&mut ctx, &comp, &spec, threads, strategy).unwrap();
+            assert_eq!(out.results, comp_rs, "{threads} threads");
+            assert_eq!(out.report.io.seq_faults, comp_rep.io.seq_faults);
+            assert_eq!(out.report.io.bytes_scanned(), comp_rep.io.bytes_scanned());
         }
     }
 

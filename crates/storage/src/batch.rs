@@ -81,20 +81,6 @@ impl ScanBatch {
         self.measures[i]
     }
 
-    /// Reshapes the batch for a (possibly different) tuple layout and
-    /// empties it, so one worker-local batch can be reused across morsels
-    /// of classes whose base tables have different dimension counts.
-    /// Column capacity is retained where the shapes overlap.
-    pub fn reshape(&mut self, layout: TupleLayout) {
-        self.cols.resize(layout.n_dims(), Vec::new());
-        for col in &mut self.cols {
-            col.clear();
-        }
-        self.measures.clear();
-        self.base_pos = 0;
-        self.len = 0;
-    }
-
     /// Refills the batch from raw page bytes: `n` consecutive tuples
     /// starting at slot `first_slot`, whose first tuple sits at heap
     /// position `base_pos`. Columnar decode: one pass per column over the
@@ -185,26 +171,5 @@ mod tests {
         b.fill(&layout, &page, 0, 1, 0);
         assert_eq!(b.len(), 1);
         assert_eq!(b.key(0, 0), 0);
-    }
-
-    #[test]
-    fn reshape_adapts_column_count_across_layouts() {
-        let wide = TupleLayout::new(4);
-        let mut page = vec![0u8; crate::page::PAGE_SIZE];
-        wide.encode(&[1, 2, 3, 4], 9.0, &mut page[..wide.record_size()]);
-        let mut b = ScanBatch::new(TupleLayout::new(2));
-        b.reshape(wide);
-        b.fill(&wide, &page, 0, 1, 0);
-        assert_eq!(b.len(), 1);
-        assert_eq!(b.key(3, 0), 4);
-        // Shrinking works too, and leaves the batch empty.
-        let narrow = TupleLayout::new(2);
-        let mut page2 = vec![0u8; crate::page::PAGE_SIZE];
-        narrow.encode(&[7, 8], 1.0, &mut page2[..narrow.record_size()]);
-        b.reshape(narrow);
-        assert!(b.is_empty());
-        b.fill(&narrow, &page2, 0, 1, 5);
-        assert_eq!([b.key(0, 0), b.key(1, 0)], [7, 8]);
-        assert_eq!(b.base_pos(), 5);
     }
 }

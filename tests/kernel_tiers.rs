@@ -10,9 +10,9 @@
 //!   same class runs partitioned at threads 1 and 4.
 
 use starshare::{
-    execute_classes, hash_star_join, reference_eval, ClassSpec, Cube, CubeBuilder, DimPipeline,
-    Dimension, ExecContext, GroupBy, GroupByQuery, KernelTier, LevelRef, MemberPred, StarSchema,
-    DENSE_MAX_GROUPS,
+    execute_class, hash_star_join, reference_eval, ClassSpec, Cube, CubeBuilder, DimPipeline,
+    Dimension, ExecContext, ExecStrategy, GroupBy, GroupByQuery, KernelTier, LevelRef, MemberPred,
+    StarSchema, DENSE_MAX_GROUPS,
 };
 use starshare_prng::Prng;
 
@@ -142,9 +142,8 @@ fn check_cube(cube: &Cube, headline: KernelTier, seed: u64, iters: usize) {
             .iter()
             .map(|&threads| {
                 let mut ctx = ExecContext::paper_1998();
-                execute_classes(&mut ctx, cube, std::slice::from_ref(&spec), threads)
+                execute_class(&mut ctx, cube, &spec, threads, ExecStrategy::default())
                     .expect("runs")
-                    .remove(0)
             })
             .collect();
         assert!(
@@ -204,9 +203,7 @@ fn shared_class_mixing_tiers_matches_reference() {
         index_queries: vec![],
     };
     let mut ctx = ExecContext::paper_1998();
-    let out = execute_classes(&mut ctx, &cube, std::slice::from_ref(&spec), 4)
-        .expect("runs")
-        .remove(0);
+    let out = execute_class(&mut ctx, &cube, &spec, 4, ExecStrategy::default()).expect("runs");
     for (r, q) in out.results.iter().zip([&coarse, &fine]) {
         let expect = reference_eval(&cube, base, q);
         assert!(r.approx_eq(&expect, 1e-9), "{}", q.display(&cube.schema));

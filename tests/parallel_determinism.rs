@@ -4,9 +4,10 @@
 //! simulated totals — both total work (`sim`) and the critical path
 //! (`critical`). Only wall time may differ.
 
-use starshare::paper_queries::bind_paper_test;
+use starshare::paper_queries::{bind_paper_test, paper_query_text, paper_test_queries};
 use starshare::{
-    Engine, EngineConfig, GroupByQuery, OptimizerKind, PaperCubeSpec, PlanExecution, SimTime,
+    Engine, EngineConfig, GroupByQuery, OptimizerKind, PaperCubeSpec, PlanExecution, QueryResult,
+    SimTime,
 };
 
 fn engine() -> Engine {
@@ -117,4 +118,75 @@ fn repeated_runs_are_reproducible() {
         let again = e.execute_plan_threads(&plan, 2).unwrap();
         assert_identical(&first, &again, "repeat");
     }
+}
+
+/// Every way of running a plan on a multi-threaded engine — strict,
+/// explicitly partitioned, degraded, and MDX text through `mdx_many` —
+/// goes through the same per-class loop, so all four agree on rows and on
+/// the plan totals, critical path included (classes run one after another,
+/// so a plan's critical path is the sum of its classes').
+#[test]
+fn every_plan_entry_point_reports_the_same_totals() {
+    let spec = PaperCubeSpec {
+        base_rows: 5_000,
+        d_leaf: 48,
+        seed: 23,
+        with_indexes: true,
+    };
+    let mut e = EngineConfig::paper().threads(2).build_paper(spec);
+    let queries = bind_paper_test(&e.cube().schema, 7).unwrap();
+    let plan = e.optimize(&queries, OptimizerKind::Gg).unwrap();
+    assert!(
+        plan.classes.len() > 1,
+        "Test 7's GG plan has several classes"
+    );
+
+    e.flush();
+    let strict = e.execute_plan(&plan).unwrap();
+    e.flush();
+    let threads = e.execute_plan_threads(&plan, 2).unwrap();
+    e.flush();
+    let degraded = e.execute_plan_degraded(&plan);
+    let degraded = PlanExecution {
+        results: degraded
+            .results
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap(),
+        per_class: degraded.per_class,
+        total: degraded.total,
+    };
+    e.flush();
+    let texts: Vec<&str> = paper_test_queries(7)
+        .iter()
+        .map(|&n| paper_query_text(n))
+        .collect();
+    let out = e.mdx_many(&texts).unwrap();
+    // `mdx_many` answers in binding order; line its results up with the
+    // plan's assignment order.
+    let answered: Vec<QueryResult> = out.results().into_iter().cloned().collect();
+    let mdx = PlanExecution {
+        results: strict
+            .results
+            .iter()
+            .map(|r| {
+                answered
+                    .iter()
+                    .find(|a| a.query == r.query)
+                    .expect("mdx_many answers every planned query")
+                    .clone()
+            })
+            .collect(),
+        per_class: Vec::new(),
+        total: out.report,
+    };
+
+    assert_identical(&strict, &threads, "execute_plan vs execute_plan_threads");
+    assert_identical(&strict, &degraded, "execute_plan vs execute_plan_degraded");
+    assert_identical(&strict, &mdx, "execute_plan vs mdx_many");
+    let summed = strict
+        .per_class
+        .iter()
+        .fold(SimTime::ZERO, |acc, r| acc + r.critical);
+    assert_eq!(strict.total.critical, summed, "critical paths add");
 }
