@@ -54,10 +54,12 @@ fn parse_opts(args: &[String]) -> Opts {
                 )
             }
             "--scale" => {
-                o.scale = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| fail("--scale needs a number"))
+                let raw = it.next().unwrap_or_else(|| fail("--scale needs a number"));
+                o.scale = match raw.parse::<f64>() {
+                    Ok(f) if f > 0.0 && f <= 1.0 => f,
+                    Ok(_) => fail(&format!("--scale must be in (0, 1], got {raw}")),
+                    Err(_) => fail("--scale needs a number"),
+                }
             }
             other => o.rest.push(other.to_string()),
         }
