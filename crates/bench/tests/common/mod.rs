@@ -828,10 +828,11 @@ fn run_storage_leg(cube: Cube, plan: &GlobalPlan) -> (Engine, Vec<QueryResult>, 
 
 /// Whether `plan` run cold at 4 threads returns exactly `results`.
 fn same_at_four_threads(engine: &mut Engine, plan: &GlobalPlan, results: &[QueryResult]) -> bool {
+    let threads = engine.threads();
+    engine.set_threads(4);
     engine.flush();
-    let threaded = engine
-        .execute_plan_threads(plan, 4)
-        .expect("threaded leg executes");
+    let threaded = engine.execute_plan(plan).expect("threaded leg executes");
+    engine.set_threads(threads);
     threaded.results == results
 }
 

@@ -4,9 +4,9 @@ use std::time::Duration;
 
 use starshare_bitmap::IndexFormat;
 use starshare_exec::{
-    execute_class, shared_hybrid_join, shared_index_join, CacheHit, CacheStats, ClassSpec,
-    ExecContext, ExecError, ExecReport, ExecStrategy, MetricsSnapshot, MorselSpec, Provenance,
-    QueryProfile, QueryResult, ResultCache, Telemetry, TelemetryConfig, WindowReport, WindowTimer,
+    execute_class, CacheHit, CacheStats, ClassSpec, ExecContext, ExecError, ExecReport,
+    ExecStrategy, MetricsSnapshot, MorselSpec, Provenance, QueryProfile, QueryResult, ResultCache,
+    Telemetry, TelemetryConfig, WindowReport, WindowTimer,
 };
 use starshare_mdx::{bind, parse, BoundMdx};
 use starshare_olap::{paper_cube, Cube, GroupByQuery, PaperCubeSpec};
@@ -240,10 +240,9 @@ pub struct DegradedExecution {
     /// the defaults — its partial work is not separable).
     pub per_class: Vec<ExecReport>,
     /// One merge-phase CPU counter set per class, in class order — the
-    /// parallel executor's fold charge, already included in the class's
-    /// `per_class` report but broken out so per-query profiles can
-    /// attribute it to the merge phase (all-zero on the sequential path
-    /// and for failed classes).
+    /// executor's fold charge, already included in the class's `per_class`
+    /// report but broken out so per-query profiles can attribute it to the
+    /// merge phase (all-zero for one-morsel and failed classes).
     pub merge_cpu: Vec<CpuCounters>,
     /// Totals across the classes that completed.
     pub total: ExecReport,
@@ -395,11 +394,13 @@ pub struct EngineConfig {
     /// for SUM/COUNT always and MIN/MAX under the engine's insert-only
     /// append model; AVG entries are dropped either way.
     pub cache_patching: bool,
-    /// Worker threads for plan execution (1 = the sequential in-place
-    /// path). Results and simulated times are identical at any thread
-    /// count; only wall time changes.
+    /// Worker threads for plan execution: a pure wall-clock resource
+    /// knob. Every class runs on the one morsel executor at any thread
+    /// count, so results, simulated times, I/O counters, the pool
+    /// residency a class leaves for the next, and injected faults are
+    /// identical at any value; only wall time changes.
     pub threads: usize,
-    /// How the parallel path carves a class into morsels (set through
+    /// How the executor carves a class into morsels (set through
     /// [`morsel_pages`](EngineConfig::morsel_pages)).
     pub strategy: ExecStrategy,
     /// Serving-window behavior (used by `starshare-serve`).
@@ -457,10 +458,10 @@ impl EngineConfig {
     pub const DEFAULT_CACHE_BYTES: usize = 1 << 20;
 
     /// The paper-experiment default: like [`new`](EngineConfig::new) but
-    /// pinned to one thread — the paper's experiments model a 1998
-    /// uniprocessor, and the sequential in-place path additionally lets
-    /// later queries in a session reuse the shared pool's residency,
-    /// exactly the behavior the paper's experiments measure.
+    /// on one worker thread, as the paper's 1998 uniprocessor ran. The
+    /// thread count moves only wall time — later queries in a session
+    /// reuse the shared pool's residency at any thread count, the behavior
+    /// the paper's experiments measure.
     pub fn paper() -> Self {
         Self::new().threads(1)
     }
@@ -500,7 +501,7 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the pages-per-morsel size for parallel execution (clamped to
+    /// Sets the pages-per-morsel size for plan execution (clamped to
     /// ≥ 1) by selecting a morsel strategy of that granularity. Smaller
     /// morsels balance load better at the price of more per-morsel
     /// overhead; `u32::MAX` degenerates to one morsel per class. Results
@@ -602,22 +603,11 @@ impl EngineConfig {
     }
 }
 
-/// Where [`Engine::run_class`] executes a class.
-#[derive(Debug, Clone, Copy)]
-enum ClassPath {
-    /// The sequential shared operators against the live pool: injected
-    /// faults apply, and the pages a class faults in stay resident for
-    /// the next.
-    InPlace,
-    /// The morsel executor at this many worker threads.
-    Morsel(usize, ExecStrategy),
-}
-
 /// An OLAP engine over one cube.
 ///
 /// Holds the buffer pool across calls (repeated queries benefit from cached
-/// pages) — call [`flush`](Engine::flush) to model a cold start, as the
-/// paper does before each test.
+/// pages, at any thread count) — call [`flush`](Engine::flush) to model a
+/// cold start, as the paper does before each test.
 #[derive(Debug)]
 pub struct Engine {
     cube: Cube,
@@ -672,7 +662,7 @@ impl Engine {
         self.config.threads = n.max(1);
     }
 
-    /// Pages per morsel used by the parallel path.
+    /// Pages per morsel used by plan execution.
     pub fn morsel_pages(&self) -> u32 {
         let ExecStrategy::Morsel(spec) = self.config.strategy;
         spec.pages
@@ -716,8 +706,7 @@ impl Engine {
 
     /// Drains the trace ring buffer as JSONL, one record per line plus a
     /// trailer (`None` when telemetry is off). Same seed and workload ⇒
-    /// byte-identical output, at any thread count on the partitioned
-    /// executor path.
+    /// byte-identical output, at any thread count.
     pub fn drain_trace(&self) -> Option<String> {
         self.ctx.telemetry.drain_jsonl()
     }
@@ -830,7 +819,9 @@ impl Engine {
     /// safe on it.
     pub fn mdx(&mut self, text: &str) -> Result<Outcome> {
         let mut out = self.mdx_many(&[text])?;
-        let expr = out.outcomes.pop().expect("one expression in, one out")?;
+        let expr = out.outcomes.pop().ok_or_else(|| {
+            Error::Exec(ExecError::new("a one-expression batch lost its outcome"))
+        })??;
         if let Some(e) = expr.results.iter().find_map(|r| r.as_ref().err()) {
             return Err(e.clone());
         }
@@ -861,9 +852,14 @@ impl Engine {
         let window = self.mdx_window(&[texts], self.config.optimizer, self.config.strategy)?;
         let mut submissions = window.submissions;
         let mut profiles = window.profiles;
+        let outcomes = submissions.pop().ok_or_else(|| {
+            Error::Exec(ExecError::new(
+                "a one-submission window lost its submission",
+            ))
+        })?;
         Ok(Outcome {
             plan: window.plan,
-            outcomes: submissions.pop().expect("one submission in, one out"),
+            outcomes,
             report: window.report.exec,
             profiles: profiles.pop().unwrap_or_default(),
         })
@@ -1001,10 +997,10 @@ impl Engine {
             .cache
             .as_ref()
             .map_or_else(CacheStats::default, |c| c.stats());
-        let mut cached: Vec<Vec<Option<QueryResult>>> = Vec::with_capacity(sets.len());
-        // Parallels `cached`: how each hit was obtained plus its rollup
-        // charge, for per-query profiles (`None` for misses).
-        let mut hit_info: Vec<Vec<Option<(Provenance, SimTime)>>> = Vec::with_capacity(sets.len());
+        // Each hit with how it was obtained and its rollup charge (for
+        // per-query profiles); `None` for misses.
+        let mut cached: Vec<Vec<Option<(QueryResult, Provenance, SimTime)>>> =
+            Vec::with_capacity(sets.len());
         let mut cache_charges: Vec<SimTime> = vec![SimTime::ZERO; sets.len()];
         let mut cache_total = ExecReport::default();
         let mut miss_sets: Vec<Vec<GroupByQuery>> = Vec::with_capacity(sets.len());
@@ -1013,7 +1009,6 @@ impl Engine {
             let model = self.ctx.model;
             for (si, set) in sets.iter().enumerate() {
                 let mut hits = Vec::with_capacity(set.len());
-                let mut info = Vec::with_capacity(set.len());
                 let mut misses = Vec::new();
                 for q in set {
                     match cache.lookup(&self.cube.schema, q, &model) {
@@ -1032,8 +1027,7 @@ impl Engine {
                                     ],
                                 )
                             });
-                            hits.push(Some(result));
-                            info.push(Some((prov, SimTime::ZERO)));
+                            hits.push(Some((result, prov, SimTime::ZERO)));
                         }
                         Some(CacheHit::Subsumption { result, report }) => {
                             cache_charges[si] += report.sim;
@@ -1049,8 +1043,7 @@ impl Engine {
                                     ],
                                 );
                             });
-                            hits.push(Some(result));
-                            info.push(Some((Provenance::SubsumptionRollup, report.sim)));
+                            hits.push(Some((result, Provenance::SubsumptionRollup, report.sim)));
                         }
                         None => {
                             tele.trace(|t| {
@@ -1061,17 +1054,14 @@ impl Engine {
                             });
                             misses.push(q.clone());
                             hits.push(None);
-                            info.push(None);
                         }
                     }
                 }
                 cached.push(hits);
-                hit_info.push(info);
                 miss_sets.push(misses);
             }
         } else {
             cached = sets.iter().map(|s| vec![None; s.len()]).collect();
-            hit_info = sets.iter().map(|s| vec![None; s.len()]).collect();
             miss_sets = sets.clone();
         }
 
@@ -1143,8 +1133,7 @@ impl Engine {
             )
         });
 
-        let path = self.class_path(strategy);
-        let (exec, _) = self.run_plan(&plan, path, false);
+        let (exec, _) = self.run_plan(&plan, strategy, false);
         let mut results = exec.results;
         let per_class = exec.per_class;
         let class_merge_cpu = exec.merge_cpu;
@@ -1208,7 +1197,7 @@ impl Engine {
                             .map(|(p, _)| p.clone())
                             .collect(),
                     };
-                    match self.run_class(&sub, path) {
+                    match self.run_class(&sub, strategy) {
                         Ok((rs, rep, _)) => {
                             // `run_class` answers exactly `sub.plans`, in order.
                             let owned = slots.clone().zip(owner_slice).filter(|&(_, &po)| po == o);
@@ -1244,23 +1233,24 @@ impl Engine {
         let routed = route(bounds, &mut |si, q| {
             let j = next_q[si];
             next_q[si] += 1;
-            if let Some(r) = cached[si][j].take() {
+            if let Some((r, prov, rollup)) = cached[si][j].take() {
                 debug_assert_eq!(&r.query, q, "cache answer routed to the wrong slot");
                 if tele_on {
-                    let (prov, rollup) = hit_info[si][j].expect("hit info parallels cache answers");
                     profiles[si].push(QueryProfile::cached(prov, rollup));
                 }
                 return Ok(r);
             }
-            let slot = plan_queries
-                .iter()
+            // The first untaken slot this submission owns for `q`.
+            let (slot, r) = pool
+                .iter_mut()
                 .enumerate()
-                .position(|(i, pq)| pool[i].is_some() && owners[i] == si && pq == q)
+                .filter(|&(i, _)| owners[i] == si && plan_queries[i] == *q)
+                .find_map(|(i, p)| p.take().map(|r| (i, r)))
                 .ok_or_else(|| Error::Exec(ExecError::new("plan lost a query")))?;
             if tele_on {
                 profiles[si].push(slot_profile[slot]);
             }
-            pool[slot].take().expect("checked above")
+            r
         });
         if tele_on {
             tele.store_profiles(profiles.iter().flatten().copied().collect());
@@ -1355,33 +1345,20 @@ impl Engine {
 
     /// Executes a global plan: each class runs as one shared operator
     /// (hybrid scan if any member is hash-based, shared index join
-    /// otherwise), one class after another.
-    ///
-    /// With [`threads`](Engine::threads) > 1 each class runs on the morsel
-    /// executor (`starshare_exec::parallel`); the default of 1 keeps the
-    /// sequential in-place path, whose pool accounting existing
-    /// experiments depend on. Either way the plan's totals are the classes'
-    /// reports summed, `critical` included.
+    /// otherwise) on the morsel executor (`starshare_exec::parallel`), one
+    /// class after another, at the engine's [`threads`](Engine::threads).
+    /// The plan's totals are the classes' reports summed, `critical`
+    /// included; none of them depends on the thread count.
     pub fn execute_plan(&mut self, plan: &GlobalPlan) -> Result<PlanExecution> {
-        let path = self.class_path(self.config.strategy);
-        self.run_plan_strict(plan, path)
-    }
-
-    /// Executes a global plan on the morsel executor at `threads` worker
-    /// threads, **regardless of the engine's own thread setting** —
-    /// `threads = 1` still partitions, so runs at different thread counts
-    /// are comparable unit-for-unit.
-    ///
-    /// The returned results and simulated times (`sim` and the
-    /// critical-path `critical`) are bit-identical at every thread count;
-    /// only host wall time responds to `threads`. Classes run one after
-    /// another, so the plan's `critical` is the sum of its classes'.
-    pub fn execute_plan_threads(
-        &mut self,
-        plan: &GlobalPlan,
-        threads: usize,
-    ) -> Result<PlanExecution> {
-        self.run_plan_strict(plan, ClassPath::Morsel(threads, self.config.strategy))
+        let (exec, failed) = self.run_plan(plan, self.config.strategy, true);
+        if let Some(e) = failed {
+            return Err(e.into());
+        }
+        Ok(PlanExecution {
+            results: exec.results.into_iter().collect::<Result<_>>()?,
+            per_class: exec.per_class,
+            total: exec.total,
+        })
     }
 
     /// Executes a global plan with **per-query graceful degradation**: each
@@ -1402,41 +1379,13 @@ impl Engine {
 
     /// [`execute_plan_degraded`](Engine::execute_plan_degraded) under an
     /// explicit [`ExecStrategy`] — the window path uses this to pin
-    /// whole-table morsels regardless of the engine's own strategy. With
-    /// one worker thread the strategy is irrelevant: the sequential
-    /// in-place path runs the shared joins directly.
+    /// whole-table morsels regardless of the engine's own strategy.
     pub fn execute_plan_degraded_with(
         &mut self,
         plan: &GlobalPlan,
         strategy: ExecStrategy,
     ) -> DegradedExecution {
-        let path = self.class_path(strategy);
-        self.run_plan(plan, path, false).0
-    }
-
-    /// Where this engine runs a class under `strategy`: on the morsel
-    /// executor when it has more than one worker thread, in place
-    /// otherwise.
-    fn class_path(&self, strategy: ExecStrategy) -> ClassPath {
-        if self.config.threads > 1 {
-            ClassPath::Morsel(self.config.threads, strategy)
-        } else {
-            ClassPath::InPlace
-        }
-    }
-
-    /// [`run_plan`](Engine::run_plan) that stops at the first failed class
-    /// and returns its error.
-    fn run_plan_strict(&mut self, plan: &GlobalPlan, path: ClassPath) -> Result<PlanExecution> {
-        let (exec, failed) = self.run_plan(plan, path, true);
-        if let Some(e) = failed {
-            return Err(e.into());
-        }
-        Ok(PlanExecution {
-            results: exec.results.into_iter().collect::<Result<_>>()?,
-            per_class: exec.per_class,
-            total: exec.total,
-        })
+        self.run_plan(plan, strategy, false).0
     }
 
     /// The one per-class loop behind every plan execution: runs each class
@@ -1448,7 +1397,7 @@ impl Engine {
     fn run_plan(
         &mut self,
         plan: &GlobalPlan,
-        path: ClassPath,
+        strategy: ExecStrategy,
         strict: bool,
     ) -> (DegradedExecution, Option<ExecError>) {
         let mut results: Vec<Result<QueryResult>> = Vec::with_capacity(plan.n_queries());
@@ -1457,7 +1406,7 @@ impl Engine {
         let mut total = ExecReport::default();
         let mut failed = None;
         for class in &plan.classes {
-            match self.run_class(class, path) {
+            match self.run_class(class, strategy) {
                 Ok((rs, rep, mc)) => {
                     results.extend(rs.into_iter().map(Ok));
                     total.merge(&rep);
@@ -1486,16 +1435,16 @@ impl Engine {
         (exec, failed)
     }
 
-    /// Runs one plan class as a shared operator on `path`, returning its
-    /// results **in class plan order**, the class's report, and the
-    /// report's merge-phase CPU (zero in place). Each call is one executor
-    /// invocation, so a faulted class cannot take its neighbours down with
-    /// it — the plan loop and the window path's per-owner fault-isolation
-    /// re-runs both build on this.
+    /// Runs one plan class as a shared operator on the morsel executor
+    /// under `strategy`, returning its results **in class plan order**,
+    /// the class's report, and the report's merge-phase CPU. Each call is
+    /// one executor invocation, so a faulted class cannot take its
+    /// neighbours down with it — the plan loop and the window path's
+    /// per-owner fault-isolation re-runs both build on this.
     fn run_class(
         &mut self,
         class: &PlanClass,
-        path: ClassPath,
+        strategy: ExecStrategy,
     ) -> std::result::Result<(Vec<QueryResult>, ExecReport, CpuCounters), ExecError> {
         let members = |method| {
             class
@@ -1511,27 +1460,14 @@ impl Engine {
             index_queries: members(JoinMethod::Index),
         };
         let n_hash = spec.hash_queries.len();
-        let (mut rs, rep, merge_cpu) = match path {
-            ClassPath::Morsel(threads, strategy) => {
-                let out = execute_class(&mut self.ctx, &self.cube, &spec, threads, strategy)?;
-                (out.results, out.report, out.merge_cpu)
-            }
-            ClassPath::InPlace if n_hash == 0 => {
-                let (rs, rep) =
-                    shared_index_join(&mut self.ctx, &self.cube, spec.table, &spec.index_queries)?;
-                (rs, rep, CpuCounters::default())
-            }
-            ClassPath::InPlace => {
-                let (rs, rep) = shared_hybrid_join(
-                    &mut self.ctx,
-                    &self.cube,
-                    spec.table,
-                    &spec.hash_queries,
-                    &spec.index_queries,
-                )?;
-                (rs, rep, CpuCounters::default())
-            }
-        };
+        let out = execute_class(
+            &mut self.ctx,
+            &self.cube,
+            &spec,
+            self.config.threads,
+            strategy,
+        )?;
+        let mut rs = out.results;
         if rs.len() != class.plans.len() {
             return Err(ExecError::new(format!(
                 "the operator returned {} results for a class of {} queries",
@@ -1550,13 +1486,13 @@ impl Engine {
                 JoinMethod::Index => index_iter.next(),
             })
             .collect();
-        Ok((ordered, rep, merge_cpu))
+        Ok((ordered, out.report, out.merge_cpu))
     }
 
     /// Arms deterministic fault injection on the engine's buffer pool: from
-    /// now on, fault-checked page reads on the sequential execution path
-    /// draw from `plan`'s seeded schedule (see
-    /// `starshare_storage::FaultPlan`). Queries whose reads fault past the
+    /// now on, every page read the executor charges draws from `plan`'s
+    /// seeded schedule (see `starshare_storage::FaultPlan`), in the same
+    /// order at every thread count. Queries whose reads fault past the
     /// executor's bounded retry fail individually — see
     /// [`mdx_many`](Engine::mdx_many) and
     /// [`execute_plan_degraded`](Engine::execute_plan_degraded).
@@ -1593,7 +1529,7 @@ impl Engine {
                     method: *m,
                 }],
             };
-            let (rs, rep, _) = self.run_class(&class, ClassPath::InPlace)?;
+            let (rs, rep, _) = self.run_class(&class, self.config.strategy)?;
             results.extend(rs);
             total.merge(&rep);
         }
@@ -1824,8 +1760,10 @@ mod tests {
                 plans: Vec::new(),
             },
         );
-        assert!(e.execute_plan(&plan).is_err(), "in place");
-        assert!(e.execute_plan_threads(&plan, 2).is_err(), "morsel");
+        for threads in [1, 2] {
+            e.set_threads(threads);
+            assert!(e.execute_plan(&plan).is_err(), "{threads} threads");
+        }
         let degraded = e.execute_plan_degraded(&plan);
         assert_eq!(degraded.results.len(), queries.len());
         assert!(degraded.results.iter().all(|r| r.is_ok()));
@@ -1881,7 +1819,7 @@ mod tests {
     }
 
     #[test]
-    fn execute_plan_threads_is_invariant_in_thread_count() {
+    fn execute_plan_is_invariant_in_thread_count() {
         let mut e = engine();
         let queries = bind_paper_test(&e.cube().schema, 1).unwrap();
         let plan = e.optimize(&queries, OptimizerKind::Gg).unwrap();
@@ -1889,7 +1827,8 @@ mod tests {
             .iter()
             .map(|&n| {
                 e.flush();
-                e.execute_plan_threads(&plan, n).unwrap()
+                e.set_threads(n);
+                e.execute_plan(&plan).unwrap()
             })
             .collect();
         for other in &runs[1..] {

@@ -374,12 +374,11 @@ mod tests {
     //! The class kernel against the per-member oracle
     //! ([`ClassKernel::compile_per_member`]): over random classes, every
     //! result row, every CPU and I/O counter, `sim`, and `critical` must be
-    //! bit-identical, on the sequential operator and on the morsel executor
-    //! at every thread count and morsel size.
+    //! bit-identical on the morsel executor at every thread count and
+    //! morsel size.
 
     use super::*;
     use crate::context::ExecContext;
-    use crate::operators::hybrid_join_with;
     use crate::parallel::{
         execute_class_compiled, ClassOutcome, ClassSpec, ExecStrategy, MorselSpec,
         DEFAULT_MORSEL_PAGES,
@@ -523,30 +522,9 @@ mod tests {
         assert_eq!(a.n_morsels, b.n_morsels, "{what}: morsels");
     }
 
-    /// Runs `spec` on the sequential operator and on the morsel executor
-    /// over the thread × morsel-size matrix, kernel vs oracle.
+    /// Runs `spec` on the morsel executor over the thread × morsel-size
+    /// matrix, kernel vs oracle.
     fn check_class(cube: &Cube, spec: &ClassSpec, what: &str) {
-        let seq = |compile: CompileKernel| {
-            let mut ctx = ExecContext::paper_1998();
-            hybrid_join_with(
-                &mut ctx,
-                cube,
-                spec.table,
-                &spec.hash_queries,
-                &spec.index_queries,
-                compile,
-            )
-            .unwrap()
-        };
-        let (rk, k) = seq(ClassKernel::compile);
-        let (ro, o) = seq(ClassKernel::compile_per_member);
-        let what_seq = format!("{what}, sequential");
-        assert_rows_identical(&rk, &ro, &what_seq);
-        assert_eq!(k.io, o.io, "{what_seq}: io");
-        assert_eq!(k.cpu, o.cpu, "{what_seq}: cpu");
-        assert_eq!(k.sim, o.sim, "{what_seq}: sim");
-        assert_eq!(k.critical, o.critical, "{what_seq}: critical");
-
         for pages in [1, DEFAULT_MORSEL_PAGES, u32::MAX] {
             for threads in [1, 2, 7, 16] {
                 let run = |compile: CompileKernel| {

@@ -1,6 +1,6 @@
 //! Execution context and per-run reports.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use starshare_obs::{json::Obj, Telemetry};
 use starshare_storage::{BufferPool, CpuCounters, HardwareModel, IoStats, SimTime};
@@ -40,29 +40,6 @@ impl ExecContext {
     pub fn flush(&mut self) {
         self.pool.flush();
     }
-
-    /// Runs `f` with scoped accounting: captures the I/O delta, collects the
-    /// CPU counters `f` fills in, and assembles an [`ExecReport`].
-    pub fn run<T>(&mut self, f: impl FnOnce(&mut Self, &mut CpuCounters) -> T) -> (T, ExecReport) {
-        let io_before = self.pool.stats();
-        let mut cpu = CpuCounters::default();
-        let wall_start = Instant::now();
-        let value = f(self, &mut cpu);
-        let wall = wall_start.elapsed();
-        let io = self.pool.stats().since(&io_before);
-        let sim = io.io_time(&self.model) + self.model.cpu_time(&cpu);
-        (
-            value,
-            ExecReport {
-                io,
-                cpu,
-                sim,
-                critical: sim,
-                wall,
-                busy: wall,
-            },
-        )
-    }
 }
 
 /// What one operator run cost.
@@ -77,10 +54,10 @@ pub struct ExecReport {
     /// worker's contribution, so it is comparable across thread counts.
     pub sim: SimTime,
     /// Simulated *critical-path* time: what the clock would read if every
-    /// concurrent piece of the run truly overlapped. Sequential runs have
-    /// `critical == sim`; a morsel-parallel class reports its coordinator
-    /// phase plus the slowest morsel plus the merge tree's critical path
-    /// (see `starshare_exec::parallel`).
+    /// concurrent piece of the run truly overlapped. A class reports its
+    /// coordinator phase plus the slowest morsel plus the merge tree's
+    /// critical path (see `starshare_exec::parallel`), so a one-morsel
+    /// class has `critical == sim`.
     /// Deterministic and independent of the host's thread count.
     pub critical: SimTime,
     /// Real *elapsed* wall-clock time of the run on the host machine:
@@ -89,8 +66,8 @@ pub struct ExecReport {
     /// number that shrinks when parallelism helps.
     pub wall: Duration,
     /// Real *summed* busy time: every worker's wall time added together
-    /// (plus coordinator phases). Sequential runs have `busy == wall`;
-    /// parallel runs typically have `busy > wall`. This is total host CPU
+    /// (plus coordinator phases). One worker gives `busy ≈ wall`; several
+    /// typically give `busy > wall`. This is total host CPU
     /// work, the number that should stay roughly flat across thread counts.
     pub busy: Duration,
 }
@@ -160,37 +137,13 @@ mod tests {
     use starshare_storage::{AccessKind, FileId};
 
     #[test]
-    fn run_scopes_io_and_cpu() {
-        let mut ctx = ExecContext::new(HardwareModel::paper_1998());
-        let ((), r1) = ctx.run(|ctx, cpu| {
-            ctx.pool.access(FileId(0), 0, AccessKind::Sequential);
-            cpu.hash_probes += 10;
-        });
-        assert_eq!(r1.io.seq_faults, 1);
-        assert_eq!(r1.cpu.hash_probes, 10);
-        // 1 ms I/O + 10 × 2 µs CPU.
-        assert_eq!(r1.sim.as_nanos(), 1_000_000 + 20_000);
-
-        // A second run sees only its own delta (page 0 now hits).
-        let ((), r2) = ctx.run(|ctx, _| {
-            ctx.pool.access(FileId(0), 0, AccessKind::Sequential);
-        });
-        assert_eq!(r2.io.seq_faults, 0);
-        assert_eq!(r2.io.hits, 1);
-        assert_eq!(r2.sim, SimTime::ZERO);
-    }
-
-    #[test]
     fn flush_forces_refault() {
         let mut ctx = ExecContext::paper_1998();
-        ctx.run(|ctx, _| {
-            ctx.pool.access(FileId(0), 0, AccessKind::Sequential);
-        });
+        assert!(!ctx.pool.access(FileId(0), 0, AccessKind::Sequential));
+        assert!(ctx.pool.access(FileId(0), 0, AccessKind::Sequential));
         ctx.flush();
-        let ((), r) = ctx.run(|ctx, _| {
-            ctx.pool.access(FileId(0), 0, AccessKind::Sequential);
-        });
-        assert_eq!(r.io.seq_faults, 1);
+        assert!(!ctx.pool.access(FileId(0), 0, AccessKind::Sequential));
+        assert_eq!(ctx.pool.stats().seq_faults, 2);
     }
 
     #[test]
@@ -220,18 +173,6 @@ mod tests {
         assert_eq!(a.critical.as_nanos(), 600, "sequential criticals add");
         assert_eq!(a.wall, Duration::from_micros(2));
         assert_eq!(a.busy, Duration::from_micros(4));
-    }
-
-    #[test]
-    fn sequential_runs_have_critical_equal_to_sim() {
-        let mut ctx = ExecContext::paper_1998();
-        let ((), r) = ctx.run(|ctx, cpu| {
-            ctx.pool.access(FileId(0), 0, AccessKind::Sequential);
-            cpu.hash_probes += 10;
-        });
-        assert_eq!(r.critical, r.sim);
-        assert!(r.sim > SimTime::ZERO);
-        assert_eq!(r.busy, r.wall, "sequential runs: busy == wall");
     }
 
     #[test]

@@ -16,9 +16,12 @@
 //! counters feed the simulated clock. Results are exact; times are the
 //! deterministic 1998-calibrated simulation plus measured wall time.
 //!
-//! The [`parallel`] module runs one class on worker threads, carving its
-//! base-table pass into work-stealing morsels (see the [`morsel`] module),
-//! without perturbing the simulated clock (see its docs for the
+//! Every class — these five operators and each class of a global plan —
+//! runs on one executor, [`execute_class`] in the [`parallel`] module: it
+//! carves the base-table pass into work-stealing morsels (see the
+//! [`morsel`] module) and charges their page accesses to the live pool in
+//! morsel order, so the simulated clock, the pool's residency and injected
+//! faults never depend on the thread count (see its docs for the
 //! determinism contract).
 
 pub mod cache;

@@ -1,7 +1,7 @@
 //! Morsel boundaries and the work-stealing scheduler.
 //!
 //! A *morsel* is a small page-aligned tuple range — the unit of work the
-//! parallel executor hands to worker threads. Boundaries are computed
+//! executor hands to worker threads. Boundaries are computed
 //! **deterministically from data** before any thread runs:
 //!
 //! * scan classes carve the heap into fixed-size page chunks
@@ -10,9 +10,9 @@
 //!   page-walk over the OR'd candidate bitmap closes a morsel whenever it
 //!   has accumulated its fair share of set bits ([`probe_morsels`]) — so a
 //!   skewed bitmap no longer leaves one range with all the probes;
-//! * page alignment keeps morsels on disjoint pages, so private fault
-//!   counts sum to exactly what one sequential pass would fault, no matter
-//!   how the table is carved.
+//! * page alignment keeps morsels on disjoint pages, so charging them one
+//!   after another makes exactly the page accesses of one sequential pass,
+//!   no matter how the table is carved.
 //!
 //! Dispatch is classic work-stealing: unit `i` is seeded into worker
 //! `i % threads`' deque; a worker pops its own deque from the front and,

@@ -1,10 +1,12 @@
 //! The star-join operators, single and shared.
 //!
-//! All five of the paper's evaluation strategies live here. They share one
-//! inner machine: a set of per-query [`QueryState`]s absorbing tuples into
-//! hash aggregations, fed either by a sequential scan of the source table
-//! (hash-based plans, §3.1/3.3) or by a bitmap-directed probe of it
-//! (index-based plans, §3.2).
+//! All five of the paper's evaluation strategies are entry points here,
+//! and all five are one class run by the morsel executor
+//! ([`crate::parallel::execute_class`]) as a single whole-table pass. They
+//! share one inner machine: a set of per-query [`QueryState`]s absorbing
+//! tuples into hash aggregations, fed either by a sequential scan of the
+//! source table (hash-based plans, §3.1/3.3) or by a bitmap-directed probe
+//! of it (index-based plans, §3.2).
 //!
 //! Work accounting (what the simulated clock sees):
 //!
@@ -18,23 +20,22 @@
 //!   aggregation-table probe, an update, and a result-tuple copy.
 
 use starshare_olap::{combine_mode, CombineMode, Cube, GroupByQuery, LevelRef, TableId};
-use starshare_storage::{AccessKind, CpuCounters, ScanBatch};
+use starshare_storage::CpuCounters;
 
-use crate::class_kernel::{ClassKernel, CompileKernel, KernelScratch};
 use crate::context::{ExecContext, ExecReport};
 use crate::error::ExecError;
 use crate::kernel::GroupAcc;
-use crate::plan_io::{build_query_bitmap, QueryBitmap};
+use crate::parallel::{execute_class, ClassSpec, ExecStrategy, MorselSpec};
+use crate::plan_io::QueryBitmap;
 use crate::result::QueryResult;
-use crate::retry::with_retry;
 use crate::rollup::DimPipeline;
 
 /// Per-query execution state: the compiled pipeline, how measures fold,
 /// and (for index-fed queries) the result bitmap.
 ///
-/// Immutable once phase 1 has built the bitmaps, so the partitioned
-/// operators in [`crate::parallel`] fan one copy out to every worker; each
-/// run keeps its running aggregations ([`GroupAcc`]s) beside the states.
+/// Immutable once phase 1 has built the bitmaps, so the morsel executor in
+/// [`crate::parallel`] fans one copy out to every worker; each morsel keeps
+/// its running aggregations ([`GroupAcc`]s) beside the states.
 pub(crate) struct QueryState {
     pub(crate) query: GroupByQuery,
     pub(crate) pipeline: DimPipeline,
@@ -72,7 +73,7 @@ impl QueryState {
         self.bitmap.as_ref().map_or(0, |b| b.covered_mask)
     }
 
-    /// The probe paths' per-candidate step: one bitmap test (passing
+    /// The probe path's per-candidate step: one bitmap test (passing
     /// always without a bitmap), then the residual filter, then absorb
     /// into `acc`.
     pub(crate) fn probe(
@@ -132,6 +133,25 @@ pub(crate) fn charge_hash_builds(
     }
 }
 
+/// Runs one class through [`execute_class`] as the paper's single
+/// shared-operator pass: one whole-table morsel on the calling thread.
+fn run_pass(
+    ctx: &mut ExecContext,
+    cube: &Cube,
+    table: TableId,
+    hash_queries: &[GroupByQuery],
+    index_queries: &[GroupByQuery],
+) -> Result<(Vec<QueryResult>, ExecReport), ExecError> {
+    let spec = ClassSpec {
+        table,
+        hash_queries: hash_queries.to_vec(),
+        index_queries: index_queries.to_vec(),
+    };
+    let strategy = ExecStrategy::Morsel(MorselSpec::whole_table());
+    let out = execute_class(ctx, cube, &spec, 1, strategy)?;
+    Ok((out.results, out.report))
+}
+
 /// §3.3 — shared scan for hash-based **and** index-based star joins.
 ///
 /// One sequential scan of `table` feeds every query: `hash_queries`
@@ -154,86 +174,7 @@ pub fn shared_hybrid_join(
     hash_queries: &[GroupByQuery],
     index_queries: &[GroupByQuery],
 ) -> Result<(Vec<QueryResult>, ExecReport), ExecError> {
-    hybrid_join_with(
-        ctx,
-        cube,
-        table,
-        hash_queries,
-        index_queries,
-        ClassKernel::compile,
-    )
-}
-
-/// [`shared_hybrid_join`] with the class kernel compiled by `compile`.
-pub(crate) fn hybrid_join_with(
-    ctx: &mut ExecContext,
-    cube: &Cube,
-    table: TableId,
-    hash_queries: &[GroupByQuery],
-    index_queries: &[GroupByQuery],
-    compile: CompileKernel,
-) -> Result<(Vec<QueryResult>, ExecReport), ExecError> {
-    if hash_queries.is_empty() && index_queries.is_empty() {
-        return Err("shared_hybrid_join needs at least one query".into());
-    }
-    let mut states: Vec<QueryState> = hash_queries
-        .iter()
-        .chain(index_queries)
-        .map(|q| QueryState::compile(cube, table, q))
-        .collect::<Result<_, _>>()?;
-    let n_hash = hash_queries.len();
-    let t = cube.catalog.table(table);
-    let heap = t.heap();
-
-    let (accs, report) = ctx.run(|ctx, cpu| -> Result<Vec<GroupAcc>, ExecError> {
-        // Phase 1: result bitmaps for the index-fed queries, then the class
-        // kernel over the finished member states.
-        for st in &mut states[n_hash..] {
-            st.bitmap = Some(build_query_bitmap(
-                &cube.schema,
-                t,
-                &st.query,
-                &mut ctx.pool,
-                cpu,
-            )?);
-        }
-        let kernel = compile(cube, table, &states, n_hash);
-        // Phase 2: shared dimension hash tables.
-        charge_hash_builds(cube, table, kernel.probe_mask(), cpu);
-
-        // Phase 3: one shared scan, page-batched. Identical accounting to
-        // the tuple-at-a-time cursor (one sequential access per page, same
-        // per-tuple CPU charges); decode, predicate filtering, and
-        // aggregation all run columnar per batch, once for the whole class
-        // (see `crate::class_kernel`). Charges are sums and each query
-        // folds its survivors in row order, so batching never moves the
-        // simulated clock or the results.
-        //
-        // On a compressed heap the scan visits only the zone-map survivors
-        // (see `crate::prune`): a pruned zone can satisfy no query in the
-        // class, so skipping it changes nothing but the I/O. The parallel
-        // executor prunes with the same query set, keeping the two paths
-        // fault-identical.
-        let ranges =
-            crate::prune::keep_tuple_ranges(&cube.schema, t, states.iter().map(|s| &s.query))
-                .unwrap_or_else(|| vec![(0, heap.n_tuples())]);
-        let mut accs: Vec<GroupAcc> = states.iter().map(QueryState::new_acc).collect();
-        let mut batch = ScanBatch::new(heap.layout());
-        let mut ws = KernelScratch::default();
-        for &(range_lo, range_hi) in &ranges {
-            let mut batches = heap.scan_batches(range_lo, range_hi);
-            while with_retry(|| batches.try_next_into(&mut ctx.pool, &mut batch))? {
-                kernel.feed_batch(&states, &mut accs, &batch, &mut ws, cpu);
-            }
-        }
-        Ok(accs)
-    });
-    let results = states
-        .iter()
-        .zip(accs?)
-        .map(|(st, acc)| st.finish(acc))
-        .collect();
-    Ok((results, report))
+    run_pass(ctx, cube, table, hash_queries, index_queries)
 }
 
 /// §3.1 — shared scan hash-based star join (Figure 2).
@@ -243,7 +184,7 @@ pub fn shared_scan_hash_join(
     table: TableId,
     queries: &[GroupByQuery],
 ) -> Result<(Vec<QueryResult>, ExecReport), ExecError> {
-    shared_hybrid_join(ctx, cube, table, queries, &[])
+    run_pass(ctx, cube, table, queries, &[])
 }
 
 /// Figure 1 — a single pipelined right-deep hash-based star join.
@@ -253,7 +194,7 @@ pub fn hash_star_join(
     table: TableId,
     query: &GroupByQuery,
 ) -> Result<(QueryResult, ExecReport), ExecError> {
-    let (rs, rep) = shared_hybrid_join(ctx, cube, table, std::slice::from_ref(query), &[])?;
+    let (rs, rep) = run_pass(ctx, cube, table, std::slice::from_ref(query), &[])?;
     Ok((single_result(rs)?, rep))
 }
 
@@ -262,87 +203,14 @@ pub fn hash_star_join(
 /// Builds each query's result bitmap, ORs them, probes the base table once
 /// per candidate position, and routes each fetched tuple to the queries
 /// whose bitmap has that position set ("Filter tuples"), then aggregates.
+/// A query with no index-servable predicate makes every row a candidate.
 pub fn shared_index_join(
     ctx: &mut ExecContext,
     cube: &Cube,
     table: TableId,
     queries: &[GroupByQuery],
 ) -> Result<(Vec<QueryResult>, ExecReport), ExecError> {
-    if queries.is_empty() {
-        return Err("shared_index_join needs at least one query".into());
-    }
-    let mut states: Vec<QueryState> = queries
-        .iter()
-        .map(|q| QueryState::compile(cube, table, q))
-        .collect::<Result<_, _>>()?;
-    let heap = cube.catalog.table(table).heap();
-    let n_rows = heap.n_tuples();
-    let n_dims = cube.schema.n_dims();
-
-    let (accs, report) = ctx.run(|ctx, cpu| -> Result<Vec<GroupAcc>, ExecError> {
-        // Phase 1: per-query bitmaps, then OR them into the probe set.
-        let t = cube.catalog.table(table);
-        let mut total: Option<starshare_bitmap::Bitmap> = None;
-        let mut probe_everything = false;
-        for st in &mut states {
-            let qb = build_query_bitmap(&cube.schema, t, &st.query, &mut ctx.pool, cpu)?;
-            match &qb.bitmap {
-                Some(bm) => match total.as_mut() {
-                    Some(tot) => {
-                        cpu.bitmap_words += tot.or_assign(bm);
-                    }
-                    None => total = Some(bm.clone()),
-                },
-                // A query with no index-servable predicate forces a probe
-                // of every row.
-                None => probe_everything = true,
-            }
-            st.bitmap = Some(qb);
-        }
-
-        let union_mask = states.iter().fold(0u64, |m, s| m | s.pipeline.probe_mask());
-        charge_hash_builds(cube, table, union_mask, cpu);
-        let probes_per_tuple = union_mask.count_ones() as u64;
-
-        // Phase 2: probe the base table at candidate positions. Random
-        // tuple fetches go through the fault-checked path with bounded
-        // retry, same as the scan side.
-        let mut accs: Vec<GroupAcc> = states.iter().map(QueryState::new_acc).collect();
-        let mut keys = vec![0u32; n_dims];
-        let mut scratch = Vec::new();
-        let mut feed_all = |positions: &mut dyn Iterator<Item = u64>,
-                            ctx: &mut ExecContext,
-                            cpu: &mut CpuCounters|
-         -> Result<(), ExecError> {
-            for pos in positions {
-                let measure = with_retry(|| {
-                    heap.try_fetch(pos, &mut ctx.pool, AccessKind::Random, &mut keys)
-                })?;
-                cpu.tuple_copies += 1;
-                cpu.hash_probes += probes_per_tuple;
-                for (st, acc) in states.iter().zip(&mut accs) {
-                    st.probe(pos, &keys, measure, acc, &mut scratch, cpu);
-                }
-            }
-            Ok(())
-        };
-        if probe_everything {
-            feed_all(&mut (0..n_rows), ctx, cpu)?;
-        } else if let Some(tot) = &total {
-            // Whole-table pass: every word of the bitmap holds candidates
-            // for *this* iteration, so `iter_ones` wastes nothing here.
-            // Range-restricted walks (the parallel executor's morsels) must
-            // use `iter_ones_in`, which seeks to the range's first word.
-            feed_all(&mut tot.iter_ones(), ctx, cpu)?;
-        }
-        Ok(accs)
-    });
-    let results = states
-        .iter()
-        .zip(accs?)
-        .map(|(st, acc)| st.finish(acc))
-        .collect();
-    Ok((results, report))
+    run_pass(ctx, cube, table, &[], queries)
 }
 
 /// Figure 3 — a single bitmap index-based star join.
@@ -352,7 +220,7 @@ pub fn index_star_join(
     table: TableId,
     query: &GroupByQuery,
 ) -> Result<(QueryResult, ExecReport), ExecError> {
-    let (rs, rep) = shared_index_join(ctx, cube, table, std::slice::from_ref(query))?;
+    let (rs, rep) = run_pass(ctx, cube, table, &[], std::slice::from_ref(query))?;
     Ok((single_result(rs)?, rep))
 }
 

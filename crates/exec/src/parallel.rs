@@ -1,5 +1,6 @@
 //! Morsel-driven, multi-threaded execution of one class of a global
-//! plan, with a deterministic clock.
+//! plan, with a deterministic clock. This is the only executor: every
+//! class runs here, at every thread count.
 //!
 //! A class's dominant cost is its base-table pass; it is carved into
 //! page-aligned *morsels* (see [`crate::morsel`]): scan classes into
@@ -12,16 +13,32 @@
 //! another (the paper's §3 evaluates each class as one shared-operator
 //! pass), so a plan's critical path is the sum of its classes'.
 //!
-//! Everything the simulated clock sees is independent of how many host
+//! Page accounting never leaves the coordinator. Phase 1 (index bitmaps,
+//! hash-table builds) reads through the context's live pool; then the
+//! coordinator charges the class's base-table page accesses to that same
+//! pool, one morsel after another in morsel order — a scan morsel's pages
+//! (after zone pruning), a probe morsel's candidate pages, one checked
+//! access per candidate — through the fault-checked accessors with
+//! [`with_retry`]. That is exactly the access sequence of one sequential
+//! pass over the class, so:
+//!
+//! * I/O counters, the LRU residency the class leaves behind for the next
+//!   one, and the fault injector's draws are pure functions of the morsel
+//!   boundaries — identical at every thread count, and equal to the
+//!   sequential semantics the paper models;
+//! * an unrecovered fault (a poisoned page, or a transient one past the
+//!   retry budget) fails the class before any worker runs.
+//!
+//! Workers only decode, filter and aggregate; they never touch a pool.
+//! Everything else the simulated clock sees is independent of how many host
 //! threads actually ran:
 //!
 //! * morsel boundaries are computed **from the data and the
 //!   [`MorselSpec`]** before any thread runs — never from the thread
 //!   count or the stealing order;
-//! * each worker counts I/O and CPU privately against a
-//!   [`BufferPool::clone_residency`] snapshot, writing into its morsel's
+//! * each worker counts CPU privately, writing into its morsel's
 //!   pre-assigned slot; the coordinator folds the partials back in morsel
-//!   order;
+//!   order, pairing each with the morsel's share of the charged I/O;
 //! * partial aggregates merge pairwise in a balanced tree whose shape is a
 //!   pure function of the morsel count — `new[i] = merge(old[2*i] <-
 //!   old[2*i+1])` level by level, an odd leftover passing through — so
@@ -37,11 +54,6 @@
 //! with a stopwatch sees shrink as threads are added) and
 //! [`ExecReport::busy`] is *summed* worker time (total host work, roughly
 //! flat across thread counts).
-//!
-//! Pool semantics differ from the sequential path in one way: the class
-//! reads against a snapshot of the shared pool's residency, and the shared
-//! pool receives the class's counters but keeps its residency — which
-//! pages a morsel warmed for another would be a scheduling accident.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -61,16 +73,17 @@ use crate::operators::{charge_hash_builds, QueryState};
 use crate::plan_io::build_query_bitmap;
 use crate::prune::keep_tuple_ranges;
 use crate::result::QueryResult;
+use crate::retry::with_retry;
 
 pub use crate::morsel::{MorselSpec, DEFAULT_MORSEL_PAGES};
 
 /// How a class's base-table pass is split and merged.
 ///
-/// Morsel-driven execution is the only strategy. The enum keeps its single
-/// variant because the engine's public surface names it —
-/// `EngineConfig::strategy`, `Engine::mdx_window` and
-/// `Engine::execute_plan_degraded_with` all carry one — and the morsel size
-/// travels inside it.
+/// Morsel-driven execution is the only strategy, at every thread count —
+/// there is no other executor. The enum keeps its single variant because
+/// the engine's public surface names it — `EngineConfig::strategy`,
+/// `Engine::mdx_window` and `Engine::execute_plan_degraded_with` all carry
+/// one — and the morsel size travels inside it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecStrategy {
     /// Morsel-driven work-stealing execution with a deterministic tree
@@ -118,13 +131,10 @@ enum ScanKind {
     /// Any hash member forces a full scan (the §3.3 hybrid: index members
     /// filter by bitmap during the same pass).
     Scan,
-    /// Index-only class: probe candidate positions.
-    Probe {
-        /// OR of the member bitmaps; `None` with `everything` set when some
-        /// member has no index-servable predicate.
-        total: Option<Bitmap>,
-        everything: bool,
-    },
+    /// Index-only class: probe the candidate positions of the OR'd member
+    /// bitmaps — every position when some member has no index-servable
+    /// predicate (`None`).
+    Probe(Option<Bitmap>),
 }
 
 /// A class after the coordinator's phase 1 (compile + bitmaps + hash-table
@@ -135,8 +145,6 @@ struct PreparedClass<'a> {
     states: Vec<QueryState>,
     /// The class's batch kernel over `states`.
     kernel: ClassKernel,
-    /// Post-phase-1 residency snapshot workers clone from.
-    pool: BufferPool,
     scan: ScanKind,
     /// Page-aligned `[lo, hi)` tuple ranges (empty ranges dropped).
     morsels: Vec<(u64, u64)>,
@@ -145,11 +153,10 @@ struct PreparedClass<'a> {
 }
 
 /// What one morsel worker produced: private accumulators and privately
-/// counted work.
+/// counted CPU work (its I/O is charged by the coordinator).
 struct MorselOutput {
     /// One kernel accumulator per class query, in the class's state order.
     groups: Vec<GroupAcc>,
-    io: IoStats,
     cpu: CpuCounters,
     wall: Duration,
 }
@@ -169,21 +176,57 @@ struct WorkerScratch {
 /// scan morsel.
 fn class_morsels(heap: &HeapFile, scan: &ScanKind, pages: u32) -> Vec<(u64, u64)> {
     match scan {
-        ScanKind::Scan => scan_morsels(heap, pages),
-        ScanKind::Probe {
-            total: Some(tot),
-            everything: false,
-        } => probe_morsels(heap, tot, pages),
+        ScanKind::Probe(Some(tot)) => probe_morsels(heap, tot, pages),
         // Probing everything is a uniform pass: page chunks are already
         // candidate-balanced.
-        ScanKind::Probe { .. } => scan_morsels(heap, pages),
+        ScanKind::Scan | ScanKind::Probe(None) => scan_morsels(heap, pages),
     }
 }
 
-/// Runs one morsel of one prepared class against a private pool snapshot.
-/// Pure with respect to shared state — everything mutable is local or in
-/// `ws` (whose contents never leak into outputs) — so any worker may run
-/// it at any time with identical outcome.
+/// Charges a prepared class's base-table page accesses to `pool`, one
+/// morsel after another in morsel order, and returns each morsel's share
+/// of the charged [`IoStats`].
+///
+/// A scan morsel touches each of its pages once, sequentially; a probe
+/// morsel touches each candidate's page once per candidate, at random —
+/// the accesses a sequential pass over the class makes, in its order. Every
+/// access is fault-checked and retried.
+fn charge_morsels(
+    pool: &mut BufferPool,
+    class: &PreparedClass<'_>,
+) -> Result<Vec<IoStats>, ExecError> {
+    let heap = class.heap;
+    let file = heap.file_id();
+    let per_page = heap.layout().tuples_per_page() as u64;
+    let mut shares = Vec::with_capacity(class.morsels.len());
+    for &(lo, hi) in &class.morsels {
+        let before = pool.stats();
+        for page in heap.page_of(lo)..=heap.page_of(hi - 1) {
+            let (kind, touches) = match &class.scan {
+                ScanKind::Scan => (AccessKind::Sequential, 1),
+                ScanKind::Probe(total) => {
+                    let plo = lo.max(u64::from(page) * per_page);
+                    let phi = hi.min((u64::from(page) + 1) * per_page);
+                    let candidates = total
+                        .as_ref()
+                        .map_or(phi - plo, |tot| tot.count_ones_in(plo, phi));
+                    (AccessKind::Random, candidates)
+                }
+            };
+            let (io, dec) = heap.page_cost(page);
+            for _ in 0..touches {
+                with_retry(|| pool.try_access_sized(file, page, kind, io, dec))?;
+            }
+        }
+        shares.push(pool.stats().since(&before));
+    }
+    Ok(shares)
+}
+
+/// Runs one morsel of one prepared class: decode, filter, aggregate. Pure
+/// with respect to shared state — everything mutable is local or in `ws`
+/// (whose contents never leak into outputs) — so any worker may run it at
+/// any time with identical outcome.
 fn run_morsel(
     cube: &Cube,
     class: &PreparedClass<'_>,
@@ -192,7 +235,6 @@ fn run_morsel(
     ws: &mut WorkerScratch,
 ) -> MorselOutput {
     let start = Instant::now();
-    let mut pool = class.pool.clone_residency();
     let mut cpu = CpuCounters::default();
     let mut groups: Vec<GroupAcc> = class.states.iter().map(QueryState::new_acc).collect();
     let WorkerScratch {
@@ -201,82 +243,44 @@ fn run_morsel(
         keys,
         scratch,
     } = ws;
-    keys.clear();
-    keys.resize(cube.schema.n_dims(), 0);
-
-    // The probe path's per-candidate step: every member is index-fed.
-    let feed_states = |keys: &[u32],
-                       measure: f64,
-                       pos: u64,
-                       cpu: &mut CpuCounters,
-                       groups: &mut [GroupAcc],
-                       scratch: &mut Vec<u32>| {
-        cpu.tuple_copies += 1;
-        cpu.hash_probes += class.kernel.probes_per_tuple();
-        for (st, acc) in class.states.iter().zip(groups) {
-            st.probe(pos, keys, measure, acc, scratch, cpu);
-        }
-    };
-
     match &class.scan {
         ScanKind::Scan => {
-            // Page-batched: same accesses and per-tuple charges as the
-            // tuple-at-a-time cursor. The class kernel filters each batch
-            // once for every member: shared predicate masks or per-member
-            // cascades for hash members, bitmap-seeded selection vectors
-            // for index members.
+            // Page-batched; the class kernel filters each batch once for
+            // every member: shared predicate masks or per-member cascades
+            // for hash members, bitmap-seeded selection vectors for index
+            // members.
             let mut batches = class.heap.scan_batches(lo, hi);
             let batch = batch.get_or_insert_with(|| ScanBatch::new(class.heap.layout()));
-            while batches.next_into(&mut pool, batch) {
+            while batches.read_next(batch) {
                 class
                     .kernel
                     .feed_batch(&class.states, &mut groups, batch, kernel, &mut cpu);
             }
         }
-        ScanKind::Probe { total, everything } => {
-            // Run-coalesced probe: clustered candidates share heap pages,
-            // so each page's run of positions is charged in one
-            // [`BufferPool::access_run`] — counters and LRU state come out
-            // identical to per-candidate fetches — and the rows are decoded
-            // straight from the page without re-walking the pool's map per
-            // tuple.
-            let mut probe = |positions: &mut dyn Iterator<Item = u64>,
-                             pool: &mut BufferPool,
-                             cpu: &mut CpuCounters| {
-                let per_page = class.heap.layout().tuples_per_page() as u64;
-                let file = class.heap.file_id();
-                let mut it = positions.peekable();
-                while let Some(first) = it.next() {
-                    let page = (first / per_page) as u32;
-                    let run_end = (u64::from(page) + 1) * per_page;
-                    let measure = class.heap.read_at(first, keys);
-                    feed_states(keys, measure, first, cpu, &mut groups, scratch);
-                    let mut n = 1;
-                    while let Some(&pos) = it.peek() {
-                        if pos >= run_end {
-                            break;
-                        }
-                        it.next();
-                        let measure = class.heap.read_at(pos, keys);
-                        feed_states(keys, measure, pos, cpu, &mut groups, scratch);
-                        n += 1;
-                    }
-                    let (io_bytes, dec_bytes) = class.heap.page_cost(page);
-                    pool.access_run_sized(file, page, AccessKind::Random, n, io_bytes, dec_bytes);
+        ScanKind::Probe(total) => {
+            // Every member is index-fed: per candidate, one tuple copy, the
+            // shared dimension probes, then each member's bitmap test,
+            // residual filter and absorb.
+            keys.clear();
+            keys.resize(cube.schema.n_dims(), 0);
+            let mut probe = |pos: u64| {
+                let measure = class.heap.read_at(pos, keys);
+                cpu.tuple_copies += 1;
+                cpu.hash_probes += class.kernel.probes_per_tuple();
+                for (st, acc) in class.states.iter().zip(&mut groups) {
+                    st.probe(pos, keys, measure, acc, scratch, &mut cpu);
                 }
             };
-            if *everything {
-                probe(&mut (lo..hi), &mut pool, &mut cpu);
-            } else if let Some(tot) = total {
+            match total {
                 // Seek straight into the range's words instead of walking
                 // the whole bitmap and discarding out-of-range positions.
-                probe(&mut tot.iter_ones_in(lo, hi), &mut pool, &mut cpu);
+                Some(tot) => tot.iter_ones_in(lo, hi).for_each(&mut probe),
+                None => (lo..hi).for_each(&mut probe),
             }
         }
     }
     MorselOutput {
         groups,
-        io: pool.stats(),
         cpu,
         wall: start.elapsed(),
     }
@@ -392,9 +396,11 @@ fn host_capped(threads: usize) -> usize {
 /// Executes one class on `threads` worker threads under `strategy`.
 ///
 /// The class's morsels are the units of the work-stealing scheduler.
-/// Results come back in hash-then-index order; the shared pool receives
-/// the class's [`IoStats`] and keeps its residency (see the module docs
-/// for why).
+/// Results come back in hash-then-index order. Phase 1 and the class's
+/// page accesses are charged to `ctx.pool` itself, in morsel order (see
+/// the module docs), so the pages the class faults in stay resident for
+/// whatever runs next and an armed fault injector sees the same checked
+/// accesses at every thread count.
 pub fn execute_class(
     ctx: &mut ExecContext,
     cube: &Cube,
@@ -406,10 +412,10 @@ pub fn execute_class(
 }
 
 /// Phase 1 on the coordinator: compiles the member states and the class
-/// kernel, builds the index members' bitmaps and the hash tables, and
-/// computes the morsel boundaries.
+/// kernel, builds the index members' bitmaps (reading index pages through
+/// `pool`) and the hash tables, and computes the morsel boundaries.
 fn prepare<'a>(
-    ctx: &ExecContext,
+    pool: &mut BufferPool,
     cube: &'a Cube,
     spec: &ClassSpec,
     pages: u32,
@@ -426,18 +432,16 @@ fn prepare<'a>(
         .collect::<Result<_, _>>()?;
     let n_hash = spec.hash_queries.len();
 
-    let mut pool = ctx.pool.clone_residency();
+    let io_before = pool.stats();
     let mut cpu = CpuCounters::default();
     let t = cube.catalog.table(spec.table);
     // Index members need their result bitmaps up front in both shapes.
-    // `pool` is a residency clone, which never carries a fault injector, so
-    // this can only surface plan-level errors here.
     for st in states.iter_mut().skip(n_hash) {
         st.bitmap = Some(build_query_bitmap(
             &cube.schema,
             t,
             &st.query,
-            &mut pool,
+            pool,
             &mut cpu,
         )?);
     }
@@ -447,8 +451,8 @@ fn prepare<'a>(
     let scan = if n_hash > 0 {
         ScanKind::Scan
     } else {
-        // OR the member bitmaps into the candidate set, as the shared index
-        // join does.
+        // OR the member bitmaps into the candidate set; a member without
+        // one makes every position a candidate.
         let mut total: Option<Bitmap> = None;
         let mut everything = false;
         for st in &states {
@@ -460,7 +464,7 @@ fn prepare<'a>(
                 None => everything = true,
             }
         }
-        ScanKind::Probe { total, everything }
+        ScanKind::Probe(total.filter(|_| !everything))
     };
     let heap = t.heap();
     // Boundary computation (page counts, range popcounts, zone-map checks)
@@ -468,13 +472,11 @@ fn prepare<'a>(
     // simulated clock. See DESIGN.md.
     //
     // Scan classes over compressed heaps first consult the zone maps: a
-    // zone no class query can match is never scheduled at all. The
-    // sequential `shared_hybrid_join` prunes with the same query set, so
-    // both paths fault the same pages. Probe classes are already
-    // position-exact.
+    // zone no class query can match is never scheduled (or charged) at
+    // all. Probe classes are already position-exact.
     let pruned = match scan {
         ScanKind::Scan => keep_tuple_ranges(&cube.schema, t, states.iter().map(|s| &s.query)),
-        ScanKind::Probe { .. } => None,
+        ScanKind::Probe(_) => None,
     };
     let morsels = match pruned {
         Some(ranges) => scan_morsels_in_ranges(heap, pages, &ranges),
@@ -486,9 +488,8 @@ fn prepare<'a>(
         states,
         kernel,
         scan,
-        phase1_io: pool.stats(),
+        phase1_io: pool.stats().since(&io_before),
         phase1_cpu: cpu,
-        pool,
     })
 }
 
@@ -505,8 +506,10 @@ pub(crate) fn execute_class_compiled(
     let model = ctx.model;
     let ExecStrategy::Morsel(morsel) = strategy;
 
-    // ---- Phase 1 (coordinator): compile, bitmaps, builds, boundaries.
-    let class = prepare(ctx, cube, spec, morsel.pages, compile)?;
+    // ---- Phase 1 (coordinator): compile, bitmaps, builds, boundaries,
+    // then the class's page accesses, charged in morsel order.
+    let class = prepare(&mut ctx.pool, cube, spec, morsel.pages, compile)?;
+    let morsel_io = charge_morsels(&mut ctx.pool, &class)?;
     let phase1_wall = start.elapsed();
 
     // ---- Phase 2 (parallel): every morsel is one stealable unit. The
@@ -552,11 +555,11 @@ pub(crate) fn execute_class_compiled(
         )
     });
     let mut groups_per_morsel = Vec::with_capacity(slots.len());
-    for (mi, slot) in slots.into_iter().enumerate() {
+    for (mi, (slot, part_io)) in slots.into_iter().zip(&morsel_io).enumerate() {
         let part = slot.into_inner().expect("scope joined").expect("unit ran");
-        io.merge(&part.io);
+        io.merge(part_io);
         cpu.merge(&part.cpu);
-        let part_sim = part.io.io_time(&model) + model.cpu_time(&part.cpu);
+        let part_sim = part_io.io_time(&model) + model.cpu_time(&part.cpu);
         sim += part_sim;
         slowest = slowest.max(part_sim);
         busy += part.wall;
@@ -569,8 +572,8 @@ pub(crate) fn execute_class_compiled(
                     ("lo", lo.into()),
                     ("hi", hi.into()),
                     ("sim_ns", part_sim.into()),
-                    ("seq_faults", part.io.seq_faults.into()),
-                    ("random_faults", part.io.random_faults.into()),
+                    ("seq_faults", part_io.seq_faults.into()),
+                    ("random_faults", part_io.random_faults.into()),
                 ],
             )
         });
@@ -604,7 +607,6 @@ pub(crate) fn execute_class_compiled(
         .map(|(st, acc)| st.finish(acc))
         .collect();
 
-    ctx.pool.add_stats(&io);
     let critical = sim1 + slowest + merge.critical;
     tele.trace(|t| {
         t.advance(critical);
@@ -631,8 +633,9 @@ pub(crate) fn execute_class_compiled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{shared_hybrid_join, shared_index_join};
+    use crate::reference::reference_eval;
     use starshare_olap::{paper_cube, GroupByQuery, MemberPred, PaperCubeSpec};
+    use starshare_storage::FaultPlan;
 
     fn cube() -> Cube {
         paper_cube(PaperCubeSpec {
@@ -667,6 +670,15 @@ mod tests {
         )
     }
 
+    fn assert_matches_reference(cube: &Cube, spec: &ClassSpec, out: &ClassOutcome) {
+        let queries = spec.hash_queries.iter().chain(&spec.index_queries);
+        assert_eq!(out.results.len(), queries.clone().count());
+        for (r, q) in out.results.iter().zip(queries) {
+            let expect = reference_eval(cube, spec.table, q);
+            assert!(r.approx_eq(&expect, 1e-9), "{}", q.display(&cube.schema));
+        }
+    }
+
     #[test]
     fn morsels_are_page_aligned_and_cover_the_table() {
         let cube = cube();
@@ -687,43 +699,31 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_scan_matches_sequential_operator() {
+    fn partitioned_scan_matches_reference() {
         let cube = cube();
-        let t = cube.catalog.find_by_name("A'B'C'D").unwrap();
-        let hash_qs = vec![q_broad(&cube)];
-        let index_qs = vec![q_selective(&cube)];
-        let mut ctx = ExecContext::paper_1998();
-        let (seq_rs, _) = shared_hybrid_join(&mut ctx, &cube, t, &hash_qs, &index_qs).unwrap();
-        let mut ctx2 = ExecContext::paper_1998();
         let spec = ClassSpec {
-            table: t,
-            hash_queries: hash_qs,
-            index_queries: index_qs,
+            table: cube.catalog.find_by_name("A'B'C'D").unwrap(),
+            hash_queries: vec![q_broad(&cube)],
+            index_queries: vec![q_selective(&cube)],
         };
-        let out = execute_class(&mut ctx2, &cube, &spec, 2, ExecStrategy::default()).unwrap();
-        assert_eq!(out.results.len(), seq_rs.len());
-        for (par, seq) in out.results.iter().zip(&seq_rs) {
-            assert!(par.approx_eq(seq, 1e-9));
-        }
+        let mut ctx = ExecContext::paper_1998();
+        let out = execute_class(&mut ctx, &cube, &spec, 2, ExecStrategy::default()).unwrap();
+        assert_matches_reference(&cube, &spec, &out);
         assert!(out.report.critical <= out.report.sim);
         assert!(out.report.critical > SimTime::ZERO);
     }
 
     #[test]
-    fn partitioned_probe_matches_sequential_operator() {
+    fn partitioned_probe_matches_reference() {
         let cube = cube();
-        let t = cube.catalog.find_by_name("A'B'C'D").unwrap();
-        let qs = vec![q_selective(&cube)];
-        let mut ctx = ExecContext::paper_1998();
-        let (seq_rs, _) = shared_index_join(&mut ctx, &cube, t, &qs).unwrap();
-        let mut ctx2 = ExecContext::paper_1998();
         let spec = ClassSpec {
-            table: t,
+            table: cube.catalog.find_by_name("A'B'C'D").unwrap(),
             hash_queries: vec![],
-            index_queries: qs,
+            index_queries: vec![q_selective(&cube)],
         };
-        let out = execute_class(&mut ctx2, &cube, &spec, 3, ExecStrategy::default()).unwrap();
-        assert!(out.results[0].approx_eq(&seq_rs[0], 1e-9));
+        let mut ctx = ExecContext::paper_1998();
+        let out = execute_class(&mut ctx, &cube, &spec, 3, ExecStrategy::default()).unwrap();
+        assert_matches_reference(&cube, &spec, &out);
     }
 
     #[test]
@@ -762,11 +762,12 @@ mod tests {
 
     #[test]
     fn morsel_size_never_changes_io_or_answers() {
-        // Morsel boundaries are page-aligned, so each page's accesses fall
-        // in exactly one morsel: IoStats and feed counters are invariant in
-        // the morsel size. Results stay within float-reassociation noise
-        // (the merge-tree shape legitimately follows the morsel count, so
-        // bit-identity is only promised at a *fixed* size — see DESIGN.md).
+        // Morsel boundaries are page-aligned and the coordinator charges
+        // them in order, so the access sequence — and with it IoStats and
+        // the feed counters — is invariant in the morsel size. Results stay
+        // within float-reassociation noise (the merge-tree shape
+        // legitimately follows the morsel count, so bit-identity is only
+        // promised at a *fixed* size — see DESIGN.md).
         let cube = cube();
         let t = cube.catalog.find_by_name("A'B'C'D").unwrap();
         let spec = ClassSpec {
@@ -812,15 +813,14 @@ mod tests {
         let spec = ClassSpec {
             table: t,
             hash_queries: vec![],
-            index_queries: vec![q.clone()],
+            index_queries: vec![q],
         };
         let mut ctx = ExecContext::paper_1998();
         let out = execute_class(&mut ctx, &cube, &spec, 2, ExecStrategy::default()).unwrap();
         let n = cube.catalog.table(t).n_rows();
         assert_eq!(out.report.cpu.bitmap_tests, n);
-        let mut ctx2 = ExecContext::paper_1998();
-        let (seq_rs, _) = shared_index_join(&mut ctx2, &cube, t, &[q]).unwrap();
-        assert!(out.results[0].approx_eq(&seq_rs[0], 1e-9));
+        assert_eq!(out.report.io.accesses(), n, "one access per probed row");
+        assert_matches_reference(&cube, &spec, &out);
     }
 
     #[test]
@@ -851,5 +851,85 @@ mod tests {
         let delta = ctx.pool.stats().since(&before);
         assert_eq!(delta, out.report.io);
         assert!(delta.seq_faults > 0);
+    }
+
+    #[test]
+    fn the_pool_keeps_what_a_class_faulted_in_at_every_thread_count() {
+        // The 4,000-row paper cube fits the 2,048-page pool, so a repeat
+        // of a class right after it is served entirely from the pool.
+        let cube = cube();
+        let spec = ClassSpec {
+            table: cube.catalog.find_by_name("A'B'C'D").unwrap(),
+            hash_queries: vec![q_broad(&cube)],
+            index_queries: vec![q_selective(&cube)],
+        };
+        for threads in [1, 2, 4] {
+            let mut ctx = ExecContext::paper_1998();
+            let cold = execute_class(&mut ctx, &cube, &spec, threads, ExecStrategy::default());
+            let warm = execute_class(&mut ctx, &cube, &spec, threads, ExecStrategy::default());
+            let (cold, warm) = (cold.unwrap().report.io, warm.unwrap().report.io);
+            assert!(cold.seq_faults > 0, "{threads} threads");
+            assert_eq!(warm.seq_faults + warm.random_faults, 0, "{threads} threads");
+            assert_eq!(warm.hits, cold.accesses(), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn faults_strike_the_same_accesses_at_every_thread_count() {
+        let cube = cube();
+        let t = cube.catalog.find_by_name("A'B'C'D").unwrap();
+        let classes = [
+            ClassSpec {
+                table: t,
+                hash_queries: vec![q_broad(&cube)],
+                index_queries: vec![q_selective(&cube)],
+            },
+            ClassSpec {
+                table: t,
+                hash_queries: vec![],
+                index_queries: vec![q_broad(&cube), q_selective(&cube)],
+            },
+        ];
+        for seed in 0..8 {
+            let plan = FaultPlan {
+                seed,
+                transient: 0.2,
+                poison: 0.01,
+            };
+            let runs: Vec<_> = [1usize, 2, 4]
+                .iter()
+                .map(|&threads| {
+                    let mut ctx = ExecContext::paper_1998();
+                    ctx.pool.inject_faults(plan);
+                    let outcomes: Vec<_> = classes
+                        .iter()
+                        .map(|spec| {
+                            execute_class(&mut ctx, &cube, spec, threads, ExecStrategy::default())
+                                .map(|out| (out.results, out.report.io, out.report.sim))
+                                .map_err(|e| e.fault().copied())
+                        })
+                        .collect();
+                    (outcomes, ctx.pool.stats(), ctx.pool.clear_faults())
+                })
+                .collect();
+            let (outcomes, io, stats) = &runs[0];
+            assert!(stats.unwrap().checked > 0, "seed {seed}");
+            for (other, threads) in runs[1..].iter().zip([2, 4]) {
+                assert_eq!(other.2, *stats, "seed {seed}, {threads} threads: faults");
+                assert_eq!(other.1, *io, "seed {seed}, {threads} threads: pool io");
+                for (a, b) in outcomes.iter().zip(&other.0) {
+                    match (a, b) {
+                        (Ok(a), Ok(b)) => {
+                            assert_eq!((a.1, a.2), (b.1, b.2), "seed {seed}: class clock");
+                            for (x, y) in a.0.iter().zip(&b.0) {
+                                assert_eq!(x.rows, y.rows, "seed {seed}: rows");
+                            }
+                        }
+                        (Err(a), Err(b)) => assert_eq!(a, b, "seed {seed}: fault"),
+                        _ => panic!("seed {seed}, {threads} threads: Ok/Err pattern moved"),
+                    }
+                }
+            }
+        }
     }
 }

@@ -294,13 +294,13 @@ mod tests {
                 ),
             ]
         };
-        let run_seq = |cube: &Cube| {
+        let run_whole = |cube: &Cube| {
             let tid = cube.catalog.base_table().unwrap();
             let mut ctx = ExecContext::paper_1998();
             shared_hybrid_join(&mut ctx, cube, tid, &queries(cube), &[]).unwrap()
         };
-        let (plain_rs, plain_rep) = run_seq(&plain);
-        let (comp_rs, comp_rep) = run_seq(&comp);
+        let (plain_rs, plain_rep) = run_whole(&plain);
+        let (comp_rs, comp_rep) = run_whole(&comp);
         assert_eq!(plain_rs, comp_rs, "pruning must not move a single bit");
         assert!(
             comp_rep.io.seq_faults < plain_rep.io.seq_faults,
@@ -313,9 +313,9 @@ mod tests {
             "compression + pruning must at least halve bytes scanned"
         );
 
-        // The parallel morsel path prunes with the same query set, so it
-        // matches the sequential operator exactly — results and fault
-        // counts — at any thread count.
+        // Default-size morsels prune with the same query set, so they
+        // match the whole-table pass exactly — results and fault counts —
+        // at any thread count.
         let tid = comp.catalog.base_table().unwrap();
         for threads in [1usize, 4] {
             let mut ctx = ExecContext::paper_1998();

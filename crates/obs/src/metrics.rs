@@ -95,7 +95,7 @@ pub struct MetricsRegistry {
     pub queue_depth: u64,
 
     // -- execution --
-    /// Morsels executed by the partitioned path.
+    /// Morsels executed.
     pub morsels: u64,
     /// Successful steals in the work-stealing scheduler. A host
     /// scheduling accident: legitimately varies run to run and across

@@ -19,8 +19,8 @@
 //!   (hash probes, bitmap tests/words, index lookups, predicate evals);
 //! * **aggregate** — build/update-side CPU counters (hash builds,
 //!   aggregate updates, tuple copies);
-//! * **merge** — CPU charged by the parallel executor to fold partial
-//!   results (zero on the sequential path);
+//! * **merge** — CPU charged by the executor to fold per-morsel partial
+//!   results (zero for a one-morsel class);
 //! * **rollup** — simulated time spent rolling a cached coarser result
 //!   up to the requested granularity (subsumption hits only).
 
@@ -74,7 +74,7 @@ pub struct QueryProfile {
     pub probe: SimTime,
     /// Build/aggregate-side CPU.
     pub aggregate: SimTime,
-    /// Parallel-fold CPU (zero on the sequential path).
+    /// Parallel-fold CPU (zero for a one-morsel class).
     pub merge: SimTime,
     /// Subsumption rollup time (zero unless served by rollup).
     pub rollup: SimTime,

@@ -217,39 +217,6 @@ impl BufferPool {
         false
     }
 
-    /// Touches `(file, page)` `count` times in a row, with exactly the
-    /// effect of `count` consecutive [`access`](Self::access) calls: the
-    /// first touch hits or faults the page to the front of the LRU, and —
-    /// nothing intervening — every remaining touch is a hit that moves
-    /// nothing. Callers with a run of same-page accesses (e.g. probing a
-    /// cluster of candidate tuples) use this to skip `count - 1` redundant
-    /// map lookups; counters and LRU state come out identical. Returns
-    /// whether the first touch hit; `count == 0` touches nothing and
-    /// reports `true`.
-    pub fn access_run(&mut self, file: FileId, page: PageId, kind: AccessKind, count: u64) -> bool {
-        self.access_run_sized(file, page, kind, count, PAGE_SIZE as u64, 0)
-    }
-
-    /// [`access_run`](Self::access_run) with explicit stored-page bytes
-    /// (see [`access_sized`](Self::access_sized)); only the first touch can
-    /// fault, so only it records bytes.
-    pub fn access_run_sized(
-        &mut self,
-        file: FileId,
-        page: PageId,
-        kind: AccessKind,
-        count: u64,
-        io_bytes: u64,
-        decompress_bytes: u64,
-    ) -> bool {
-        let Some(rest) = count.checked_sub(1) else {
-            return true;
-        };
-        let hit = self.access_sized(file, page, kind, io_bytes, decompress_bytes);
-        self.stats.hits += rest;
-        hit
-    }
-
     /// Like [`access`](Self::access), but consults the armed
     /// [`FaultInjector`] first: a denied access returns `Err` and charges
     /// **nothing** (no hit, no fault, no LRU movement — the simulated read
@@ -306,56 +273,6 @@ impl BufferPool {
         self.free.clear();
         self.head = NIL;
         self.tail = NIL;
-    }
-
-    /// Inserts `(file, page)` as most-recently-used **without** recording a
-    /// hit or fault (evicting the LRU page if full). Used to seed residency
-    /// snapshots for partitioned execution; the clock only sees work done
-    /// *after* the snapshot.
-    pub fn preload(&mut self, file: FileId, page: PageId) {
-        let key = (file, page);
-        if let Some(&idx) = self.map.get(&key) {
-            self.move_to_front(idx);
-            return;
-        }
-        if self.map.len() == self.capacity {
-            self.evict_lru();
-        }
-        let idx = self.alloc_node(key);
-        self.push_front(idx);
-        self.map.insert(key, idx);
-    }
-
-    /// A new pool with the same capacity and the same resident pages in the
-    /// same LRU order, but zeroed statistics.
-    ///
-    /// This is the worker-side view of the pool in partitioned execution:
-    /// each worker starts from the residency the plan started with, counts
-    /// its own faults and hits privately, and the coordinator folds the
-    /// partial [`IoStats`] back together with [`add_stats`](Self::add_stats)
-    /// in a fixed order — so totals are independent of thread scheduling.
-    ///
-    /// The clone carries **no fault injector**: partitioned workers read
-    /// through unchecked paths, so fault injection is a sequential-path
-    /// feature (worker interleaving would make fault schedules
-    /// nondeterministic — see [`crate::fault`]).
-    pub fn clone_residency(&self) -> BufferPool {
-        let mut clone = BufferPool::new(self.capacity);
-        // Walk LRU → MRU so the most recent push ends up at the front,
-        // reproducing this pool's order exactly.
-        let mut idx = self.tail;
-        while idx != NIL {
-            let Node { key, prev, .. } = self.nodes[idx];
-            clone.preload(key.0, key.1);
-            idx = prev;
-        }
-        clone
-    }
-
-    /// Folds a worker's privately-counted statistics into this pool's
-    /// cumulative totals (residency is unaffected).
-    pub fn add_stats(&mut self, stats: &IoStats) {
-        self.stats.merge(stats);
     }
 
     /// Current cumulative statistics.
@@ -446,37 +363,6 @@ mod tests {
         assert_eq!(p.stats().seq_faults, 1);
         assert_eq!(p.stats().random_faults, 0);
         assert_eq!(p.stats().hits, 1);
-    }
-
-    #[test]
-    fn access_run_equals_repeated_accesses() {
-        // Drive two pools through the same access sequence, one using
-        // coalesced runs: stats and LRU behavior must come out identical.
-        let mut a = BufferPool::new(2);
-        let mut b = BufferPool::new(2);
-        for (page, count) in [(0, 5), (1, 3), (0, 1), (2, 4)] {
-            a.access_run(f(0), page, AccessKind::Random, count);
-            for _ in 0..count {
-                b.access(f(0), page, AccessKind::Random);
-            }
-        }
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.stats().hits, 5 - 1 + (3 - 1) + 1 + (4 - 1));
-        // Page 0's re-touch left page 1 as LRU, so page 2's fault evicted
-        // page 1 in both pools.
-        for p in &[a, b] {
-            assert!(p.contains(f(0), 0));
-            assert!(!p.contains(f(0), 1));
-            assert!(p.contains(f(0), 2));
-        }
-    }
-
-    #[test]
-    fn access_run_of_zero_touches_nothing() {
-        let mut p = BufferPool::new(2);
-        assert!(p.access_run(f(0), 0, AccessKind::Random, 0));
-        assert_eq!(p.stats(), IoStats::default());
-        assert_eq!(p.resident(), 0);
     }
 
     #[test]
@@ -619,58 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn preload_seeds_residency_without_stats() {
-        let mut p = BufferPool::new(2);
-        p.preload(f(0), 0);
-        p.preload(f(0), 1);
-        assert_eq!(p.resident(), 2);
-        assert_eq!(p.stats(), IoStats::default());
-        // Preloaded pages behave as resident: first access is a hit.
-        assert!(p.access(f(0), 0, AccessKind::Random));
-        // Preload respects capacity and LRU: page 1 is now LRU (page 0 was
-        // just touched), so preloading page 2 evicts page 1.
-        p.preload(f(0), 2);
-        assert!(!p.contains(f(0), 1));
-        assert!(p.contains(f(0), 0));
-    }
-
-    #[test]
-    fn clone_residency_copies_pages_and_order_but_not_stats() {
-        let mut p = BufferPool::new(3);
-        p.access(f(0), 0, AccessKind::Sequential);
-        p.access(f(0), 1, AccessKind::Sequential);
-        p.access(f(0), 2, AccessKind::Random);
-        p.access(f(0), 0, AccessKind::Random); // order now: 0, 2, 1
-        let mut c = p.clone_residency();
-        assert_eq!(c.capacity(), 3);
-        assert_eq!(c.resident(), 3);
-        assert_eq!(c.stats(), IoStats::default());
-        // Same LRU order: faulting a new page must evict page 1 in both.
-        c.access(f(0), 9, AccessKind::Sequential);
-        p.access(f(0), 9, AccessKind::Sequential);
-        for pool in [&c, &p] {
-            assert!(!pool.contains(f(0), 1));
-            assert!(pool.contains(f(0), 0));
-            assert!(pool.contains(f(0), 2));
-        }
-    }
-
-    #[test]
-    fn add_stats_folds_worker_counts() {
-        let mut p = BufferPool::new(2);
-        p.access(f(0), 0, AccessKind::Sequential);
-        p.add_stats(&IoStats {
-            seq_faults: 5,
-            random_faults: 7,
-            hits: 9,
-            ..Default::default()
-        });
-        assert_eq!(p.stats().seq_faults, 6);
-        assert_eq!(p.stats().random_faults, 7);
-        assert_eq!(p.stats().hits, 9);
-    }
-
-    #[test]
     fn merge_stats() {
         let mut a = IoStats {
             seq_faults: 1,
@@ -774,52 +608,11 @@ mod prop_tests {
         }
     }
 
-    /// A residency clone is behaviourally indistinguishable from the pool
-    /// it was taken from: after any shared history, both sides classify
-    /// every access of any future trace identically. This is the property
-    /// partitioned execution's determinism rests on — workers run against
-    /// clones and their privately-counted stats must be exactly what the
-    /// original pool would have counted.
-    #[test]
-    fn clone_residency_is_behaviourally_identical() {
-        let mut rng = Prng::seed_from_u64(0x3_F001);
-        for _ in 0..64 {
-            let capacity = rng.gen_range(1usize..10);
-            let mut original = BufferPool::new(capacity);
-            for _ in 0..rng.gen_range(0usize..150) {
-                let page = rng.gen_range(0u32..24);
-                original.access(FileId(0), page, AccessKind::Sequential);
-            }
-            let mut clone = original.clone_residency();
-            assert_eq!(
-                clone.stats(),
-                IoStats::default(),
-                "clone stats start at zero"
-            );
-            original.reset_stats();
-            for _ in 0..rng.gen_range(0usize..150) {
-                let page = rng.gen_range(0u32..24);
-                let kind = if rng.gen_bool(0.5) {
-                    AccessKind::Random
-                } else {
-                    AccessKind::Sequential
-                };
-                assert_eq!(
-                    original.access(FileId(0), page, kind),
-                    clone.access(FileId(0), page, kind),
-                    "clone diverged from original on page {page}"
-                );
-            }
-            assert_eq!(original.stats(), clone.stats());
-            assert_eq!(original.resident(), clone.resident());
-        }
-    }
-
     /// `since` and `merge` are inverses: for any snapshot taken mid-trace,
     /// folding the delta back onto the snapshot reproduces the final
     /// totals, and deltas over adjacent snapshot intervals merge to the
-    /// whole — the identity the coordinator relies on when folding worker
-    /// partials back together.
+    /// whole — the identity the executor relies on when it splits a class's
+    /// charged I/O into per-morsel shares and folds them back together.
     #[test]
     fn stats_since_and_merge_round_trip() {
         let mut rng = Prng::seed_from_u64(0x4_F001);

@@ -15,9 +15,9 @@
 //! [`BufferPool::inject_faults`](crate::BufferPool::inject_faults) and
 //! consulted only by the *fallible* accessors
 //! ([`BufferPool::try_access`](crate::BufferPool::try_access),
-//! [`HeapFile::try_fetch`](crate::HeapFile::try_fetch),
-//! [`BatchCursor::try_next_into`](crate::BatchCursor::try_next_into)) —
-//! the infallible legacy paths never observe faults, so load-time code and
+//! [`BufferPool::try_access_sized`](crate::BufferPool::try_access_sized)),
+//! which the executor charges every page access of a query through —
+//! the infallible accessors never observe faults, so load-time code and
 //! accounting-only call sites are unaffected. A denied access charges
 //! nothing to the pool: the simulated read never happened, and the caller's
 //! retry performs the real (accounted) access.

@@ -38,7 +38,6 @@
 
 use crate::batch::ScanBatch;
 use crate::buffer::{AccessKind, BufferPool};
-use crate::fault::FaultError;
 use crate::page::{FileId, PageId, PAGE_SIZE};
 use crate::tuple::TupleLayout;
 
@@ -510,37 +509,6 @@ impl HeapFile {
         }
     }
 
-    /// Accounted random fetch of tuple `pos` through `pool`.
-    pub fn fetch(
-        &self,
-        pos: u64,
-        pool: &mut BufferPool,
-        kind: AccessKind,
-        keys_out: &mut [u32],
-    ) -> f64 {
-        let page = self.page_of(pos);
-        let (io, dec) = self.page_cost(page);
-        pool.access_sized(self.file_id, page, kind, io, dec);
-        self.read_at(pos, keys_out)
-    }
-
-    /// Fault-checked variant of [`fetch`](Self::fetch): the page access goes
-    /// through [`BufferPool::try_access`], so an armed fault injector can
-    /// deny it. On `Err` nothing is charged and no bytes are read — the
-    /// caller may retry.
-    pub fn try_fetch(
-        &self,
-        pos: u64,
-        pool: &mut BufferPool,
-        kind: AccessKind,
-        keys_out: &mut [u32],
-    ) -> Result<f64, FaultError> {
-        let page = self.page_of(pos);
-        let (io, dec) = self.page_cost(page);
-        pool.try_access_sized(self.file_id, page, kind, io, dec)?;
-        Ok(self.read_at(pos, keys_out))
-    }
-
     /// Starts an accounted sequential scan.
     pub fn scan(&self) -> ScanCursor<'_> {
         self.scan_range(0, self.n_tuples)
@@ -631,8 +599,9 @@ pub struct BatchCursor<'a> {
 
 impl<'a> BatchCursor<'a> {
     /// Fills `batch` with the tuples from the current position to the end of
-    /// its page (or the scan's end, whichever is first). Returns `false` at
-    /// end of range, leaving `batch` untouched.
+    /// its page (or the scan's end, whichever is first), charging the page's
+    /// sequential access to `pool`. Returns `false` at end of range, leaving
+    /// `batch` untouched.
     pub fn next_into(&mut self, pool: &mut BufferPool, batch: &mut ScanBatch) -> bool {
         if self.pos >= self.end {
             return false;
@@ -640,33 +609,17 @@ impl<'a> BatchCursor<'a> {
         let page = self.heap.page_of(self.pos);
         let (io, dec) = self.heap.page_cost(page);
         pool.access_sized(self.heap.file_id, page, AccessKind::Sequential, io, dec);
-        self.fill_from(page, batch);
-        true
+        self.read_next(batch)
     }
 
-    /// Fault-checked variant of [`next_into`](Self::next_into): the page
-    /// access goes through [`BufferPool::try_access`]. On `Err` the cursor
-    /// does not advance and nothing is charged, so the caller can retry the
-    /// same page; a successful retry is indistinguishable from a fault-free
-    /// step.
-    pub fn try_next_into(
-        &mut self,
-        pool: &mut BufferPool,
-        batch: &mut ScanBatch,
-    ) -> Result<bool, FaultError> {
+    /// [`next_into`](Self::next_into) without the pool: decodes the same
+    /// tuples and advances the same way, but charges nothing — for callers
+    /// that account for the page access themselves.
+    pub fn read_next(&mut self, batch: &mut ScanBatch) -> bool {
         if self.pos >= self.end {
-            return Ok(false);
+            return false;
         }
         let page = self.heap.page_of(self.pos);
-        let (io, dec) = self.heap.page_cost(page);
-        pool.try_access_sized(self.heap.file_id, page, AccessKind::Sequential, io, dec)?;
-        self.fill_from(page, batch);
-        Ok(true)
-    }
-
-    /// Decodes the rest of `page` (from the cursor position) into `batch`
-    /// and advances the cursor. The page access must already be accounted.
-    fn fill_from(&mut self, page: PageId, batch: &mut ScanBatch) {
         let per_page = self.heap.layout.tuples_per_page() as u64;
         let page_end = (page as u64 + 1) * per_page;
         let batch_end = self.end.min(page_end);
@@ -686,6 +639,7 @@ impl<'a> BatchCursor<'a> {
             }
         }
         self.pos = batch_end;
+        true
     }
 
     /// Tuples remaining.
@@ -789,16 +743,30 @@ mod tests {
     }
 
     #[test]
-    fn fetch_is_random_accounted() {
-        let h = small_heap(100);
+    fn read_next_decodes_like_next_into_but_charges_nothing() {
+        let h = small_heap(1_000);
         let mut pool = BufferPool::new(100);
-        let mut keys = [0u32; 2];
-        let m = h.fetch(42, &mut pool, AccessKind::Random, &mut keys);
-        assert_eq!(m, 42.0);
-        assert_eq!(pool.stats().random_faults, 1);
-        // Same page again: a hit.
-        h.fetch(43, &mut pool, AccessKind::Random, &mut keys);
-        assert_eq!(pool.stats().hits, 1);
+        let mut charged = h.scan_batches(10, 900);
+        let mut free = h.scan_batches(10, 900);
+        let mut a = ScanBatch::new(h.layout());
+        let mut b = ScanBatch::new(h.layout());
+        let mut batches = 0;
+        while charged.next_into(&mut pool, &mut a) {
+            assert!(free.read_next(&mut b));
+            assert_eq!(a.len(), b.len());
+            for i in 0..a.len() {
+                assert_eq!(a.pos(i), b.pos(i));
+                assert_eq!(a.key(0, i), b.key(0, i));
+                assert_eq!(a.measure(i).to_bits(), b.measure(i).to_bits());
+            }
+            batches += 1;
+        }
+        assert!(!free.read_next(&mut b), "both cursors end together");
+        assert_eq!(
+            pool.stats().seq_faults,
+            batches,
+            "next_into charges each page"
+        );
     }
 
     #[test]

@@ -12,8 +12,11 @@
 //!    nothing, so a successful retry is invisible to both the results and
 //!    the simulated clock).
 //!
-//! Fault injection lives on the engine's own buffer pool, which only the
-//! sequential path uses, so the harness pins `threads = 1`.
+//! Fault injection lives on the engine's own buffer pool, which the
+//! executor charges every page access to in morsel order whatever the
+//! thread count, so the harness runs each fault plan at 1 and at 4 threads
+//! and also requires the two runs to agree: the same injector tally and
+//! the same per-query outcomes.
 //!
 //! [`Engine::mdx_many`]: starshare_core::Engine::mdx_many
 
@@ -24,11 +27,14 @@ use starshare_core::{
 use crate::session::Session;
 use crate::storage::StorageProfile;
 
+/// The thread counts [`FaultHarness::compare`] runs every fault plan at.
+pub const FAULT_THREADS: [usize; 2] = [1, 4];
+
 /// One query's result rows, as the engine returns them.
 type QueryRows = Vec<(Vec<u32>, f64)>;
 
 /// Per-query outcome of a faulted run, aligned with the fault-free run.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub enum FaultedQuery {
     /// The query answered; its rows were bit-identical to the fault-free
     /// run.
@@ -71,6 +77,10 @@ impl FaultedComparison {
 /// The harness: a persistent fault-free baseline engine plus a fresh,
 /// identically-built engine per faulted run (fresh so each fault schedule
 /// starts from a clean injector and cold pool).
+///
+/// [`compare`](Self::compare) runs each fault plan at
+/// [`FAULT_THREADS`]; [`compare_at`](Self::compare_at) runs it at one
+/// chosen thread count.
 pub struct FaultHarness {
     spec: PaperCubeSpec,
     optimizer: OptimizerKind,
@@ -79,8 +89,7 @@ pub struct FaultHarness {
 }
 
 impl FaultHarness {
-    /// Builds the harness over `spec` with the given optimizer
-    /// (`threads = 1`: injection is a sequential-path feature).
+    /// Builds the harness over `spec` with the given optimizer.
     pub fn new(spec: PaperCubeSpec, optimizer: OptimizerKind) -> Self {
         Self::with_storage(spec, optimizer, StorageProfile::Plain)
     }
@@ -131,13 +140,58 @@ impl FaultHarness {
             .collect()
     }
 
-    /// Runs `session` under `fault` on a fresh engine and checks the
-    /// degradation contract against the fault-free twin.
+    /// Runs `session` under `fault` at every thread count in
+    /// [`FAULT_THREADS`], checks the degradation contract against the
+    /// fault-free twin at each, and requires every run to match the first:
+    /// the same injector tally and the same per-query outcomes, error
+    /// messages included. Returns the first run's comparison carrying
+    /// every run's violations.
     pub fn compare(&mut self, session: &Session, fault: FaultPlan) -> FaultedComparison {
+        let [first, rest @ ..] = FAULT_THREADS;
+        let mut cmp = self.compare_at(session, fault, first);
+        for threads in rest {
+            let other = self.compare_at(session, fault, threads);
+            if other.stats != cmp.stats {
+                cmp.violations.push(format!(
+                    "fault tally moved with the thread count: {:?} at {first} threads, \
+                     {:?} at {threads}",
+                    cmp.stats, other.stats
+                ));
+            }
+            if other.queries != cmp.queries {
+                cmp.violations.push(format!(
+                    "per-query outcomes moved with the thread count: {:?} at {first} \
+                     threads, {:?} at {threads}",
+                    cmp.queries, other.queries
+                ));
+            }
+            cmp.violations.extend(
+                other
+                    .violations
+                    .into_iter()
+                    .map(|v| format!("{threads} threads: {v}")),
+            );
+        }
+        cmp
+    }
+
+    /// Runs `session` under `fault` on a fresh engine at `threads` worker
+    /// threads and checks the degradation contract against the fault-free
+    /// twin.
+    pub fn compare_at(
+        &mut self,
+        session: &Session,
+        fault: FaultPlan,
+        threads: usize,
+    ) -> FaultedComparison {
         let baseline = self.baseline_rows(session);
         let mut engine = self
             .storage
-            .apply(EngineConfig::paper().optimizer(self.optimizer))
+            .apply(
+                EngineConfig::paper()
+                    .optimizer(self.optimizer)
+                    .threads(threads),
+            )
             .build_paper(self.spec);
         engine.inject_faults(fault);
         let mut queries = Vec::new();

@@ -14,10 +14,11 @@
 //!   asserts the determinism contract (reruns are bit-identical, counters
 //!   and all).
 //! * [`faults`] — the graceful-degradation check: runs a session under a
-//!   seeded [`FaultPlan`](starshare_core::FaultPlan) and asserts every
-//!   injected fault was either retried to success or surfaced as a
-//!   per-query typed error, with all surviving queries bit-identical to
-//!   the fault-free twin run.
+//!   seeded [`FaultPlan`](starshare_core::FaultPlan) at 1 and 4 threads
+//!   and asserts every injected fault was either retried to success or
+//!   surfaced as a per-query typed error, with all surviving queries
+//!   bit-identical to the fault-free twin run and both thread counts
+//!   drawing the same faults.
 //! * [`shrink`] — reduces a failing case to a minimal
 //!   `(seed, session, fault schedule)` triple.
 //! * [`repro`] — the one-file text format a shrunk case round-trips
@@ -65,7 +66,7 @@ pub mod telemetry;
 pub mod windows;
 
 pub use cache::{check_cache_differential, CacheCheck, APPEND_ROWS, CACHE_REPLAYS};
-pub use faults::{FaultHarness, FaultedComparison, FaultedQuery};
+pub use faults::{FaultHarness, FaultedComparison, FaultedQuery, FAULT_THREADS};
 pub use maintenance::{
     check_maintenance_differential, maintenance_case, MaintenanceCheck, MAINT_APPEND_ROWS,
     MAINT_ROUNDS,

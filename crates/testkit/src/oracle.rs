@@ -36,10 +36,10 @@ use crate::storage::StorageProfile;
 pub const ORACLE_OPTIMIZERS: [OptimizerKind; 3] =
     [OptimizerKind::Tplo, OptimizerKind::Etplg, OptimizerKind::Gg];
 
-/// The thread counts the oracle sweeps: 1 is the sequential in-place
-/// path, the rest drive the morsel scheduler at widths below, at, and
-/// above typical host core counts (16 > the morsel count of most harness
-/// classes, so stealing saturates).
+/// The thread counts the oracle sweeps: one worker, then the morsel
+/// scheduler at widths below, at, and above typical host core counts
+/// (16 > the morsel count of most harness classes, so stealing
+/// saturates).
 pub const ORACLE_THREADS: [usize; 4] = [1, 2, 7, 16];
 
 /// The small-but-real cube the harness runs against: big enough that every
@@ -128,9 +128,8 @@ impl Oracle {
             starshare_core::DEFAULT_MORSEL_PAGES,
         );
         // The storage axis rides along only in the full default sweep:
-        // every non-plain profile at the sequential path plus the full
-        // production layout threaded, so pruning runs under the morsel
-        // scheduler too.
+        // every non-plain profile on one thread plus the full production
+        // layout on four, so pruning runs under work-stealing too.
         oracle.storage_engines = [
             (StorageProfile::CompressedIndex, 1),
             (StorageProfile::CompressedHeap, 1),

@@ -8,14 +8,94 @@
 //! `starshare_testkit::FaultHarness`; this test drives it over seeded
 //! sessions with two fault profiles (everything is deterministic, so the
 //! coverage assertions at the bottom are stable, not flaky).
+//!
+//! Every fault plan runs at 1, 2 and 4 threads. The executor charges page
+//! accesses to the engine's pool in morsel order whatever the thread
+//! count, so each run must draw exactly the faults pinned in
+//! [`FAULT_STATS`] and degrade exactly the same queries. The harness cube
+//! is small, so a second test pins the same for the paper's plans on a
+//! cube whose scans and probes span many pages ([`PAPER_FAULTS`]).
 
-use starshare::{FaultPlan, OptimizerKind};
-use starshare_testkit::{generate_session, harness_spec, FaultHarness};
+use starshare::paper_queries::bind_paper_test;
+use starshare::{
+    Engine, EngineConfig, FaultPlan, FaultStats, GlobalPlan, JoinMethod, OptimizerKind,
+    PaperCubeSpec, PlanClass, QueryPlan, SimTime,
+};
+use starshare_testkit::{generate_session, harness_spec, FaultHarness, FaultedComparison, Session};
 
 /// Session seeds to sweep. Each runs under two fault profiles.
 const SEEDS: u64 = 24;
 /// Independent fault schedules per session under the hot profile.
 const FAULT_SCHEDULES: u64 = 3;
+/// Thread counts every fault plan runs at.
+const THREADS: [usize; 3] = [1, 2, 4];
+
+/// The injector's tally for every plan of the sweep, per session seed: the
+/// three hot schedules, then the transient-only profile, each as
+/// `[checked, transient, poisoned_pages, poison_denials]`. Recorded from
+/// the one-thread sequential pass of the two-executor design this one
+/// replaced, so they also pin that every checked access is still drawn in
+/// the same order.
+const FAULT_STATS: [[[u64; 4]; 4]; SEEDS as usize] = [
+    [[12, 1, 0, 0], [11, 0, 0, 0], [11, 0, 0, 0], [12, 1, 0, 0]], // seed 0
+    [[6, 0, 0, 0], [6, 0, 0, 0], [6, 0, 0, 0], [6, 0, 0, 0]],     // seed 1
+    [[3, 0, 0, 0], [3, 0, 0, 0], [3, 0, 0, 0], [3, 0, 0, 0]],     // seed 2
+    [[8, 0, 0, 0], [8, 0, 0, 0], [8, 0, 0, 0], [8, 0, 0, 0]],     // seed 3
+    [[3, 0, 0, 0], [3, 0, 0, 0], [4, 1, 0, 0], [3, 0, 0, 0]],     // seed 4
+    [[3, 0, 0, 0], [3, 0, 0, 0], [3, 0, 0, 0], [3, 0, 0, 0]],     // seed 5
+    [[1, 0, 1, 0], [3, 0, 0, 0], [3, 0, 0, 0], [3, 0, 0, 0]],     // seed 6
+    [[7, 1, 0, 0], [6, 0, 0, 0], [6, 0, 0, 0], [7, 1, 0, 0]],     // seed 7
+    [[3, 0, 0, 0], [3, 0, 0, 0], [3, 0, 0, 0], [3, 0, 0, 0]],     // seed 8
+    [[7, 1, 0, 0], [7, 1, 0, 0], [4, 0, 1, 0], [6, 0, 0, 0]],     // seed 9
+    [[4, 1, 0, 0], [4, 1, 0, 0], [3, 0, 0, 0], [4, 1, 0, 0]],     // seed 10
+    [[5, 0, 0, 0], [6, 1, 0, 0], [5, 0, 0, 0], [5, 0, 0, 0]],     // seed 11
+    [[5, 0, 0, 0], [6, 1, 0, 0], [5, 0, 0, 0], [5, 0, 0, 0]],     // seed 12
+    [[10, 0, 1, 0], [11, 0, 0, 0], [13, 2, 0, 0], [11, 0, 0, 0]], // seed 13
+    [[3, 0, 0, 0], [3, 0, 0, 0], [3, 0, 0, 0], [4, 1, 0, 0]],     // seed 14
+    [[3, 0, 0, 0], [3, 0, 0, 0], [3, 0, 0, 0], [3, 0, 0, 0]],     // seed 15
+    [[5, 0, 0, 0], [5, 0, 0, 0], [5, 0, 0, 0], [5, 0, 0, 0]],     // seed 16
+    [[3, 0, 0, 0], [3, 0, 0, 0], [3, 0, 0, 0], [3, 0, 0, 0]],     // seed 17
+    [[1, 0, 1, 0], [3, 0, 0, 0], [3, 0, 0, 0], [3, 0, 0, 0]],     // seed 18
+    [[5, 0, 0, 0], [5, 0, 0, 0], [5, 0, 0, 0], [5, 0, 0, 0]],     // seed 19
+    [[3, 0, 0, 0], [3, 0, 0, 0], [3, 0, 0, 0], [4, 1, 0, 0]],     // seed 20
+    [[8, 0, 0, 0], [8, 0, 1, 0], [8, 0, 0, 0], [9, 1, 0, 0]],     // seed 21
+    [[3, 0, 0, 0], [4, 1, 0, 0], [3, 0, 0, 0], [3, 0, 0, 0]],     // seed 22
+    [[7, 1, 0, 0], [7, 1, 0, 0], [6, 0, 0, 0], [7, 1, 0, 0]],     // seed 23
+];
+
+/// Runs `fault` at every count in [`THREADS`]; asserts each run's tally
+/// equals `expect` and its per-query outcomes equal the first run's, and
+/// returns the first run.
+fn compare_everywhere(
+    harness: &mut FaultHarness,
+    session: &Session,
+    fault: FaultPlan,
+    expect: [u64; 4],
+    label: &str,
+) -> FaultedComparison {
+    let [checked, transient, poisoned_pages, poison_denials] = expect;
+    let expect = FaultStats {
+        checked,
+        transient,
+        poisoned_pages,
+        poison_denials,
+    };
+    let runs = THREADS.map(|t| harness.compare_at(session, fault, t));
+    for (run, threads) in runs.iter().zip(THREADS) {
+        assert_eq!(run.stats, expect, "{label}, {threads} threads: fault tally");
+        assert_eq!(
+            run.queries, runs[0].queries,
+            "{label}, {threads} threads: per-query outcomes"
+        );
+        assert!(
+            run.ok(),
+            "{label}, {threads} threads violated the degradation contract:\n{}",
+            run.violations.join("\n")
+        );
+    }
+    let [first, ..] = runs;
+    first
+}
 
 #[test]
 fn injected_faults_retry_or_degrade_and_survivors_are_bit_identical() {
@@ -42,12 +122,12 @@ fn injected_faults_retry_or_degrade_and_survivors_are_bit_identical() {
                 transient: 0.05,
                 poison: 0.02,
             };
-            let cmp = harness.compare(&session, hot);
-            assert!(
-                cmp.ok(),
-                "session {seed} (hot profile, schedule {k}) violated the degradation \
-                 contract:\n{}",
-                cmp.violations.join("\n")
+            let cmp = compare_everywhere(
+                &mut harness,
+                &session,
+                hot,
+                FAULT_STATS[seed as usize][k as usize],
+                &format!("session {seed} (hot profile, schedule {k})"),
             );
             faults_injected += cmp.stats.denials();
             degraded_queries += cmp.n_degraded();
@@ -64,11 +144,12 @@ fn injected_faults_retry_or_degrade_and_survivors_are_bit_identical() {
             transient: 0.05,
             poison: 0.0,
         };
-        let cmp = harness.compare(&session, transient_only);
-        assert!(
-            cmp.ok(),
-            "session {seed} (transient profile) violated the degradation contract:\n{}",
-            cmp.violations.join("\n")
+        let cmp = compare_everywhere(
+            &mut harness,
+            &session,
+            transient_only,
+            FAULT_STATS[seed as usize][FAULT_SCHEDULES as usize],
+            &format!("session {seed} (transient profile)"),
         );
         faults_injected += cmp.stats.denials();
         if cmp.n_degraded() == 0 && cmp.stats.denials() > 0 {
@@ -91,4 +172,109 @@ fn injected_faults_retry_or_degrade_and_survivors_are_bit_identical() {
         all_retried_sessions > 0,
         "no faulted session was fully absorbed by retries"
     );
+}
+
+/// The paper cube at a scale whose tables span hundreds of pages, so
+/// scans cross many pages and probe classes hit pages with several
+/// candidates each.
+fn paper_spec() -> PaperCubeSpec {
+    PaperCubeSpec::scaled(0.02)
+}
+
+/// GG's plans for Tests 1–7, then Test 2's queries forced into one shared
+/// index join on `A'B'C'D` (Figure 11's operator).
+fn paper_plans(e: &Engine) -> Vec<GlobalPlan> {
+    let schema = &e.cube().schema;
+    let mut plans: Vec<GlobalPlan> = (1..=7)
+        .map(|test| {
+            let queries = bind_paper_test(schema, test).unwrap();
+            e.optimize(&queries, OptimizerKind::Gg).unwrap()
+        })
+        .collect();
+    let view = e.cube().catalog.find_by_name("A'B'C'D").unwrap();
+    plans.push(GlobalPlan {
+        classes: vec![PlanClass {
+            table: view,
+            plans: bind_paper_test(schema, 2)
+                .unwrap()
+                .into_iter()
+                .map(|query| QueryPlan {
+                    query,
+                    method: JoinMethod::Index,
+                })
+                .collect(),
+        }],
+        estimated_cost: SimTime::ZERO,
+    });
+    plans
+}
+
+/// Runs every paper plan cold under its own fault plan on `e`; per plan,
+/// the injector's tally as `[checked, transient, poisoned_pages,
+/// poison_denials]`, the pool's `[seq_faults, random_faults, hits]`, and
+/// the per-query Ok (`o`) / Err (`x`) pattern.
+fn paper_fault_runs(e: &mut Engine, plans: &[GlobalPlan]) -> Vec<([u64; 4], [u64; 3], String)> {
+    plans
+        .iter()
+        .enumerate()
+        .map(|(i, plan)| {
+            e.flush();
+            e.inject_faults(FaultPlan {
+                seed: i as u64,
+                transient: 0.05,
+                poison: 0.002,
+            });
+            let before = e.context().pool.stats();
+            let run = e.execute_plan_degraded(plan);
+            let s = e.clear_faults().expect("injector was armed");
+            let io = e.context().pool.stats().since(&before);
+            let pattern = run
+                .results
+                .iter()
+                .map(|r| if r.is_ok() { 'o' } else { 'x' })
+                .collect();
+            (
+                [s.checked, s.transient, s.poisoned_pages, s.poison_denials],
+                [io.seq_faults, io.random_faults, io.hits],
+                pattern,
+            )
+        })
+        .collect()
+}
+
+/// What [`paper_fault_runs`] returned for the one-thread sequential pass
+/// of the two-executor design this one replaced, plan by plan. Probe
+/// classes draw once per candidate, so Test 2's index plans check more
+/// accesses than they fault pages in.
+const PAPER_FAULTS: [([u64; 4], [u64; 3], &str); 8] = [
+    ([129, 6, 0, 0], [111, 0, 12], "oooo"),
+    ([73, 4, 0, 0], [11, 37, 21], "oooo"),
+    ([88, 5, 0, 0], [39, 28, 16], "oooo"),
+    ([113, 3, 0, 0], [107, 0, 3], "ooo"),
+    ([121, 9, 0, 0], [107, 0, 5], "ooo"),
+    ([40, 0, 1, 0], [10, 21, 8], "xxx"),
+    ([89, 5, 0, 0], [78, 6, 0], "ooo"),
+    ([71, 2, 0, 0], [11, 37, 21], "oooo"),
+];
+
+/// The paper's plans — scans, shared index joins and hybrids — under
+/// seeded faults: at 1, 2 and 4 threads every plan draws exactly the
+/// pinned faults, charges the pinned page accesses, and fails exactly the
+/// pinned queries.
+#[test]
+fn paper_plans_draw_the_pinned_faults_at_every_thread_count() {
+    let mut e = EngineConfig::paper().build_paper(paper_spec());
+    let plans = paper_plans(&e);
+    for threads in THREADS {
+        e.set_threads(threads);
+        let runs = paper_fault_runs(&mut e, &plans);
+        for (i, (run, (faults, io, pattern))) in runs.iter().zip(PAPER_FAULTS).enumerate() {
+            assert_eq!(run.0, faults, "plan {i}, {threads} threads: fault tally");
+            assert_eq!(run.1, io, "plan {i}, {threads} threads: page accesses");
+            assert_eq!(
+                run.2, pattern,
+                "plan {i}, {threads} threads: Ok/Err pattern"
+            );
+        }
+    }
 }

@@ -124,7 +124,7 @@ fn check_cube(cube: &Cube, headline: KernelTier, seed: u64, iters: usize) {
             seen.push(tier);
         }
 
-        // Sequential operator matches the reference evaluator.
+        // The one-morsel operator matches the reference evaluator.
         let expect = reference_eval(cube, base, &q);
         let mut ctx = ExecContext::paper_1998();
         let (seq, _) = hash_star_join(&mut ctx, cube, base, &q).expect("runs");

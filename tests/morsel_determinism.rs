@@ -60,7 +60,8 @@ fn thread_matrix_is_bit_identical_at_every_morsel_size() {
                 .iter()
                 .map(|&n| {
                     e.flush();
-                    e.execute_plan_threads(&plan, n).unwrap()
+                    e.set_threads(n);
+                    e.execute_plan(&plan).unwrap()
                 })
                 .collect();
             for (i, run) in runs.iter().enumerate().skip(1) {
@@ -87,6 +88,7 @@ fn morsel_size_moves_neither_io_nor_answers() {
         .map(|&pages| {
             let mut e = EngineConfig::paper()
                 .morsel_pages(pages)
+                .threads(7)
                 .build_paper(spec());
             let execs = [3usize, 6]
                 .iter()
@@ -94,7 +96,7 @@ fn morsel_size_moves_neither_io_nor_answers() {
                     let queries = bind_paper_test(&e.cube().schema, test).unwrap();
                     let plan = e.optimize(&queries, OptimizerKind::Gg).unwrap();
                     e.flush();
-                    e.execute_plan_threads(&plan, 7).unwrap()
+                    e.execute_plan(&plan).unwrap()
                 })
                 .collect();
             (pages, execs)

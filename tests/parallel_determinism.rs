@@ -1,8 +1,8 @@
-//! The parallel-execution determinism contract: for every one of the
-//! paper's workloads, running the partitioned subsystem at 1, 2, and 4
-//! threads returns **bit-identical** query results and **identical**
-//! simulated totals — both total work (`sim`) and the critical path
-//! (`critical`). Only wall time may differ.
+//! The one-executor determinism contract: for every one of the paper's
+//! workloads, an engine at 1, 2, and 4 threads returns **bit-identical**
+//! query results and **identical** simulated totals — total work (`sim`),
+//! the critical path (`critical`) and the I/O counters — cold, and warm
+//! on a pool the previous run left behind. Only wall time may differ.
 
 use starshare::paper_queries::{bind_paper_test, paper_query_text, paper_test_queries};
 use starshare::{
@@ -10,13 +10,17 @@ use starshare::{
     SimTime,
 };
 
-fn engine() -> Engine {
-    Engine::paper(PaperCubeSpec {
+fn spec() -> PaperCubeSpec {
+    PaperCubeSpec {
         base_rows: 5_000,
         d_leaf: 48,
         seed: 23,
         with_indexes: true,
-    })
+    }
+}
+
+fn engine() -> Engine {
+    Engine::paper(spec())
 }
 
 fn assert_identical(a: &PlanExecution, b: &PlanExecution, label: &str) {
@@ -34,8 +38,8 @@ fn assert_identical(a: &PlanExecution, b: &PlanExecution, label: &str) {
 }
 
 /// Every paper workload (Tests 1–7, covering the Figure 10–12 operator
-/// studies and all of Table 2), planned by GG, executed partitioned at
-/// three thread counts.
+/// studies and all of Table 2), planned by GG, executed cold at three
+/// thread counts.
 #[test]
 fn every_paper_workload_is_thread_count_invariant() {
     let mut e = engine();
@@ -46,7 +50,8 @@ fn every_paper_workload_is_thread_count_invariant() {
             .iter()
             .map(|&n| {
                 e.flush();
-                e.execute_plan_threads(&plan, n).unwrap()
+                e.set_threads(n);
+                e.execute_plan(&plan).unwrap()
             })
             .collect();
         assert_identical(&runs[0], &runs[1], &format!("test {test}, 1 vs 2 threads"));
@@ -56,6 +61,42 @@ fn every_paper_workload_is_thread_count_invariant() {
             "test {test}: the critical path cannot exceed total work"
         );
         assert!(runs[0].total.sim > SimTime::ZERO, "test {test}");
+    }
+}
+
+/// Each paper workload run cold and then again without a flush: the second
+/// run reads through the pool the first one left behind, and it does so
+/// identically at every thread count — rows, `sim`, `critical` and
+/// `IoStats`, run by run.
+#[test]
+fn warm_pool_reuse_is_thread_count_invariant() {
+    let mut e = engine();
+    for test in 1..=7 {
+        let queries = bind_paper_test(&e.cube().schema, test).unwrap();
+        let plan = e.optimize(&queries, OptimizerKind::Gg).unwrap();
+        let runs: Vec<(PlanExecution, PlanExecution)> = [1usize, 2, 4]
+            .iter()
+            .map(|&n| {
+                e.flush();
+                e.set_threads(n);
+                let cold = e.execute_plan(&plan).unwrap();
+                let warm = e.execute_plan(&plan).unwrap();
+                (cold, warm)
+            })
+            .collect();
+        for (n, run) in [2, 4].iter().zip(&runs[1..]) {
+            assert_identical(&runs[0].0, &run.0, &format!("test {test} cold, 1 vs {n}"));
+            assert_identical(&runs[0].1, &run.1, &format!("test {test} warm, 1 vs {n}"));
+        }
+        // This cube fits the pool, so the repeat faults nothing in.
+        let (cold, warm) = (&runs[0].0.total.io, &runs[0].1.total.io);
+        assert!(cold.seq_faults > 0, "test {test}: the cold run reads pages");
+        assert_eq!(
+            warm.seq_faults + warm.random_faults,
+            0,
+            "test {test}: the warm run is served from the pool"
+        );
+        assert_eq!(warm.hits, cold.accesses(), "test {test}: same accesses");
     }
 }
 
@@ -69,38 +110,28 @@ fn table2_plans_from_all_optimizers_are_invariant() {
         for kind in OptimizerKind::ALL {
             let plan = e.optimize(&queries, kind).unwrap();
             e.flush();
-            let one = e.execute_plan_threads(&plan, 1).unwrap();
+            e.set_threads(1);
+            let one = e.execute_plan(&plan).unwrap();
             e.flush();
-            let four = e.execute_plan_threads(&plan, 4).unwrap();
+            e.set_threads(4);
+            let four = e.execute_plan(&plan).unwrap();
             assert_identical(&one, &four, &format!("test {test}, {kind}"));
         }
     }
 }
 
-/// The partitioned path agrees with the sequential path on *answers*
-/// (floating-point association differs, so compare with tolerance), and an
-/// engine built with a threads knob > 1 routes through it transparently.
+/// An engine built with the threads knob at 4 agrees with the one-thread
+/// paper engine bit for bit — answers, clock and I/O — on a fresh pool:
+/// both run the same executor.
 #[test]
 fn parallel_answers_match_the_sequential_path() {
     let mut seq = engine();
-    let mut par = EngineConfig::paper().threads(4).build_paper(PaperCubeSpec {
-        base_rows: 5_000,
-        d_leaf: 48,
-        seed: 23,
-        with_indexes: true,
-    });
+    let mut par = EngineConfig::paper().threads(4).build_paper(spec());
     let queries: Vec<GroupByQuery> = bind_paper_test(&seq.cube().schema, 3).unwrap();
     let plan = seq.optimize(&queries, OptimizerKind::Gg).unwrap();
     let s = seq.execute_plan(&plan).unwrap();
     let p = par.execute_plan(&plan).unwrap();
-    assert_eq!(s.results.len(), p.results.len());
-    for (a, b) in s.results.iter().zip(&p.results) {
-        assert_eq!(a.query, b.query);
-        assert!(a.approx_eq(b, 1e-9), "answers must agree across paths");
-    }
-    // Sequential runs report critical == sim; the parallel run's critical
-    // must not exceed the sequential critical path for the same plan.
-    assert_eq!(s.total.critical, s.total.sim);
+    assert_identical(&s, &p, "1 vs 4 threads");
     assert!(p.total.critical <= p.total.sim);
 }
 
@@ -108,32 +139,27 @@ fn parallel_answers_match_the_sequential_path() {
 /// (same process, fresh pools) — the scheduler leaves no trace.
 #[test]
 fn repeated_runs_are_reproducible() {
-    let mut e = engine();
+    let mut e = EngineConfig::paper().threads(2).build_paper(spec());
     let queries = bind_paper_test(&e.cube().schema, 5).unwrap();
     let plan = e.optimize(&queries, OptimizerKind::Gg).unwrap();
     e.flush();
-    let first = e.execute_plan_threads(&plan, 2).unwrap();
+    let first = e.execute_plan(&plan).unwrap();
     for _ in 0..3 {
         e.flush();
-        let again = e.execute_plan_threads(&plan, 2).unwrap();
+        let again = e.execute_plan(&plan).unwrap();
         assert_identical(&first, &again, "repeat");
     }
 }
 
 /// Every way of running a plan on a multi-threaded engine — strict,
-/// explicitly partitioned, degraded, and MDX text through `mdx_many` —
-/// goes through the same per-class loop, so all four agree on rows and on
-/// the plan totals, critical path included (classes run one after another,
-/// so a plan's critical path is the sum of its classes').
+/// degraded, and MDX text through `mdx_many` — goes through the same
+/// per-class loop, so all three agree with each other and with a
+/// one-thread strict run on rows and on the plan totals, critical path
+/// included (classes run one after another, so a plan's critical path is
+/// the sum of its classes').
 #[test]
 fn every_plan_entry_point_reports_the_same_totals() {
-    let spec = PaperCubeSpec {
-        base_rows: 5_000,
-        d_leaf: 48,
-        seed: 23,
-        with_indexes: true,
-    };
-    let mut e = EngineConfig::paper().threads(2).build_paper(spec);
+    let mut e = EngineConfig::paper().threads(2).build_paper(spec());
     let queries = bind_paper_test(&e.cube().schema, 7).unwrap();
     let plan = e.optimize(&queries, OptimizerKind::Gg).unwrap();
     assert!(
@@ -144,7 +170,9 @@ fn every_plan_entry_point_reports_the_same_totals() {
     e.flush();
     let strict = e.execute_plan(&plan).unwrap();
     e.flush();
-    let threads = e.execute_plan_threads(&plan, 2).unwrap();
+    e.set_threads(1);
+    let one_thread = e.execute_plan(&plan).unwrap();
+    e.set_threads(2);
     e.flush();
     let degraded = e.execute_plan_degraded(&plan);
     let degraded = PlanExecution {
@@ -181,7 +209,7 @@ fn every_plan_entry_point_reports_the_same_totals() {
         total: out.report,
     };
 
-    assert_identical(&strict, &threads, "execute_plan vs execute_plan_threads");
+    assert_identical(&strict, &one_thread, "execute_plan at 2 vs 1 threads");
     assert_identical(&strict, &degraded, "execute_plan vs execute_plan_degraded");
     assert_identical(&strict, &mdx, "execute_plan vs mdx_many");
     let summed = strict

@@ -114,16 +114,15 @@ fn same_seed_drains_a_byte_identical_trace() {
     assert!(a.contains("\"opt.plan\""));
 }
 
-/// On the partitioned executor path, the thread count is unobservable in
-/// the trace: morsel boundaries and merge shape depend only on data and
-/// plan, and scheduling accidents (steals, worker identity) are confined
-/// to metrics. (`threads = 1` takes the sequential executor, a different
-/// path with no morsel spans, so the invariance is scoped to ≥ 2.)
+/// The thread count is unobservable in the trace: every class runs on the
+/// one morsel executor, morsel boundaries and merge shape depend only on
+/// data and plan, and scheduling accidents (steals, worker identity) are
+/// confined to metrics.
 #[test]
 fn trace_is_thread_invariant_on_the_partitioned_path() {
-    const PARTITIONED: [usize; 2] = [2, 4];
+    const THREADS: [usize; 3] = [1, 2, 4];
     let exprs = session_exprs(43);
-    let traces: Vec<String> = PARTITIONED
+    let traces: Vec<String> = THREADS
         .iter()
         .map(|&threads| {
             let mut e = engine(OptimizerKind::Tplo, threads, Some(5));
@@ -131,26 +130,30 @@ fn trace_is_thread_invariant_on_the_partitioned_path() {
             e.drain_trace().expect("armed engine must trace")
         })
         .collect();
-    assert_eq!(
-        traces[0], traces[1],
-        "trace must not depend on the thread count"
-    );
+    for (trace, threads) in traces[1..].iter().zip(&THREADS[1..]) {
+        assert_eq!(
+            &traces[0], trace,
+            "trace must not depend on the thread count (1 vs {threads})"
+        );
+    }
     assert!(traces[0].contains("\"exec.morsel\""));
     // The deterministic metrics agree too; only scheduling tallies may
     // differ across thread counts.
     let snap = |threads: usize| {
         let mut e = engine(OptimizerKind::Tplo, threads, Some(5));
         run(&mut e, &exprs);
-        e.metrics().expect("armed engine must snapshot")
+        *e.metrics().expect("armed engine must snapshot").registry()
     };
-    let (a, b) = (snap(PARTITIONED[0]), snap(PARTITIONED[1]));
-    let (ra, rb) = (*a.registry(), *b.registry());
-    assert_eq!(ra.sim_nanos, rb.sim_nanos);
-    assert_eq!(ra.seq_faults, rb.seq_faults);
-    assert_eq!(ra.random_faults, rb.random_faults);
-    assert_eq!(ra.queries, rb.queries);
-    assert_eq!(ra.classes, rb.classes);
-    assert_eq!(ra.morsels, rb.morsels);
+    let ra = snap(THREADS[0]);
+    for &threads in &THREADS[1..] {
+        let rb = snap(threads);
+        assert_eq!(ra.sim_nanos, rb.sim_nanos, "{threads} threads");
+        assert_eq!(ra.seq_faults, rb.seq_faults, "{threads} threads");
+        assert_eq!(ra.random_faults, rb.random_faults, "{threads} threads");
+        assert_eq!(ra.queries, rb.queries, "{threads} threads");
+        assert_eq!(ra.classes, rb.classes, "{threads} threads");
+        assert_eq!(ra.morsels, rb.morsels, "{threads} threads");
+    }
 }
 
 /// The default configuration is off: no snapshot, no trace, no profiles.
