@@ -193,6 +193,21 @@ struct Entry {
     seq: u64,
     /// True once a streaming append has delta-patched this entry.
     patched: bool,
+    /// The query compiled against the leaf, the patch's source: compiled
+    /// on the entry's first append and reused by every later one.
+    leaf_pipeline: LeafPipeline,
+}
+
+/// An entry's patch pipeline (see [`ResultCache::apply_append`]).
+#[derive(Debug)]
+enum LeafPipeline {
+    /// No append has reached the entry yet.
+    Pending,
+    /// The entry's query compiled against the leaf group-by.
+    Ready(DimPipeline),
+    /// The entry cannot be delta-patched: AVG, or predicates that do not
+    /// compile against the leaf.
+    Unpatchable,
 }
 
 /// The bounded, subsumption-aware, epoch-invalidated result cache.
@@ -269,13 +284,15 @@ impl ResultCache {
 
     /// Moves the cache to `epoch` by **delta-patching** every live entry
     /// with the appended `rows` instead of dropping it: the delta is
-    /// aggregated once at the leaf per cached aggregate, then rolled up
-    /// through each entry's [`DimPipeline`] (the same divisors the scan
-    /// uses) and merged into the entry's stored rows. Sound for SUM and
-    /// COUNT unconditionally and for MIN/MAX under the engine's
-    /// insert-only append model; AVG entries — and any entry whose
-    /// predicates fail to compile against the leaf — are dropped, counted
-    /// in [`CacheStats::patch_drops`]. A delta row an entry's predicates
+    /// aggregated once at the leaf per cached aggregate, laid out as key
+    /// columns, filtered by each entry's predicates one column at a time
+    /// (through the entry's [`DimPipeline`], compiled once on its first
+    /// append), rolled up to the entry's group-by, and merged into the
+    /// entry's sorted rows in one linear pass. Sound for SUM and COUNT
+    /// unconditionally and for MIN/MAX under the engine's insert-only
+    /// append model; AVG entries — and any entry whose predicates fail to
+    /// compile against the leaf — are dropped, counted in
+    /// [`CacheStats::patch_drops`]. A delta row an entry's predicates
     /// reject leaves that entry untouched (but still carried to the new
     /// epoch); a delta row grouping to a key the entry has never seen
     /// inserts a fresh row at its sorted position. Patched entries can
@@ -285,9 +302,10 @@ impl ResultCache {
     /// The patch work is charged on the deterministic simulated clock and
     /// returned as a pure-CPU [`ExecReport`]: one hash probe plus one
     /// aggregate update per raw row per leaf delta built, one predicate
-    /// cascade per leaf delta group per entry, one probe plus update per
-    /// surviving group, and one tuple copy per merged row. A no-op (equal
-    /// epoch) returns an empty report.
+    /// cascade per leaf delta group per entry (short-circuit: a predicate
+    /// is charged only for the groups every earlier one kept), one probe
+    /// plus update per surviving group, and one tuple copy per merged row.
+    /// A no-op (equal epoch) returns an empty report.
     pub fn apply_append(
         &mut self,
         schema: &StarSchema,
@@ -303,9 +321,11 @@ impl ResultCache {
         let finest = GroupBy::finest(schema.n_dims());
 
         let mut cpu = CpuCounters::default();
-        // Leaf deltas, aggregated once per cached aggregate and shared by
-        // every entry carrying it.
-        let mut leaf_deltas: Vec<(AggFn, BTreeMap<Vec<u32>, f64>)> = Vec::new();
+        let leaf = LeafDelta::new(schema.n_dims(), rows);
+        // Leaf measure columns, aggregated once per cached aggregate and
+        // shared by every entry carrying it.
+        let mut measures: Vec<(AggFn, Vec<f64>)> = Vec::new();
+        let mut sel = Vec::new();
 
         let mut kept = Vec::with_capacity(self.entries.len());
         let mut bytes = 0usize;
@@ -315,78 +335,34 @@ impl ResultCache {
                 self.stats.invalidations += 1;
                 continue;
             }
-            if e.query.agg == AggFn::Avg {
+            if matches!(e.leaf_pipeline, LeafPipeline::Pending) {
+                e.leaf_pipeline = match e.query.agg {
+                    AggFn::Avg => LeafPipeline::Unpatchable,
+                    _ => DimPipeline::compile(schema, &finest, &e.query)
+                        .map_or(LeafPipeline::Unpatchable, LeafPipeline::Ready),
+                };
+            }
+            let LeafPipeline::Ready(pipeline) = &e.leaf_pipeline else {
                 self.stats.patch_drops += 1;
                 continue;
-            }
-            let pipeline = match DimPipeline::compile(schema, &finest, &e.query) {
-                Ok(p) => p,
-                Err(_) => {
-                    self.stats.patch_drops += 1;
-                    continue;
-                }
             };
             let agg = e.query.agg;
-            let delta = match leaf_deltas.iter().position(|(a, _)| *a == agg) {
-                Some(i) => &leaf_deltas[i].1,
+            let i = match measures.iter().position(|(a, _)| *a == agg) {
+                Some(i) => i,
                 None => {
-                    let mut d: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
-                    for (key, m) in rows {
-                        cpu.hash_probes += 1;
-                        cpu.agg_updates += 1;
-                        let v = match agg {
-                            AggFn::Sum => *m,
-                            AggFn::Count => 1.0,
-                            AggFn::Min | AggFn::Max => *m,
-                            AggFn::Avg => unreachable!("AVG dropped above"),
-                        };
-                        match d.entry(key.clone()) {
-                            std::collections::btree_map::Entry::Vacant(slot) => {
-                                slot.insert(v);
-                            }
-                            std::collections::btree_map::Entry::Occupied(mut slot) => {
-                                let acc = slot.get_mut();
-                                *acc = combine(agg, *acc, v);
-                            }
-                        }
-                    }
-                    leaf_deltas.push((agg, d));
-                    &leaf_deltas.last().expect("just pushed").1
+                    measures.push((agg, leaf.measures(agg, rows, &mut cpu)));
+                    measures.len() - 1
                 }
             };
-
-            // Roll the leaf delta up into the entry's key space.
-            let mut patch: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
-            let mut out_key = Vec::new();
-            for (key, m) in delta {
-                if !pipeline.filter(key, &mut cpu) {
-                    continue;
-                }
-                pipeline.agg_key_into(key, &mut out_key);
-                cpu.hash_probes += 1;
-                cpu.agg_updates += 1;
-                match patch.entry(out_key.clone()) {
-                    std::collections::btree_map::Entry::Vacant(slot) => {
-                        slot.insert(*m);
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut slot) => {
-                        let acc = slot.get_mut();
-                        *acc = combine(agg, *acc, *m);
-                    }
-                }
-            }
-            // Merge into the entry's sorted rows: existing groups combine,
-            // brand-new groups insert at their sorted position.
-            for (k, dv) in patch {
-                cpu.tuple_copies += 1;
-                match e.result.rows.binary_search_by(|(rk, _)| rk.cmp(&k)) {
-                    Ok(i) => {
-                        let acc = &mut e.result.rows[i].1;
-                        *acc = combine(agg, *acc, dv);
-                    }
-                    Err(i) => e.result.rows.insert(i, (k, dv)),
-                }
-            }
+            patch_rows(
+                pipeline,
+                agg,
+                &leaf,
+                &measures[i].1,
+                &mut e.result.rows,
+                &mut sel,
+                &mut cpu,
+            );
             e.bytes = result_bytes(&e.result);
             e.epoch = epoch;
             e.patched = true;
@@ -492,6 +468,7 @@ impl ResultCache {
             benefit: cost,
             seq: self.next_seq,
             patched: false,
+            leaf_pipeline: LeafPipeline::Pending,
         });
         self.next_seq += 1;
         self.bytes += bytes;
@@ -519,6 +496,115 @@ impl ResultCache {
             self.stats.evictions += 1;
         }
     }
+}
+
+/// An append's rows aggregated at the leaf: one column per dimension
+/// holding each distinct key, in key order — the columns every entry's
+/// predicate cascade runs over.
+#[derive(Debug)]
+struct LeafDelta {
+    cols: Vec<Vec<u32>>,
+    /// The distinct key (column index) each appended row folds into.
+    group_of: Vec<usize>,
+}
+
+impl LeafDelta {
+    fn new(n_dims: usize, rows: &[(Vec<u32>, f64)]) -> Self {
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by(|&a, &b| rows[a].0.cmp(&rows[b].0));
+        let mut cols = vec![Vec::new(); n_dims];
+        let mut group_of = vec![0; rows.len()];
+        let mut groups = 0;
+        for (j, &i) in order.iter().enumerate() {
+            if j == 0 || rows[order[j - 1]].0 != rows[i].0 {
+                for (col, &k) in cols.iter_mut().zip(&rows[i].0) {
+                    col.push(k);
+                }
+                groups += 1;
+            }
+            group_of[i] = groups - 1;
+        }
+        LeafDelta { cols, group_of }
+    }
+
+    /// Distinct leaf keys.
+    fn len(&self) -> usize {
+        self.cols.first().map_or(0, Vec::len)
+    }
+
+    /// Each distinct key's `agg` over its appended rows, folded in row
+    /// order; charges one hash probe plus one aggregate update per row.
+    fn measures(&self, agg: AggFn, rows: &[(Vec<u32>, f64)], cpu: &mut CpuCounters) -> Vec<f64> {
+        let mut acc: Vec<Option<f64>> = vec![None; self.len()];
+        for ((_, m), &g) in rows.iter().zip(&self.group_of) {
+            cpu.hash_probes += 1;
+            cpu.agg_updates += 1;
+            let v = match agg {
+                AggFn::Sum | AggFn::Min | AggFn::Max => *m,
+                AggFn::Count => 1.0,
+                AggFn::Avg => unreachable!("AVG entries are never patched"),
+            };
+            acc[g] = Some(acc[g].map_or(v, |a| combine(agg, a, v)));
+        }
+        acc.into_iter()
+            .map(|v| v.expect("every distinct key has a row"))
+            .collect()
+    }
+}
+
+/// Patches one entry's sorted `rows` with the leaf delta (`measures` is
+/// its column for the entry's aggregate): the entry's predicates cascade
+/// over the key columns, the survivors roll up to the entry's group-by,
+/// and the sorted patch merges into `rows` in one linear pass. Charges
+/// exactly what testing each delta key with the per-row short-circuit
+/// filter would: one predicate evaluation per key each predicate sees,
+/// one probe plus update per survivor, one tuple copy per patch group.
+fn patch_rows(
+    pipeline: &DimPipeline,
+    agg: AggFn,
+    leaf: &LeafDelta,
+    measures: &[f64],
+    rows: &mut Vec<(Vec<u32>, f64)>,
+    sel: &mut Vec<u32>,
+    cpu: &mut CpuCounters,
+) {
+    pipeline.select(|d| &leaf.cols[d], leaf.len(), 0, sel, false, cpu);
+    let mut patch: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
+    let mut full = vec![0u32; leaf.cols.len()];
+    let mut out_key = Vec::new();
+    for &i in sel.iter() {
+        let i = i as usize;
+        for (k, col) in full.iter_mut().zip(&leaf.cols) {
+            *k = col[i];
+        }
+        pipeline.agg_key_into(&full, &mut out_key);
+        cpu.hash_probes += 1;
+        cpu.agg_updates += 1;
+        match patch.get_mut(out_key.as_slice()) {
+            Some(acc) => *acc = combine(agg, *acc, measures[i]),
+            None => {
+                patch.insert(out_key.clone(), measures[i]);
+            }
+        }
+    }
+    if patch.is_empty() {
+        return;
+    }
+    // Existing groups combine, brand-new groups insert at their sorted
+    // position.
+    cpu.tuple_copies += patch.len() as u64;
+    let mut old = std::mem::take(rows).into_iter().peekable();
+    rows.reserve(old.len() + patch.len());
+    for (k, dv) in patch {
+        while let Some(r) = old.next_if(|(rk, _)| *rk < k) {
+            rows.push(r);
+        }
+        match old.next_if(|(rk, _)| *rk == k) {
+            Some((rk, v)) => rows.push((rk, combine(agg, v, dv))),
+            None => rows.push((k, dv)),
+        }
+    }
+    rows.extend(old);
 }
 
 /// Combines two partial aggregates of the same re-aggregable function.
@@ -1220,5 +1306,138 @@ mod tests {
         cache.insert(q.clone(), r, SimTime::from_nanos(1));
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.stats().insertions, 0);
+    }
+
+    /// The per-row patch `apply_append` ran before the columnar cascade:
+    /// the leaf delta in a `BTreeMap`, the short-circuit filter on every
+    /// delta key, and a binary-search-and-insert merge. [`patch_rows`]
+    /// must match it row for row and counter for counter.
+    fn patch_rows_rowwise(
+        pipeline: &DimPipeline,
+        agg: AggFn,
+        delta_rows: &[(Vec<u32>, f64)],
+        rows: &mut Vec<(Vec<u32>, f64)>,
+        cpu: &mut CpuCounters,
+    ) {
+        let mut delta: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
+        for (key, m) in delta_rows {
+            cpu.hash_probes += 1;
+            cpu.agg_updates += 1;
+            let v = if agg == AggFn::Count { 1.0 } else { *m };
+            delta
+                .entry(key.clone())
+                .and_modify(|acc| *acc = combine(agg, *acc, v))
+                .or_insert(v);
+        }
+        let mut patch: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
+        let mut out_key = Vec::new();
+        for (key, m) in &delta {
+            if !pipeline.filter(key, cpu) {
+                continue;
+            }
+            pipeline.agg_key_into(key, &mut out_key);
+            cpu.hash_probes += 1;
+            cpu.agg_updates += 1;
+            patch
+                .entry(out_key.clone())
+                .and_modify(|acc| *acc = combine(agg, *acc, *m))
+                .or_insert(*m);
+        }
+        for (k, dv) in patch {
+            cpu.tuple_copies += 1;
+            match rows.binary_search_by(|(rk, _)| rk.cmp(&k)) {
+                Ok(i) => rows[i].1 = combine(agg, rows[i].1, dv),
+                Err(i) => rows.insert(i, (k, dv)),
+            }
+        }
+    }
+
+    /// The columnar patch against the row-at-a-time oracle over random
+    /// entries: every lattice group-by, 0–4 predicated dimensions at
+    /// random levels, all four patchable aggregates, and deltas drawn both
+    /// from keys the base already holds (no new groups) and from the whole
+    /// leaf space (brand-new groups). Rows and every counter must match.
+    #[test]
+    fn columnar_patch_matches_the_row_at_a_time_oracle() {
+        let cube = cube();
+        let schema = &cube.schema;
+        let base = cube.catalog.base_table().unwrap();
+        let finest = GroupBy::finest(schema.n_dims());
+        let mut nodes = lattice_nodes(schema);
+        nodes.push(finest.clone());
+        let table = cube.catalog.table(base);
+        let mut key = vec![0u32; schema.n_dims()];
+        let base_keys: Vec<Vec<u32>> = (0..table.n_rows())
+            .map(|pos| {
+                table.heap().read_at(pos, &mut key);
+                key.clone()
+            })
+            .collect();
+
+        let mut rng = starshare_prng::Prng::seed_from_u64(0x0ca7_c4e5);
+        let (mut grew, mut filtered, mut sel) = (0, 0, Vec::new());
+        for case in 0..400usize {
+            let agg = [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max][case % 4];
+            let mut dims: Vec<usize> = (0..schema.n_dims()).collect();
+            rng.shuffle(&mut dims);
+            let n_preds = rng.gen_range(0..schema.n_dims() + 1);
+            let preds = (0..schema.n_dims())
+                .map(|d| {
+                    if !dims[..n_preds].contains(&d) {
+                        return MemberPred::All;
+                    }
+                    let level = rng.gen_range(0..schema.dim(d).n_levels());
+                    let card = schema.dim(d).cardinality(level);
+                    let n = rng.gen_range(1..card.min(4) + 1);
+                    MemberPred::members_in(level, (0..n).map(|_| rng.gen_range(0..card)).collect())
+                })
+                .collect();
+            let group_by = nodes[rng.gen_range(0..nodes.len())].clone();
+            let query = GroupByQuery::new(group_by, preds).with_agg(agg);
+            let entry = reference_eval(&cube, base, &query).rows;
+            let from_base = case % 8 < 4;
+            let delta: Vec<(Vec<u32>, f64)> = (0..rng.gen_range(0..80usize))
+                .map(|_| {
+                    let key = if from_base {
+                        base_keys[rng.gen_range(0..base_keys.len())].clone()
+                    } else {
+                        (0..schema.n_dims())
+                            .map(|d| rng.gen_range(0..schema.dim(d).cardinality(0)))
+                            .collect()
+                    };
+                    (key, rng.gen_range(0..400u32) as f64 * 0.25)
+                })
+                .collect();
+            let pipeline = DimPipeline::compile(schema, &finest, &query).unwrap();
+
+            let (mut want, mut want_cpu) = (entry.clone(), CpuCounters::default());
+            patch_rows_rowwise(&pipeline, agg, &delta, &mut want, &mut want_cpu);
+            let (mut got, mut got_cpu) = (entry.clone(), CpuCounters::default());
+            let leaf = LeafDelta::new(schema.n_dims(), &delta);
+            let measures = leaf.measures(agg, &delta, &mut got_cpu);
+            patch_rows(
+                &pipeline,
+                agg,
+                &leaf,
+                &measures,
+                &mut got,
+                &mut sel,
+                &mut got_cpu,
+            );
+
+            let bits = |rows: &[(Vec<u32>, f64)]| -> Vec<(Vec<u32>, u64)> {
+                rows.iter().map(|(k, m)| (k.clone(), m.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "case {case}: {query:?}");
+            assert_eq!(got_cpu, want_cpu, "case {case}: {query:?}");
+            assert!(!from_base || want.len() == entry.len(), "case {case}");
+            grew += usize::from(want.len() > entry.len());
+            filtered += usize::from(sel.len() < leaf.len());
+        }
+        assert!(grew > 20, "brand-new groups exercised in {grew} cases");
+        assert!(
+            filtered > 100,
+            "predicates rejected keys in {filtered} cases"
+        );
     }
 }

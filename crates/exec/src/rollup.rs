@@ -295,24 +295,43 @@ impl DimPipeline {
         batch: &ScanBatch,
         acc: &mut GroupAcc,
         sel: &mut Vec<u32>,
-        mut seeded: bool,
+        seeded: bool,
         scratch: &mut Vec<u32>,
         cpu: &mut CpuCounters,
     ) {
-        let n = batch.len();
+        self.select(|d| batch.col(d), batch.len(), skip_mask, sel, seeded, cpu);
+        self.absorb_selected(mode, batch, sel, acc, scratch, cpu);
+    }
+
+    /// The predicate cascade of [`feed_batch`](Self::feed_batch) over any
+    /// `n`-row column set (`col(d)` is dimension `d`'s stored keys): leaves
+    /// in `sel`, ascending, the starting rows that pass every predicate not
+    /// in `skip_mask`. Predicates run one column at a time in dimension
+    /// order, and each charges one `predicate_evals` per row it sees —
+    /// exactly the rows the per-row short-circuit of
+    /// [`filter_skipping`](Self::filter_skipping) would test it on.
+    #[inline]
+    pub(crate) fn select<'c>(
+        &self,
+        col: impl Fn(usize) -> &'c [u32],
+        n: usize,
+        skip_mask: u64,
+        sel: &mut Vec<u32>,
+        mut seeded: bool,
+        cpu: &mut CpuCounters,
+    ) {
         for p in &self.preds {
             if skip_mask & (1 << p.dim) != 0 {
                 continue;
             }
             cpu.predicate_evals += if seeded { sel.len() } else { n } as u64;
-            p.filter_col(batch.col(p.dim), sel, seeded);
+            p.filter_col(col(p.dim), sel, seeded);
             seeded = true;
         }
         if !seeded {
             sel.clear();
             sel.extend(0..n as u32);
         }
-        self.absorb_selected(mode, batch, sel, acc, scratch, cpu);
     }
 
     /// Absorbs the batch rows listed in `sel` (ascending) into `acc`.

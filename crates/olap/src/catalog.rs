@@ -15,6 +15,7 @@
 use starshare_bitmap::{BitmapJoinIndex, IndexFormat};
 use starshare_storage::{FileId, HeapFile, TupleLayout};
 
+use crate::maintain::GroupPositions;
 use crate::query::{AggFn, GroupBy, GroupByQuery, LevelRef};
 use crate::schema::{DimId, StarSchema};
 
@@ -95,6 +96,9 @@ pub struct StoredTable {
     heap: HeapFile,
     indexes: Vec<Option<DimIndex>>,
     measure: MeasureKind,
+    /// Group-key → row-position index of an aggregated view, built on the
+    /// view's first append (see [`crate::maintain`]).
+    positions: Option<GroupPositions>,
 }
 
 impl StoredTable {
@@ -127,6 +131,7 @@ impl StoredTable {
             heap,
             indexes: vec![None; n],
             measure,
+            positions: None,
         }
     }
 
@@ -140,6 +145,27 @@ impl StoredTable {
     /// [`extend_indexes`](Self::extend_indexes) after appending.
     pub fn heap_mut(&mut self) -> &mut HeapFile {
         &mut self.heap
+    }
+
+    /// The heap together with its group-key → position index, building the
+    /// index (one pass over the heap) on first use and extending it over any
+    /// rows appended since. Only meaningful for aggregated views, whose
+    /// group keys are unique.
+    pub(crate) fn heap_and_positions(
+        &mut self,
+        schema: &StarSchema,
+    ) -> (&mut HeapFile, &mut GroupPositions) {
+        let positions = self
+            .positions
+            .get_or_insert_with(|| GroupPositions::new(schema, &self.group_by));
+        positions.extend(&self.heap);
+        (&mut self.heap, positions)
+    }
+
+    /// The group-key → position index, if an append has built it.
+    #[cfg(test)]
+    pub(crate) fn group_positions(&self) -> Option<&GroupPositions> {
+        self.positions.as_ref()
     }
 
     /// Extends every index over rows appended to the heap since the index

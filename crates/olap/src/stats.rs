@@ -4,7 +4,8 @@
 //! frequencies; ablation E shows that assumption costs index-plan
 //! estimates up to ~170% error under Zipf-skewed data. A [`CubeStats`]
 //! holds one leaf-level frequency histogram per dimension, collected in
-//! one pass over the base table at load time. When present, predicate
+//! one pass over the base table at load time and absorbing every appended
+//! row after that. When present, predicate
 //! selectivities become exact marginals (joint independence is still
 //! assumed), collapsing the skew error.
 //!
@@ -80,6 +81,23 @@ impl CubeStats {
         }
         CubeStats {
             histograms: counts.into_iter().map(DimHistogram::new).collect(),
+        }
+    }
+
+    /// Absorbs appended fact rows (leaf keys plus measure): each row adds
+    /// one to its member's count in every dimension, so the result equals
+    /// a fresh [`collect`](Self::collect) over the grown base table.
+    ///
+    /// # Panics
+    /// Panics if a row's key count or a key is out of range for the
+    /// histograms (callers validate rows first).
+    pub fn absorb(&mut self, rows: &[(Vec<u32>, f64)]) {
+        for (keys, _) in rows {
+            assert_eq!(keys.len(), self.histograms.len(), "row arity");
+            for (h, &k) in self.histograms.iter_mut().zip(keys) {
+                h.counts[k as usize] += 1;
+                h.total += 1;
+            }
         }
     }
 

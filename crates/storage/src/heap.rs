@@ -440,25 +440,38 @@ impl HeapFile {
         (self.n_tuples - idx as u64 * per_page).min(per_page) as usize
     }
 
-    /// Overwrites the measure of tuple `pos` in place (keys unchanged).
-    /// Used by incremental view maintenance; unaccounted, like all
-    /// load-time mutation. A sealed page is decoded, patched, and resealed,
-    /// so the result is identical to a fresh build of the updated rows.
+    /// Overwrites the measures of the tuples at the given positions in place
+    /// (keys unchanged). Used by incremental view maintenance; unaccounted,
+    /// like all load-time mutation. Updates are applied page by page in
+    /// position order: a sealed page is decoded once, patched with every
+    /// update it holds, and resealed once, so the result is identical to a
+    /// fresh build of the updated rows. When a position repeats, its last
+    /// update wins.
     ///
     /// # Panics
-    /// Panics if `pos >= n_tuples()`.
-    pub fn update_measure(&mut self, pos: u64, measure: f64) {
-        assert!(pos < self.n_tuples, "tuple position out of range");
-        let (page_idx, slot) = self.locate(pos);
-        let moff = slot * self.layout.record_size() + self.layout.n_dims() * 4;
-        match &mut self.pages[page_idx] {
-            PageRepr::Raw(page) => {
-                page[moff..moff + 8].copy_from_slice(&measure.to_le_bytes());
+    /// Panics if any position is `>= n_tuples()`.
+    pub fn update_measures(&mut self, updates: &[(u64, f64)]) {
+        let mut order: Vec<&(u64, f64)> = updates.iter().collect();
+        order.sort_by_key(|&&(pos, _)| pos);
+        let per_page = self.layout.tuples_per_page() as u64;
+        let rec = self.layout.record_size();
+        let moff = self.layout.n_dims() * 4;
+        for run in order.chunk_by(|a, b| a.0 / per_page == b.0 / per_page) {
+            let (first, last) = (run[0].0, run[run.len() - 1].0);
+            assert!(last < self.n_tuples, "tuple position out of range");
+            let page_idx = (first / per_page) as usize;
+            let sealed = matches!(self.pages[page_idx], PageRepr::Packed(_));
+            if sealed {
+                self.pages[page_idx] = PageRepr::Raw(self.unseal(page_idx));
             }
-            PageRepr::Packed(_) => {
-                let mut bytes = self.unseal(page_idx);
-                bytes[moff..moff + 8].copy_from_slice(&measure.to_le_bytes());
-                self.pages[page_idx] = PageRepr::Raw(bytes);
+            let PageRepr::Raw(page) = &mut self.pages[page_idx] else {
+                unreachable!("page was just unsealed");
+            };
+            for &&(pos, measure) in run {
+                let off = (pos % per_page) as usize * rec + moff;
+                page[off..off + 8].copy_from_slice(&measure.to_le_bytes());
+            }
+            if sealed {
                 self.seal_at(page_idx);
             }
         }
@@ -950,19 +963,38 @@ mod tests {
     }
 
     #[test]
-    fn update_measure_reseals_identically_to_fresh_build() {
+    fn update_measures_reseal_identically_to_fresh_build() {
         let layout = TupleLayout::new(2);
         let per_page = layout.tuples_per_page() as u64;
-        let n = per_page * 2;
+        let n = per_page * 2 + 3; // two sealed pages and a raw tail
         let rows: Vec<([u32; 2], f64)> = (0..n).map(|i| ([(i % 5) as u32, 3], i as f64)).collect();
         let mut h = HeapFile::from_rows_compressed(FileId(3), layout, rows.iter().cloned());
-        h.update_measure(7, 123.5);
-        h.update_measure(per_page + 1, 0.1); // unquantizable: page may grow
+        // Unsorted, spanning every page, with one position updated twice
+        // (the last update wins); page 1 gets an unquantizable measure, so
+        // it may grow or fall back to raw.
+        let updates = [
+            (per_page + 1, 0.1),
+            (7, 99.0),
+            (n - 1, 4.25),
+            (3, 8.5),
+            (7, 123.5),
+            (per_page + 2, 6.0),
+        ];
+        h.update_measures(&updates);
         let mut updated = rows.clone();
-        updated[7].1 = 123.5;
-        updated[per_page as usize + 1].1 = 0.1;
+        for &(pos, m) in &updates {
+            updated[pos as usize].1 = m;
+        }
         let fresh = HeapFile::from_rows_compressed(FileId(3), layout, updated.iter().cloned());
         assert_eq!(h.resident_bytes(), fresh.resident_bytes());
+        for page in 0..h.page_count() {
+            assert_eq!(h.page_cost(page), fresh.page_cost(page), "page {page}");
+        }
+        // Page 0 took only quarter-unit measures: it stays packed.
+        assert!(
+            h.page_cost(0).1 > 0,
+            "an updated packed page must stay packed"
+        );
         let mut ka = [0u32; 2];
         let mut kb = [0u32; 2];
         for pos in 0..n {
@@ -971,6 +1003,13 @@ mod tests {
             assert_eq!(ka, kb);
             assert_eq!(ma.to_bits(), mb.to_bits());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "tuple position out of range")]
+    fn update_measures_rejects_positions_past_the_end() {
+        let mut h = small_heap(10);
+        h.update_measures(&[(10, 1.0)]);
     }
 
     #[test]

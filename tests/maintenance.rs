@@ -4,7 +4,8 @@
 
 use starshare::paper_queries::paper_query_text;
 use starshare::{
-    load_cube, reference_eval, save_cube, Engine, EngineConfig, HardwareModel, PaperCubeSpec,
+    load_cube, reference_eval, save_cube, Engine, EngineConfig, HardwareModel, OlapError,
+    PaperCubeSpec,
 };
 use starshare_prng::Prng;
 
@@ -143,6 +144,35 @@ fn failed_append_mutates_nothing() {
         epoch,
         "failed append must not move the epoch"
     );
+    assert_eq!(e.cube().catalog.table(base).n_rows(), rows_before);
+    let again = e.mdx(paper_query_text(1)).unwrap();
+    assert!(reference.result(0).approx_eq(again.result(0), 0.0));
+}
+
+/// A NaN or infinite measure is refused at the engine boundary with the
+/// typed error, before the cube, the cache, or the epoch is touched —
+/// otherwise it would poison every SUM/MIN/MAX view and patched entry.
+#[test]
+fn non_finite_measures_are_rejected_at_the_engine() {
+    let mut e = EngineConfig::paper().result_cache(true).build_paper(spec());
+    let reference = e.mdx(paper_query_text(1)).unwrap();
+    let epoch = e.cube().epoch;
+    let base = e.cube().catalog.base_table().unwrap();
+    let rows_before = e.cube().catalog.table(base).n_rows();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let rows = vec![(vec![0, 0, 0, 0], 1.0), (vec![1, 1, 1, 1], bad)];
+        match e.append_facts(&rows) {
+            Err(starshare::Error::Storage(OlapError::NonFiniteMeasure { row: 1, value })) => {
+                assert_eq!(value.to_bits(), bad.to_bits());
+            }
+            other => panic!("{bad} must be rejected as non-finite, got {other:?}"),
+        }
+        assert_eq!(
+            e.cube().epoch,
+            epoch,
+            "a rejected batch must not move the epoch"
+        );
+    }
     assert_eq!(e.cube().catalog.table(base).n_rows(), rows_before);
     let again = e.mdx(paper_query_text(1)).unwrap();
     assert!(reference.result(0).approx_eq(again.result(0), 0.0));
