@@ -32,8 +32,8 @@ use starshare_core::{
     shared_scan_hash_join, AggState, BufferPool, CacheStats, Catalog, ClassSpec, CombineMode,
     CpuCounters, Cube, CubeBuilder, Engine, EngineConfig, ExecContext, ExecReport, ExecStrategy,
     GlobalPlan, GroupBy, GroupByQuery, HardwareModel, HeapFile, IndexFormat, IoStats, JoinMethod,
-    LevelRef, MemberPred, MorselSpec, OptimizerKind, PaperCubeSpec, QueryResult, SimTime,
-    StoredTable, TableId, TupleLayout, WindowConfig, WindowOutcome, PAGE_SIZE,
+    LevelRef, MemberPred, OptimizerKind, PaperCubeSpec, QueryResult, SimTime, StoredTable, TableId,
+    TupleLayout, WindowConfig, WindowOutcome, PAGE_SIZE,
 };
 use starshare_prng::Prng;
 use starshare_serve::Server;
@@ -41,15 +41,6 @@ use starshare_serve::Server;
 /// The paper-cube scale every gate and the sim baseline run at (20,000
 /// base rows).
 pub const SCALE: f64 = 0.01;
-
-/// Bitwise row comparison: same keys, same `f64` bits.
-pub fn rows_equal(a: &QueryResult, b: &QueryResult) -> bool {
-    a.rows.len() == b.rows.len()
-        && a.rows
-            .iter()
-            .zip(&b.rows)
-            .all(|((ka, va), (kb, vb))| ka == kb && va.to_bits() == vb.to_bits())
-}
 
 /// Submission 0's per-query answers of two window runs, bit-compared.
 fn window_equal(a: &WindowOutcome, b: &WindowOutcome) -> bool {
@@ -61,7 +52,7 @@ fn window_equal(a: &WindowOutcome, b: &WindowOutcome) -> bool {
                     && x.results
                         .iter()
                         .zip(&y.results)
-                        .all(|(rx, ry)| matches!((rx, ry), (Ok(rx), Ok(ry)) if rows_equal(rx, ry)))
+                        .all(|(rx, ry)| matches!((rx, ry), (Ok(rx), Ok(ry)) if rx.bit_eq(ry)))
             }
             _ => false,
         })
@@ -353,7 +344,7 @@ pub fn skewed_probe(rows: u64, seed: u64) -> SkewedProbe {
 pub struct ThreadSweep {
     /// Workload label.
     pub name: &'static str,
-    /// Every thread count's rows agree with the first's (relative 1e-9).
+    /// Every thread count's rows equal the first's, bit for bit.
     pub rows_match: bool,
     /// `(sim, critical, io)` per thread count, in sweep order.
     pub runs: Vec<(SimTime, SimTime, IoStats)>,
@@ -379,9 +370,9 @@ fn sweep(name: &'static str, cube: &Cube, spec: &ClassSpec) -> ThreadSweep {
             ((r.sim, r.critical, r.io), oc.results)
         })
         .unzip();
-    let rows_match = results.windows(2).all(|w| {
-        w[0].len() == w[1].len() && w[0].iter().zip(&w[1]).all(|(a, b)| a.approx_eq(b, 1e-9))
-    });
+    let rows_match = results
+        .windows(2)
+        .all(|w| w[0].len() == w[1].len() && w[0].iter().zip(&w[1]).all(|(a, b)| a.bit_eq(b)));
     ThreadSweep {
         name,
         rows_match,
@@ -452,23 +443,14 @@ fn session_exprs(s: usize) -> Vec<&'static str> {
 /// exactly when every expression has arrived.
 pub fn serving_gate(scale: f64) -> Vec<ServingRow> {
     let spec = PaperCubeSpec::scaled(scale);
-    let strategy = ExecStrategy::Morsel(MorselSpec::whole_table());
-    let engine = || {
-        EngineConfig::paper()
-            .optimizer(OptimizerKind::Tplo)
-            .build_paper(spec)
-    };
+    let engine = || EngineConfig::paper().build_paper(spec);
     SERVING_SESSIONS
         .iter()
         .map(|&n| {
             let sessions: Vec<Vec<&'static str>> = (0..n).map(session_exprs).collect();
             let solos: Vec<WindowOutcome> = sessions
                 .iter()
-                .map(|exprs| {
-                    engine()
-                        .mdx_window(&[exprs.as_slice()], OptimizerKind::Tplo, strategy)
-                        .expect("solo run")
-                })
+                .map(|exprs| engine().mdx_window(&[exprs.as_slice()]).expect("solo run"))
                 .collect();
             let isolated_sim = solos
                 .iter()
@@ -501,22 +483,23 @@ pub fn serving_gate(scale: f64) -> Vec<ServingRow> {
                 "burst split across windows; raise the close budget"
             );
             assert_eq!(w.n_submissions, n);
-            let differential_ok = replies.iter().zip(&solos).all(|(reply, solo)| {
-                let solo_answers = solo.submission(0);
-                reply.attributed == solo.attributed[0]
-                    && reply.outcomes.len() == solo_answers.len()
-                    && reply
-                        .outcomes
-                        .iter()
-                        .zip(solo_answers)
-                        .all(|(w, s)| match (w, s) {
-                            (Ok(w), Ok(s)) => w.results.len() == s.results.len()
-                                && w.results.iter().zip(&s.results).all(
-                                    |(a, b)| matches!((a, b), (Ok(a), Ok(b)) if rows_equal(a, b)),
-                                ),
-                            _ => false,
-                        })
-            });
+            let differential_ok =
+                replies.iter().zip(&solos).all(|(reply, solo)| {
+                    let solo_answers = solo.submission(0);
+                    reply.attributed == solo.attributed[0]
+                        && reply.outcomes.len() == solo_answers.len()
+                        && reply
+                            .outcomes
+                            .iter()
+                            .zip(solo_answers)
+                            .all(|(w, s)| match (w, s) {
+                                (Ok(w), Ok(s)) => w.results.len() == s.results.len()
+                                    && w.results.iter().zip(&s.results).all(
+                                        |(a, b)| matches!((a, b), (Ok(a), Ok(b)) if a.bit_eq(b)),
+                                    ),
+                                _ => false,
+                            })
+                });
             ServingRow {
                 sessions: n,
                 cross_session_classes: w.cross_session_classes,
@@ -561,12 +544,14 @@ pub fn dashboard_refresh(refresh: usize) -> Vec<&'static str> {
 
 fn refresh_window(e: &mut Engine, refresh: usize) -> WindowOutcome {
     let exprs = dashboard_refresh(refresh);
-    e.mdx_window(
-        &[exprs.as_slice()],
-        OptimizerKind::Tplo,
-        ExecStrategy::Morsel(MorselSpec::whole_table()),
-    )
-    .expect("dashboard refresh runs")
+    e.mdx_window(&[exprs.as_slice()])
+        .expect("dashboard refresh runs")
+}
+
+/// The plan settings behind the cache and streaming gates' `BENCH_sim.json`
+/// figures: TPLO plans over whole-table morsels.
+fn pinned_plans(cfg: EngineConfig) -> EngineConfig {
+    cfg.optimizer(OptimizerKind::Tplo).morsel_pages(u32::MAX)
 }
 
 /// Summed simulated cost of windows `1..` (the repeated refreshes).
@@ -603,15 +588,12 @@ pub struct CacheGate {
 pub fn cache_gate(scale: f64) -> CacheGate {
     let spec = PaperCubeSpec::scaled(scale);
     let cached = |budget: usize| {
-        EngineConfig::paper()
-            .optimizer(OptimizerKind::Tplo)
+        pinned_plans(EngineConfig::paper())
             .result_cache(true)
             .cache_bytes(budget)
             .build_paper(spec)
     };
-    let mut cold = EngineConfig::paper()
-        .optimizer(OptimizerKind::Tplo)
-        .build_paper(spec);
+    let mut cold = pinned_plans(EngineConfig::paper()).build_paper(spec);
     let cold_outs: Vec<WindowOutcome> = (0..DASHBOARD_REFRESHES)
         .map(|r| refresh_window(&mut cold, r))
         .collect();
@@ -659,7 +641,7 @@ pub const STREAM_ROUNDS: usize = 4;
 const STREAM_SALT: u64 = 0x57e4_11a9_b01d_u64;
 
 /// Deterministic append batches: keys within the leaf cardinalities,
-/// measures quantized to quarter units, so patched sums are exact.
+/// measures in quarter units.
 fn stream_batches(spec: PaperCubeSpec, rows_per: usize) -> Vec<Vec<(Vec<u32>, f64)>> {
     let schema = paper_schema(spec.d_leaf);
     let cards: Vec<u32> = (0..schema.n_dims())
@@ -692,7 +674,7 @@ fn stream_leg(
     spec: PaperCubeSpec,
     batches: &[Vec<(Vec<u32>, f64)>],
 ) -> StreamLeg {
-    let mut e = cfg.optimizer(OptimizerKind::Tplo).build_paper(spec);
+    let mut e = pinned_plans(cfg).build_paper(spec);
     let mut outs = vec![refresh_window(&mut e, 1)];
     let mut round_sim = SimTime::ZERO;
     let mut append_sim = SimTime::ZERO;

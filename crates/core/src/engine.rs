@@ -6,7 +6,7 @@ use starshare_bitmap::IndexFormat;
 use starshare_exec::{
     execute_class, CacheHit, CacheStats, ClassSpec, ExecContext, ExecError, ExecReport,
     ExecStrategy, MetricsSnapshot, MorselSpec, Provenance, QueryProfile, QueryResult, ResultCache,
-    Telemetry, TelemetryConfig, WindowReport, WindowTimer,
+    Telemetry, TelemetryConfig, WindowReport, WindowTimer, DEFAULT_MORSEL_PAGES,
 };
 use starshare_mdx::{bind, parse, BoundMdx};
 use starshare_olap::{paper_cube, Cube, GroupByQuery, PaperCubeSpec};
@@ -275,16 +275,11 @@ pub struct WindowConfig {
     /// submissions are rejected with
     /// [`Overload::Tenant`](crate::Overload::Tenant).
     pub tenant_inflight: usize,
-    /// Optimizer for window plans. Defaults to TPLO — the only algorithm
-    /// whose per-query assignments are independent of window-mates, which
-    /// is what makes windowed results bit-identical to solo runs (see
-    /// `starshare_opt::window`).
+    /// Not read by the engine: windows plan with
+    /// [`EngineConfig::optimizer`]. Defaults to that field's default.
     pub optimizer: OptimizerKind,
-    /// Pages per morsel for window execution. Defaults to `u32::MAX`
-    /// (whole-table morsels): probe-morsel boundaries depend on the
-    /// class's *combined* candidate bitmap, so smaller morsels would let
-    /// window-mates shift float summation order. Whole-table units keep
-    /// windowed results bit-identical to solo runs at any thread count.
+    /// Not read by the engine: windows execute with
+    /// [`EngineConfig::morsel_pages`]. Defaults to that field's default.
     pub morsel_pages: u32,
 }
 
@@ -296,8 +291,8 @@ impl Default for WindowConfig {
             max_wait: Duration::from_millis(2),
             queue_depth: 256,
             tenant_inflight: 32,
-            optimizer: OptimizerKind::Tplo,
-            morsel_pages: u32::MAX,
+            optimizer: OptimizerKind::Gg,
+            morsel_pages: DEFAULT_MORSEL_PAGES,
         }
     }
 }
@@ -330,22 +325,6 @@ impl WindowConfig {
     /// Sets the per-tenant in-flight budget (clamped to ≥ 1).
     pub fn tenant_inflight(mut self, n: usize) -> Self {
         self.tenant_inflight = n.max(1);
-        self
-    }
-
-    /// Sets the window optimizer. Anything but
-    /// [`Tplo`](OptimizerKind::Tplo) trades the windowed-equals-solo
-    /// bit-identity guarantee for more aggressive sharing.
-    pub fn optimizer(mut self, kind: OptimizerKind) -> Self {
-        self.optimizer = kind;
-        self
-    }
-
-    /// Sets the pages-per-morsel for window execution (clamped to ≥ 1).
-    /// Anything but `u32::MAX` trades the windowed-equals-solo
-    /// bit-identity guarantee for finer parallel load balancing.
-    pub fn morsel_pages(mut self, pages: u32) -> Self {
-        self.morsel_pages = pages.max(1);
         self
     }
 }
@@ -505,8 +484,7 @@ impl EngineConfig {
     /// ≥ 1) by selecting a morsel strategy of that granularity. Smaller
     /// morsels balance load better at the price of more per-morsel
     /// overhead; `u32::MAX` degenerates to one morsel per class. Results
-    /// are invariant to within float reassociation; I/O counters are
-    /// exactly invariant (morsels are page-aligned).
+    /// and I/O counters are invariant (morsels are page-aligned).
     pub fn morsel_pages(mut self, pages: u32) -> Self {
         self.strategy = ExecStrategy::Morsel(MorselSpec::with_pages(pages));
         self
@@ -835,8 +813,7 @@ impl Engine {
     /// expression; a multi-user OLAP server sees exactly this batch shape).
     ///
     /// A thin wrapper over [`mdx_window`](Engine::mdx_window) with a
-    /// single submission, the engine's optimizer, and the engine's
-    /// execution strategy.
+    /// single submission.
     ///
     /// Failures degrade per query, not per batch: an expression that fails
     /// to parse or bind occupies an `Err` outcome slot, and an execution
@@ -849,7 +826,7 @@ impl Engine {
     /// by rolling up a cached finer result) never reach the planner — an
     /// all-exact-hit batch is served from memory with zero simulated cost.
     pub fn mdx_many(&mut self, texts: &[&str]) -> Result<Outcome> {
-        let window = self.mdx_window(&[texts], self.config.optimizer, self.config.strategy)?;
+        let window = self.mdx_window(&[texts])?;
         let mut submissions = window.submissions;
         let mut profiles = window.profiles;
         let outcomes = submissions.pop().ok_or_else(|| {
@@ -867,11 +844,11 @@ impl Engine {
 
     /// Evaluates one optimization **window**: several independent
     /// *submissions* (each its own batch of MDX expressions — e.g. one
-    /// per serving session), planned as a single pooled query set with
-    /// `optimizer`, executed once under `strategy`, and routed back per
-    /// submission. This is the entry point `starshare-serve` drives; the
-    /// engine's own [`mdx_many`](Engine::mdx_many) is the single-submission
-    /// special case.
+    /// per serving session), planned as a single pooled query set with the
+    /// engine's optimizer, executed once under its execution strategy, and
+    /// routed back per submission. This is the entry point `starshare-serve`
+    /// drives; the engine's own [`mdx_many`](Engine::mdx_many) is the
+    /// single-submission special case.
     ///
     /// Per-submission isolation inside the shared run:
     ///
@@ -884,19 +861,8 @@ impl Engine {
     ///   degradation);
     /// * [`WindowOutcome::attributed`] prices each submission's query set
     ///   *as if it ran alone* — independent of window-mates.
-    ///
-    /// Determinism: with an assignment-stable optimizer
-    /// ([`Tplo`](OptimizerKind::Tplo)) and whole-table morsels
-    /// ([`MorselSpec::whole_table`]), a submission's results are
-    /// bit-identical to running it alone — see `starshare_opt::window`
-    /// for the argument and [`WindowConfig`] for the defaults that pin
-    /// this.
-    pub fn mdx_window<S: AsRef<str>>(
-        &mut self,
-        submissions: &[&[S]],
-        optimizer: OptimizerKind,
-        strategy: ExecStrategy,
-    ) -> Result<WindowOutcome> {
+    pub fn mdx_window<S: AsRef<str>>(&mut self, submissions: &[&[S]]) -> Result<WindowOutcome> {
+        let (optimizer, strategy) = (self.config.optimizer, self.config.strategy);
         // Routes executed (or cached) per-query outcomes back to their
         // submissions, preserving expression input order and binding
         // order within each expression.
@@ -1378,8 +1344,7 @@ impl Engine {
     }
 
     /// [`execute_plan_degraded`](Engine::execute_plan_degraded) under an
-    /// explicit [`ExecStrategy`] — the window path uses this to pin
-    /// whole-table morsels regardless of the engine's own strategy.
+    /// explicit [`ExecStrategy`] instead of the engine's own.
     pub fn execute_plan_degraded_with(
         &mut self,
         plan: &GlobalPlan,
@@ -1855,6 +1820,19 @@ mod tests {
         e.set_optimizer(OptimizerKind::Gg);
         assert_eq!(e.optimizer(), OptimizerKind::Gg);
     }
+
+    /// Windows run on the engine's own plan settings; the legacy
+    /// `WindowConfig` fields, which a traced replay of served traffic
+    /// reads, must name the same ones.
+    #[test]
+    fn window_config_defaults_match_the_engine_defaults() {
+        let (cfg, window) = (EngineConfig::new(), WindowConfig::default());
+        assert_eq!(window.optimizer, cfg.optimizer);
+        assert_eq!(
+            ExecStrategy::Morsel(MorselSpec::with_pages(window.morsel_pages)),
+            cfg.strategy
+        );
+    }
 }
 
 #[cfg(test)]
@@ -1988,13 +1966,7 @@ mod cache_tests {
         assert!(n > 0);
         let sub_a = [paper_query_text(1)];
         let sub_b = [paper_query_text(2)];
-        let w = e
-            .mdx_window(
-                &[&sub_a[..], &sub_b[..]],
-                OptimizerKind::Tplo,
-                ExecStrategy::Morsel(MorselSpec::whole_table()),
-            )
-            .unwrap();
+        let w = e.mdx_window(&[&sub_a[..], &sub_b[..]]).unwrap();
         assert!(w.all_ok());
         assert_eq!(w.report.exec.sim, SimTime::ZERO, "cache hit must be free");
         assert_eq!(w.attributed, vec![SimTime::ZERO; 2]);
@@ -2051,16 +2023,11 @@ mod cache_tests {
     fn window_outcome_reports_cache_activity() {
         let mut e = engine();
         let sub = [paper_query_text(1)];
-        let strategy = ExecStrategy::Morsel(MorselSpec::whole_table());
-        let w1 = e
-            .mdx_window(&[&sub[..]], OptimizerKind::Tplo, strategy)
-            .unwrap();
+        let w1 = e.mdx_window(&[&sub[..]]).unwrap();
         assert_eq!(w1.cache.misses, 1);
         assert_eq!(w1.cache.insertions, 1);
         assert_eq!(w1.cache.hits(), 0);
-        let w2 = e
-            .mdx_window(&[&sub[..]], OptimizerKind::Tplo, strategy)
-            .unwrap();
+        let w2 = e.mdx_window(&[&sub[..]]).unwrap();
         assert_eq!(w2.cache.exact_hits, 1);
         assert_eq!(w2.cache.misses, 0);
         assert_eq!(w2.cache.insertions, 0);
@@ -2128,19 +2095,13 @@ mod window_tests {
         Engine::paper(spec())
     }
 
-    fn window_strategy() -> ExecStrategy {
-        ExecStrategy::Morsel(MorselSpec::whole_table())
-    }
-
     #[test]
     fn window_routes_every_submission_in_order() {
         let mut e = engine();
         let sub_a = [paper_query_text(1), paper_query_text(2)];
         let sub_b = [paper_query_text(3)];
         let subs: Vec<&[&str]> = vec![&sub_a, &sub_b];
-        let w = e
-            .mdx_window(&subs, OptimizerKind::Tplo, window_strategy())
-            .unwrap();
+        let w = e.mdx_window(&subs).unwrap();
         assert!(w.all_ok());
         assert_eq!(w.submissions.len(), 2);
         assert_eq!(w.submission(0).len(), 2);
@@ -2159,8 +2120,9 @@ mod window_tests {
 
     #[test]
     fn windowed_results_are_bit_identical_to_solo_runs() {
-        // The serving determinism contract: under TPLO + whole-table
-        // morsels, a submission's answers do not depend on window-mates.
+        // The serving determinism contract: at the engine's own optimizer
+        // and morsel size, a submission's answers do not depend on
+        // window-mates.
         let texts = [
             paper_query_text(1),
             paper_query_text(2),
@@ -2168,18 +2130,12 @@ mod window_tests {
         ];
         let mut e = engine();
         let subs: Vec<&[&str]> = texts.iter().map(std::slice::from_ref).collect();
-        let windowed = e
-            .mdx_window(&subs, OptimizerKind::Tplo, window_strategy())
-            .unwrap();
+        let windowed = e.mdx_window(&subs).unwrap();
         assert!(windowed.all_ok());
         for (si, text) in texts.iter().enumerate() {
             let mut solo_engine = engine();
             let solo = solo_engine
-                .mdx_window(
-                    &[std::slice::from_ref(text)],
-                    OptimizerKind::Tplo,
-                    window_strategy(),
-                )
+                .mdx_window(&[std::slice::from_ref(text)])
                 .unwrap();
             let w_oc = windowed.submission(si)[0].as_ref().unwrap();
             let s_oc = solo.submission(0)[0].as_ref().unwrap();
@@ -2201,9 +2157,7 @@ mod window_tests {
     fn duplicate_submissions_share_one_class_and_both_answer() {
         let mut e = engine();
         let t = paper_query_text(1);
-        let w = e
-            .mdx_window(&[&[t], &[t]], OptimizerKind::Tplo, window_strategy())
-            .unwrap();
+        let w = e.mdx_window(&[&[t], &[t]]).unwrap();
         assert!(w.all_ok());
         // Identical queries merge into one class fed by both submitters.
         assert!(w.sharing.cross_submission_classes >= 1);
@@ -2219,9 +2173,7 @@ mod window_tests {
         let mut e = engine();
         let sub_b = [paper_query_text(2)];
         let subs: Vec<&[&str]> = vec![&["this is not MDX"], &sub_b];
-        let w = e
-            .mdx_window(&subs, OptimizerKind::Tplo, window_strategy())
-            .unwrap();
+        let w = e.mdx_window(&subs).unwrap();
         assert!(matches!(w.submission(0)[0], Err(Error::Parse(_))));
         assert!(w.submission(1)[0].as_ref().unwrap().all_ok());
         assert_eq!(w.attributed[0], SimTime::ZERO);
@@ -2232,9 +2184,7 @@ mod window_tests {
     fn empty_window_reports_degenerate_sharing() {
         let mut e = engine();
         let subs: Vec<&[&str]> = vec![&["nope"], &[]];
-        let w = e
-            .mdx_window(&subs, OptimizerKind::Tplo, window_strategy())
-            .unwrap();
+        let w = e.mdx_window(&subs).unwrap();
         assert_eq!(w.sharing.n_classes, 0);
         assert_eq!(w.sharing.shared_scan_ratio, 1.0);
         assert!(matches!(w.submission(0)[0], Err(Error::Parse(_))));
@@ -2250,9 +2200,7 @@ mod window_tests {
         let t = paper_query_text(1);
         let clean_rows = {
             let mut e = engine();
-            let w = e
-                .mdx_window(&[&[t], &[t]], OptimizerKind::Tplo, window_strategy())
-                .unwrap();
+            let w = e.mdx_window(&[&[t], &[t]]).unwrap();
             w.submission(0)[0].as_ref().unwrap().result(0).rows.clone()
         };
         let mut faulted_submissions = 0usize;
@@ -2263,9 +2211,7 @@ mod window_tests {
                 transient: 0.05,
                 poison: 0.01,
             });
-            let w = e
-                .mdx_window(&[&[t], &[t]], OptimizerKind::Tplo, window_strategy())
-                .unwrap();
+            let w = e.mdx_window(&[&[t], &[t]]).unwrap();
             for si in 0..2 {
                 match &w.submission(si)[0].as_ref().unwrap().results[0] {
                     Ok(r) => assert_eq!(
@@ -2289,9 +2235,7 @@ mod window_tests {
         let sub_a = [paper_query_text(1)];
         let sub_b = [paper_query_text(3)];
         let subs: Vec<&[&str]> = vec![&sub_a, &sub_b];
-        let w = e
-            .mdx_window(&subs, OptimizerKind::Tplo, window_strategy())
-            .unwrap();
+        let w = e.mdx_window(&subs).unwrap();
         assert_eq!(w.report.n_submissions, 2);
         assert_eq!(w.report.n_queries, w.sharing.n_queries);
         assert_eq!(w.report.n_classes, w.plan.classes.len());

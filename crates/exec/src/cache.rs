@@ -31,19 +31,14 @@
 //! benefit-per-byte is evicted first whenever the configured byte budget
 //! overflows. An entry larger than the whole budget is never admitted.
 //!
-//! ### Why rollups are bit-identical
-//!
-//! Re-aggregating a finer SUM result reassociates float addition, which is
-//! only safe because the synthetic measure is quantized to exact binary
-//! fractions (see `starshare_olap::datagen`): sums over them are exact, so
-//! a subsumption rollup reproduces direct evaluation bit-for-bit — the
-//! invariant the testkit's `cache` differential and the cache bench gate
-//! on. MIN/MAX/COUNT re-aggregate exactly by construction; AVG is not
-//! re-aggregable and is answered only by exact hits.
+//! Rollups and patches merge partial aggregates with
+//! [`Distributive::combine`], which is exact on the measure domain, so
+//! they reproduce direct evaluation bit for bit. AVG is not distributive
+//! and is answered only by exact hits.
 
 use std::collections::BTreeMap;
 
-use starshare_olap::{AggFn, GroupBy, GroupByQuery, LevelRef, MemberPred, StarSchema};
+use starshare_olap::{Distributive, GroupBy, GroupByQuery, LevelRef, MemberPred, StarSchema};
 use starshare_storage::{CpuCounters, HardwareModel, SimTime};
 
 use crate::context::ExecReport;
@@ -203,8 +198,9 @@ struct Entry {
 enum LeafPipeline {
     /// No append has reached the entry yet.
     Pending,
-    /// The entry's query compiled against the leaf group-by.
-    Ready(DimPipeline),
+    /// The entry's aggregate, and its query compiled against the leaf
+    /// group-by.
+    Ready(Distributive, DimPipeline),
     /// The entry cannot be delta-patched: AVG, or predicates that do not
     /// compile against the leaf.
     Unpatchable,
@@ -324,7 +320,7 @@ impl ResultCache {
         let leaf = LeafDelta::new(schema.n_dims(), rows);
         // Leaf measure columns, aggregated once per cached aggregate and
         // shared by every entry carrying it.
-        let mut measures: Vec<(AggFn, Vec<f64>)> = Vec::new();
+        let mut measures: Vec<(Distributive, Vec<f64>)> = Vec::new();
         let mut sel = Vec::new();
 
         let mut kept = Vec::with_capacity(self.entries.len());
@@ -336,17 +332,17 @@ impl ResultCache {
                 continue;
             }
             if matches!(e.leaf_pipeline, LeafPipeline::Pending) {
-                e.leaf_pipeline = match e.query.agg {
-                    AggFn::Avg => LeafPipeline::Unpatchable,
-                    _ => DimPipeline::compile(schema, &finest, &e.query)
-                        .map_or(LeafPipeline::Unpatchable, LeafPipeline::Ready),
-                };
+                let ready = e.query.agg.distributive().and_then(|agg| {
+                    let pipeline = DimPipeline::compile(schema, &finest, &e.query).ok()?;
+                    Some(LeafPipeline::Ready(agg, pipeline))
+                });
+                e.leaf_pipeline = ready.unwrap_or(LeafPipeline::Unpatchable);
             }
-            let LeafPipeline::Ready(pipeline) = &e.leaf_pipeline else {
+            let LeafPipeline::Ready(agg, pipeline) = &e.leaf_pipeline else {
                 self.stats.patch_drops += 1;
                 continue;
             };
-            let agg = e.query.agg;
+            let agg = *agg;
             let i = match measures.iter().position(|(a, _)| *a == agg) {
                 Some(i) => i,
                 None => {
@@ -420,11 +416,12 @@ impl ResultCache {
             .entries
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.epoch == self.epoch && covers(schema, &e.query, probe))
-            .min_by_key(|(_, e)| (e.result.rows.len(), e.seq))
-            .map(|(i, _)| i);
-        if let Some(i) = candidate {
-            match roll_up(schema, &self.entries[i].result, probe, model) {
+            .filter(|(_, e)| e.epoch == self.epoch)
+            .filter_map(|(i, e)| Some((i, e, covers(schema, &e.query, probe)?)))
+            .min_by_key(|(_, e, _)| (e.result.rows.len(), e.seq))
+            .map(|(i, _, agg)| (i, agg));
+        if let Some((i, agg)) = candidate {
+            match roll_up(schema, &self.entries[i].result, probe, agg, model) {
                 Ok((result, report)) => {
                     let e = &mut self.entries[i];
                     // Credit the saved time: the probe avoided producing a
@@ -534,17 +531,18 @@ impl LeafDelta {
 
     /// Each distinct key's `agg` over its appended rows, folded in row
     /// order; charges one hash probe plus one aggregate update per row.
-    fn measures(&self, agg: AggFn, rows: &[(Vec<u32>, f64)], cpu: &mut CpuCounters) -> Vec<f64> {
+    fn measures(
+        &self,
+        agg: Distributive,
+        rows: &[(Vec<u32>, f64)],
+        cpu: &mut CpuCounters,
+    ) -> Vec<f64> {
         let mut acc: Vec<Option<f64>> = vec![None; self.len()];
         for ((_, m), &g) in rows.iter().zip(&self.group_of) {
             cpu.hash_probes += 1;
             cpu.agg_updates += 1;
-            let v = match agg {
-                AggFn::Sum | AggFn::Min | AggFn::Max => *m,
-                AggFn::Count => 1.0,
-                AggFn::Avg => unreachable!("AVG entries are never patched"),
-            };
-            acc[g] = Some(acc[g].map_or(v, |a| combine(agg, a, v)));
+            let v = agg.of_fact(*m);
+            acc[g] = Some(acc[g].map_or(v, |a| agg.combine(a, v)));
         }
         acc.into_iter()
             .map(|v| v.expect("every distinct key has a row"))
@@ -561,7 +559,7 @@ impl LeafDelta {
 /// one probe plus update per survivor, one tuple copy per patch group.
 fn patch_rows(
     pipeline: &DimPipeline,
-    agg: AggFn,
+    agg: Distributive,
     leaf: &LeafDelta,
     measures: &[f64],
     rows: &mut Vec<(Vec<u32>, f64)>,
@@ -581,7 +579,7 @@ fn patch_rows(
         cpu.hash_probes += 1;
         cpu.agg_updates += 1;
         match patch.get_mut(out_key.as_slice()) {
-            Some(acc) => *acc = combine(agg, *acc, measures[i]),
+            Some(acc) => *acc = agg.combine(*acc, measures[i]),
             None => {
                 patch.insert(out_key.clone(), measures[i]);
             }
@@ -600,22 +598,11 @@ fn patch_rows(
             rows.push(r);
         }
         match old.next_if(|(rk, _)| *rk == k) {
-            Some((rk, v)) => rows.push((rk, combine(agg, v, dv))),
+            Some((rk, v)) => rows.push((rk, agg.combine(v, dv))),
             None => rows.push((k, dv)),
         }
     }
     rows.extend(old);
-}
-
-/// Combines two partial aggregates of the same re-aggregable function.
-fn combine(agg: AggFn, a: f64, b: f64) -> f64 {
-    match agg {
-        // SUM cells add; COUNT cells (already counts) add too.
-        AggFn::Sum | AggFn::Count => a + b,
-        AggFn::Min => a.min(b),
-        AggFn::Max => a.max(b),
-        AggFn::Avg => unreachable!("AVG is never delta-combined"),
-    }
 }
 
 /// Byte-budget charge of one result: fixed overhead plus the row payload
@@ -625,24 +612,28 @@ pub fn result_bytes(result: &QueryResult) -> usize {
     ENTRY_OVERHEAD_BYTES + result.rows.len() * (key_width * 4 + 8)
 }
 
-/// True when a probe is answerable from `cached`'s result by re-aggregation:
-/// same re-aggregable aggregate, the cached group-by derives everything the
-/// probe needs, and every cached predicate covers the probe's on that
-/// dimension (no row the probe wants was filtered away).
-fn covers(schema: &StarSchema, cached: &GroupByQuery, probe: &GroupByQuery) -> bool {
-    if cached.agg != probe.agg || probe.agg == AggFn::Avg {
-        // AVG is not re-aggregable; everything else combines exactly.
-        return false;
-    }
-    if !probe.answerable_from(&cached.group_by) {
-        return false;
-    }
-    cached
-        .preds
-        .iter()
-        .zip(&probe.preds)
-        .enumerate()
-        .all(|(d, (cp, pp))| pred_covers(schema, d, cp, pp))
+/// The aggregate to re-aggregate with when a probe is answerable from
+/// `cached`'s result: the same distributive aggregate (AVG is not), a
+/// cached group-by that derives everything the probe needs, and cached
+/// predicates that each cover the probe's on their dimension (no row the
+/// probe wants was filtered away). `None` otherwise.
+fn covers(
+    schema: &StarSchema,
+    cached: &GroupByQuery,
+    probe: &GroupByQuery,
+) -> Option<Distributive> {
+    let agg = probe
+        .agg
+        .distributive()
+        .filter(|_| cached.agg == probe.agg)?;
+    let covered = probe.answerable_from(&cached.group_by)
+        && cached
+            .preds
+            .iter()
+            .zip(&probe.preds)
+            .enumerate()
+            .all(|(d, (cp, pp))| pred_covers(schema, d, cp, pp));
+    covered.then_some(agg)
 }
 
 /// True when every row the probe's predicate wants on dimension `d`
@@ -693,6 +684,7 @@ fn roll_up(
     schema: &StarSchema,
     cached: &QueryResult,
     probe: &GroupByQuery,
+    agg: Distributive,
     model: &HardwareModel,
 ) -> Result<(QueryResult, ExecReport), crate::error::ExecError> {
     let stored = &cached.query.group_by;
@@ -727,13 +719,7 @@ fn roll_up(
             }
             std::collections::btree_map::Entry::Occupied(mut o) => {
                 let acc = o.get_mut();
-                *acc = match probe.agg {
-                    // SUM cells add; COUNT cells (already counts) add too.
-                    AggFn::Sum | AggFn::Count => *acc + m,
-                    AggFn::Min => acc.min(*m),
-                    AggFn::Max => acc.max(*m),
-                    AggFn::Avg => unreachable!("AVG rejected by covers()"),
-                };
+                *acc = agg.combine(*acc, *m);
             }
         }
     }
@@ -752,7 +738,7 @@ fn roll_up(
 mod tests {
     use super::*;
     use crate::reference::reference_eval;
-    use starshare_olap::{lattice_nodes, paper_cube, GroupBy, PaperCubeSpec};
+    use starshare_olap::{lattice_nodes, paper_cube, AggFn, GroupBy, PaperCubeSpec};
 
     fn cube() -> starshare_olap::Cube {
         paper_cube(PaperCubeSpec {
@@ -792,8 +778,7 @@ mod tests {
     /// The keystone property: for *every* derivable pair of lattice nodes
     /// on the paper schema, answering the coarser query by rolling up a
     /// cached finer result is bit-identical to evaluating the coarser
-    /// query directly from the base table. (Exact because the synthetic
-    /// measure is quantized — see the module docs.)
+    /// query directly from the base table.
     #[test]
     fn rollup_from_finer_matches_direct_evaluation_for_every_derivable_pair() {
         let cube = cube();
@@ -1314,7 +1299,7 @@ mod tests {
     /// must match it row for row and counter for counter.
     fn patch_rows_rowwise(
         pipeline: &DimPipeline,
-        agg: AggFn,
+        agg: Distributive,
         delta_rows: &[(Vec<u32>, f64)],
         rows: &mut Vec<(Vec<u32>, f64)>,
         cpu: &mut CpuCounters,
@@ -1323,10 +1308,10 @@ mod tests {
         for (key, m) in delta_rows {
             cpu.hash_probes += 1;
             cpu.agg_updates += 1;
-            let v = if agg == AggFn::Count { 1.0 } else { *m };
+            let v = agg.of_fact(*m);
             delta
                 .entry(key.clone())
-                .and_modify(|acc| *acc = combine(agg, *acc, v))
+                .and_modify(|acc| *acc = agg.combine(*acc, v))
                 .or_insert(v);
         }
         let mut patch: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
@@ -1340,13 +1325,13 @@ mod tests {
             cpu.agg_updates += 1;
             patch
                 .entry(out_key.clone())
-                .and_modify(|acc| *acc = combine(agg, *acc, *m))
+                .and_modify(|acc| *acc = agg.combine(*acc, *m))
                 .or_insert(*m);
         }
         for (k, dv) in patch {
             cpu.tuple_copies += 1;
             match rows.binary_search_by(|(rk, _)| rk.cmp(&k)) {
-                Ok(i) => rows[i].1 = combine(agg, rows[i].1, dv),
+                Ok(i) => rows[i].1 = agg.combine(rows[i].1, dv),
                 Err(i) => rows.insert(i, (k, dv)),
             }
         }
@@ -1377,7 +1362,8 @@ mod tests {
         let mut rng = starshare_prng::Prng::seed_from_u64(0x0ca7_c4e5);
         let (mut grew, mut filtered, mut sel) = (0, 0, Vec::new());
         for case in 0..400usize {
-            let agg = [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max][case % 4];
+            let agg_fn = [AggFn::Sum, AggFn::Count, AggFn::Min, AggFn::Max][case % 4];
+            let agg = agg_fn.distributive().unwrap();
             let mut dims: Vec<usize> = (0..schema.n_dims()).collect();
             rng.shuffle(&mut dims);
             let n_preds = rng.gen_range(0..schema.n_dims() + 1);
@@ -1393,7 +1379,7 @@ mod tests {
                 })
                 .collect();
             let group_by = nodes[rng.gen_range(0..nodes.len())].clone();
-            let query = GroupByQuery::new(group_by, preds).with_agg(agg);
+            let query = GroupByQuery::new(group_by, preds).with_agg(agg_fn);
             let entry = reference_eval(&cube, base, &query).rows;
             let from_base = case % 8 < 4;
             let delta: Vec<(Vec<u32>, f64)> = (0..rng.gen_range(0..80usize))

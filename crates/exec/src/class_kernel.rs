@@ -662,7 +662,7 @@ mod tests {
             .zip(spec.hash_queries.iter().chain(&spec.index_queries))
         {
             let expect = crate::reference_eval(&cube, t, q);
-            assert!(r.approx_eq(&expect, 1e-9), "{}", q.display(&cube.schema));
+            assert!(r.bit_eq(&expect), "{}", q.display(&cube.schema));
         }
         assert_eq!(rs[3].n_groups(), 0);
     }

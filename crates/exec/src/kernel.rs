@@ -294,9 +294,7 @@ impl AggKernel {
     /// Merges a partition's partial accumulator into `dst` (partitioned
     /// execution, phase 3). Counter contract, identical to the pre-kernel
     /// merge loop: per source group one `hash_probes`, then `agg_updates`
-    /// on a hit or `hash_builds` on a miss. Group states merge in call
-    /// order (= partition order), keeping floating-point association
-    /// deterministic.
+    /// on a hit or `hash_builds` on a miss.
     pub fn merge_partial(
         &self,
         dst: &mut GroupAcc,

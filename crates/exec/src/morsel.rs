@@ -160,7 +160,8 @@ pub(crate) fn probe_morsels(heap: &HeapFile, total: &Bitmap, pages: u32) -> Vec<
     out
 }
 
-/// Runs units `0..n_units` across `threads` workers with work-stealing.
+/// Runs units `0..n_units` across `threads` workers with work-stealing;
+/// the calling thread is worker 0.
 ///
 /// Each worker owns a scratch value from `make_scratch` (reused across all
 /// units it runs). `run(scratch, unit)` must write its output somewhere
@@ -181,13 +182,6 @@ pub(crate) fn run_units<S>(
         return 0;
     }
     let threads = threads.max(1).min(n_units);
-    if threads == 1 {
-        let mut scratch = make_scratch();
-        for u in 0..n_units {
-            run(&mut scratch, u);
-        }
-        return 0;
-    }
     // Seed round-robin: unit u starts in deque u % threads. All units exist
     // up front (none are spawned mid-run), so "every deque empty" is a
     // sound termination condition: a worker exits after a full sweep finds
@@ -198,29 +192,30 @@ pub(crate) fn run_units<S>(
     let pop = |d: &Mutex<VecDeque<usize>>| d.lock().expect("no panics hold deques").pop_front();
     let steal = |d: &Mutex<VecDeque<usize>>| d.lock().expect("no panics hold deques").pop_back();
     let steals = std::sync::atomic::AtomicU64::new(0);
-    std::thread::scope(|s| {
-        for w in 0..threads {
-            let (deques, run, make_scratch) = (&deques, &run, &make_scratch);
-            let (pop, steal, steals) = (&pop, &steal, &steals);
-            s.spawn(move || {
-                let mut scratch = make_scratch();
-                loop {
-                    let unit = pop(&deques[w]).or_else(|| {
-                        (1..threads).find_map(|v| {
-                            let u = steal(&deques[(w + v) % threads]);
-                            if u.is_some() {
-                                steals.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            }
-                            u
-                        })
-                    });
-                    match unit {
-                        Some(u) => run(&mut scratch, u),
-                        None => break,
+    let worker = |w: usize| {
+        let mut scratch = make_scratch();
+        loop {
+            let unit = pop(&deques[w]).or_else(|| {
+                (1..threads).find_map(|v| {
+                    let u = steal(&deques[(w + v) % threads]);
+                    if u.is_some() {
+                        steals.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     }
-                }
+                    u
+                })
             });
+            match unit {
+                Some(u) => run(&mut scratch, u),
+                None => break,
+            }
         }
+    };
+    std::thread::scope(|s| {
+        for w in 1..threads {
+            let worker = &worker;
+            s.spawn(move || worker(w));
+        }
+        worker(0);
     });
     steals.into_inner()
 }

@@ -291,11 +291,7 @@ mod tests {
             for q in [q_selective(&cube), q_broad(&cube), q_other(&cube)] {
                 let (r, _) = hash_star_join(&mut ctx, &cube, tid, &q).unwrap();
                 let expect = reference_eval(&cube, tid, &q);
-                assert!(
-                    r.approx_eq(&expect, 1e-9),
-                    "{tname}: {}",
-                    q.display(&cube.schema)
-                );
+                assert!(r.bit_eq(&expect), "{tname}: {}", q.display(&cube.schema));
                 assert!(r.n_groups() > 0, "want non-trivial result at this scale");
             }
         }
@@ -309,7 +305,7 @@ mod tests {
         for q in [q_selective(&cube), q_broad(&cube), q_other(&cube)] {
             let (r, _) = index_star_join(&mut ctx, &cube, tid, &q).unwrap();
             let expect = reference_eval(&cube, tid, &q);
-            assert!(r.approx_eq(&expect, 1e-9), "{}", q.display(&cube.schema));
+            assert!(r.bit_eq(&expect), "{}", q.display(&cube.schema));
         }
     }
 
@@ -323,7 +319,7 @@ mod tests {
         assert_eq!(rs.len(), 3);
         for (r, q) in rs.iter().zip(&qs) {
             let expect = reference_eval(&cube, tid, q);
-            assert!(r.approx_eq(&expect, 1e-9), "{}", q.display(&cube.schema));
+            assert!(r.bit_eq(&expect), "{}", q.display(&cube.schema));
         }
     }
 
@@ -336,7 +332,7 @@ mod tests {
         let (rs, _) = shared_index_join(&mut ctx, &cube, tid, &qs).unwrap();
         for (r, q) in rs.iter().zip(&qs) {
             let expect = reference_eval(&cube, tid, q);
-            assert!(r.approx_eq(&expect, 1e-9), "{}", q.display(&cube.schema));
+            assert!(r.bit_eq(&expect), "{}", q.display(&cube.schema));
         }
     }
 
@@ -352,7 +348,7 @@ mod tests {
         let all: Vec<GroupByQuery> = hash_qs.into_iter().chain(index_qs).collect();
         for (r, q) in rs.iter().zip(&all) {
             let expect = reference_eval(&cube, tid, q);
-            assert!(r.approx_eq(&expect, 1e-9), "{}", q.display(&cube.schema));
+            assert!(r.bit_eq(&expect), "{}", q.display(&cube.schema));
         }
     }
 
@@ -472,7 +468,7 @@ mod tests {
         );
         let (r, _) = index_star_join(&mut ctx, &cube, tid, &q).unwrap();
         let expect = reference_eval(&cube, tid, &q);
-        assert!(r.approx_eq(&expect, 1e-9));
+        assert!(r.bit_eq(&expect));
     }
 
     #[test]

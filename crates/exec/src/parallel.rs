@@ -42,7 +42,8 @@
 //! * partial aggregates merge pairwise in a balanced tree whose shape is a
 //!   pure function of the morsel count — `new[i] = merge(old[2*i] <-
 //!   old[2*i+1])` level by level, an odd leftover passing through — so
-//!   floating-point sums associate the same way every run;
+//!   the merge levels [`ExecReport::critical`] charges are too (the sums
+//!   themselves are exact in any order on the measure domain);
 //! * [`ExecReport::sim`] still totals *all* work, while
 //!   [`ExecReport::critical`] reports the critical path — the coordinator
 //!   phase, plus the slowest morsel, plus the slowest pair of each merge
@@ -81,9 +82,9 @@ pub use crate::morsel::{MorselSpec, DEFAULT_MORSEL_PAGES};
 ///
 /// Morsel-driven execution is the only strategy, at every thread count —
 /// there is no other executor. The enum keeps its single variant because
-/// the engine's public surface names it — `EngineConfig::strategy`,
-/// `Engine::mdx_window` and `Engine::execute_plan_degraded_with` all carry
-/// one — and the morsel size travels inside it.
+/// the engine's public surface names it — `EngineConfig::strategy` and
+/// `Engine::execute_plan_degraded_with` carry one — and the morsel size
+/// travels inside it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecStrategy {
     /// Morsel-driven work-stealing execution with a deterministic tree
@@ -675,7 +676,7 @@ mod tests {
         assert_eq!(out.results.len(), queries.clone().count());
         for (r, q) in out.results.iter().zip(queries) {
             let expect = reference_eval(cube, spec.table, q);
-            assert!(r.approx_eq(&expect, 1e-9), "{}", q.display(&cube.schema));
+            assert!(r.bit_eq(&expect), "{}", q.display(&cube.schema));
         }
     }
 
@@ -764,10 +765,9 @@ mod tests {
     fn morsel_size_never_changes_io_or_answers() {
         // Morsel boundaries are page-aligned and the coordinator charges
         // them in order, so the access sequence — and with it IoStats and
-        // the feed counters — is invariant in the morsel size. Results stay
-        // within float-reassociation noise (the merge-tree shape
-        // legitimately follows the morsel count, so bit-identity is only
-        // promised at a *fixed* size — see DESIGN.md).
+        // the feed counters — is invariant in the morsel size. Results are
+        // bit-identical too: the merge tree follows the morsel count, but
+        // every merge order is exact on the measure domain.
         let cube = cube();
         let t = cube.catalog.find_by_name("A'B'C'D").unwrap();
         let spec = ClassSpec {
@@ -790,7 +790,7 @@ mod tests {
                 other.report.cpu.bitmap_tests
             );
             for (a, b) in runs[0].results.iter().zip(&other.results) {
-                assert!(a.approx_eq(b, 1e-9));
+                assert!(a.bit_eq(b));
             }
         }
     }

@@ -142,7 +142,7 @@ mod tests {
         );
         let r1 = reference_eval(&cube, base, &q);
         let r2 = reference_eval(&cube, view, &q);
-        assert!(r1.approx_eq(&r2, 1e-9), "base vs view disagree");
+        assert!(r1.bit_eq(&r2), "base vs view disagree");
         assert!(r1.n_groups() > 0, "query should not be empty at this scale");
     }
 

@@ -37,6 +37,17 @@ impl QueryResult {
         self.rows.iter().map(|(_, m)| m).sum()
     }
 
+    /// Row-for-row equality of keys and measure bits — what aggregation
+    /// on the measure domain guarantees between any two evaluations.
+    pub fn bit_eq(&self, other: &QueryResult) -> bool {
+        self.rows.len() == other.rows.len()
+            && self
+                .rows
+                .iter()
+                .zip(&other.rows)
+                .all(|((k1, m1), (k2, m2))| k1 == k2 && m1.to_bits() == m2.to_bits())
+    }
+
     /// Structural equality with a floating-point tolerance on measures.
     ///
     /// Aggregation order differs between operators, so sums can differ by
@@ -114,6 +125,18 @@ mod tests {
         assert_eq!(r.rows[0].0, vec![0]);
         assert_eq!(r.n_groups(), 2);
         assert_eq!(r.grand_total(), 3.0);
+    }
+
+    #[test]
+    fn bit_eq_compares_keys_and_measure_bits() {
+        let s = schema();
+        let a = QueryResult::from_groups(q(&s), vec![(vec![0], 0.0)]);
+        assert!(a.bit_eq(&a.clone()));
+        let b = QueryResult::from_groups(q(&s), vec![(vec![0], -0.0)]);
+        assert!(!a.bit_eq(&b));
+        let c = QueryResult::from_groups(q(&s), vec![(vec![1], 0.0)]);
+        assert!(!a.bit_eq(&c));
+        assert!(!a.bit_eq(&QueryResult::from_groups(q(&s), vec![])));
     }
 
     #[test]

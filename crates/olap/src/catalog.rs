@@ -33,13 +33,14 @@ impl MeasureKind {
     /// True if a table with this measure can answer a query using `agg`.
     ///
     /// Raw data answers everything. An aggregated view answers only the
-    /// *same* re-aggregatable function: SUM-of-SUMs, MIN-of-MINs,
+    /// *same* distributive function: SUM-of-SUMs, MIN-of-MINs,
     /// MAX-of-MAXes are the originals, and COUNT views re-aggregate by
-    /// summing their cells. AVG is not re-aggregatable at all.
+    /// summing their cells. AVG is not distributive
+    /// ([`AggFn::distributive`]), so no view answers it.
     pub fn answers(self, agg: AggFn) -> bool {
         match self {
             MeasureKind::Raw => true,
-            MeasureKind::Aggregated(stored) => stored == agg && agg != AggFn::Avg,
+            MeasureKind::Aggregated(stored) => stored == agg && agg.distributive().is_some(),
         }
     }
 }
@@ -516,8 +517,8 @@ impl AggState {
     }
 
     /// Folds another *partial state* for the same group in (partitioned
-    /// aggregation: each partition accumulates privately, then partials are
-    /// merged in partition order so floating-point sums stay deterministic).
+    /// aggregation: each partition accumulates privately, then partials
+    /// merge).
     pub fn merge(&mut self, mode: CombineMode, other: &AggState) {
         match mode {
             CombineMode::Add | CombineMode::CountRows | CombineMode::Average => {

@@ -275,11 +275,8 @@ impl CubeBuilder {
         let mut catalog = Catalog::new();
 
         // Base table: keys at every leaf (uniform, or Zipf when skewed),
-        // measure in [0, 100). Measures are quantized to quarter units
-        // (exact binary fractions), so f64 summation over them is exact at
-        // any realistic scale: every re-aggregation of a finer result —
-        // materialized views, the result cache's subsumption rollups —
-        // reproduces direct evaluation bit-for-bit.
+        // measure in whole quarter units in [0, 100) — the measure domain
+        // (`starshare_storage::measure`).
         let mut rng = Prng::seed_from_u64(self.seed);
         let layout = TupleLayout::new(n_dims);
         let base_file = catalog.alloc_file_id();
@@ -428,6 +425,36 @@ mod tests {
         // The paper's member names resolve.
         assert_eq!(s.dim(0).find_member("A1"), Some((2, 0)));
         assert_eq!(s.dim(3).find_member("DD1"), Some((1, 0)));
+    }
+
+    #[test]
+    fn generated_cubes_lie_in_the_measure_domain() {
+        use crate::catalog::MeasureKind;
+        use starshare_storage::{quarter_units, MEASURE_LIMIT_UNITS, PARTIAL_LIMIT_UNITS};
+        let skewed = CubeBuilder::new(paper_schema(24))
+            .rows(3_000)
+            .seed(9)
+            .skew(1.1)
+            .materialize("A''B''C''D''")
+            .materialize_agg("A'B'C'D", AggFn::Count)
+            .build();
+        for cube in [paper_cube(tiny_spec()), skewed] {
+            for (_, t) in cube.catalog.iter() {
+                let limit = match t.measure() {
+                    MeasureKind::Raw => MEASURE_LIMIT_UNITS,
+                    MeasureKind::Aggregated(_) => PARTIAL_LIMIT_UNITS,
+                };
+                let mut keys = vec![0u32; 4];
+                for pos in 0..t.n_rows() {
+                    let m = t.heap().read_at(pos, &mut keys);
+                    assert!(
+                        quarter_units(m, limit).is_some(),
+                        "{} row {pos}: {m}",
+                        t.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

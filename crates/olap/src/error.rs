@@ -6,10 +6,12 @@ use std::fmt;
 /// lookups, or incremental maintenance.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OlapError {
-    /// An appended fact row carries a NaN or infinite measure, which would
-    /// poison every SUM/MIN/MAX view and cached result it reaches. The
-    /// whole batch is rejected before anything is mutated.
-    NonFiniteMeasure {
+    /// An appended fact row's measure lies outside the measure domain
+    /// (`starshare_storage::measure`): not a whole number of quarter
+    /// units, `-0.0`, NaN, infinite, or `|m| >= 2^20`. Aggregates over it
+    /// could round, so the whole batch is rejected before anything is
+    /// mutated.
+    InexactMeasure {
         /// Index of the offending row within the batch.
         row: usize,
         /// The rejected measure.
@@ -29,9 +31,10 @@ impl OlapError {
 impl fmt::Display for OlapError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            OlapError::NonFiniteMeasure { row, value } => {
-                write!(f, "row {row} has non-finite measure {value}")
-            }
+            OlapError::InexactMeasure { row, value } => write!(
+                f,
+                "row {row} has measure {value:?}; measures must be whole quarter units with |m| < 2^20"
+            ),
             OlapError::Other(msg) => f.write_str(msg),
         }
     }

@@ -34,6 +34,6 @@ pub use datagen::{paper_cube, paper_schema, CubeBuilder, PaperCubeSpec};
 pub use error::OlapError;
 pub use maintain::append_facts;
 pub use persist::{load_cube, save_cube};
-pub use query::{AggFn, GroupBy, GroupByQuery, LevelRef, MemberPred};
+pub use query::{AggFn, Distributive, GroupBy, GroupByQuery, LevelRef, MemberPred};
 pub use schema::{DimId, Dimension, LevelDef, StarSchema};
 pub use stats::{CubeStats, DimHistogram};

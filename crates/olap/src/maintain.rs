@@ -24,11 +24,11 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use starshare_storage::{HeapFile, ScanBatch};
+use starshare_storage::{quarter_units, HeapFile, ScanBatch, MAX_FACT_ROWS, MEASURE_LIMIT_UNITS};
 
-use crate::catalog::{combine_mode, roll_key, AggState, Cube, MeasureKind};
+use crate::catalog::{roll_key, Cube, MeasureKind};
 use crate::error::OlapError;
-use crate::query::{AggFn, GroupBy, LevelRef};
+use crate::query::{GroupBy, LevelRef};
 use crate::schema::StarSchema;
 
 /// Largest group-key domain — the product of a view's stored-level
@@ -135,14 +135,26 @@ fn dense_offset(weights: &[u64], key: &[u32]) -> usize {
         .sum::<u64>() as usize
 }
 
+/// Refuses a fact table of `rows` rows: the measure domain's exactness
+/// bound holds for fewer than [`MAX_FACT_ROWS`].
+pub(crate) fn check_fact_rows(rows: u64) -> Result<(), OlapError> {
+    if rows < MAX_FACT_ROWS {
+        Ok(())
+    } else {
+        Err(OlapError::new(format!(
+            "{rows} fact rows; a fact table holds fewer than 2^31"
+        )))
+    }
+}
+
 /// Appends `rows` (leaf-level keys + raw measure) to the cube's base table
 /// and incrementally maintains every view, index, and statistic.
 ///
 /// Returns the number of rows appended. Fails (without modifying anything)
-/// if any row has the wrong arity, an out-of-range key, or a NaN or
-/// infinite measure ([`OlapError::NonFiniteMeasure`]), or if the catalog
-/// lacks a leaf-level raw base table or holds a view that cannot be
-/// maintained.
+/// if any row has the wrong arity, an out-of-range key, or a measure
+/// outside the measure domain ([`OlapError::InexactMeasure`]), if the base
+/// table would reach 2^31 rows, or if the catalog lacks a leaf-level raw
+/// base table or holds a view that cannot be maintained.
 pub fn append_facts(cube: &mut Cube, rows: &[(Vec<u32>, f64)]) -> Result<u64, OlapError> {
     let schema = cube.schema.clone();
     let n_dims = schema.n_dims();
@@ -162,17 +174,19 @@ pub fn append_facts(cube: &mut Cube, rows: &[(Vec<u32>, f64)]) -> Result<u64, Ol
                 )));
             }
         }
-        if !m.is_finite() {
-            return Err(OlapError::NonFiniteMeasure { row, value: *m });
+        if quarter_units(*m, MEASURE_LIMIT_UNITS).is_none() {
+            return Err(OlapError::InexactMeasure { row, value: *m });
         }
     }
     let base_id = cube
         .catalog
         .base_table()
         .ok_or("catalog has no base table")?;
-    if cube.catalog.table(base_id).measure() != MeasureKind::Raw {
+    let base = cube.catalog.table(base_id);
+    if base.measure() != MeasureKind::Raw {
         return Err("base table must hold raw measures".into());
     }
+    check_fact_rows(base.n_rows().saturating_add(rows.len() as u64))?;
     let mut views = Vec::new();
     for (id, view) in cube.catalog.iter().filter(|(id, _)| *id != base_id) {
         let MeasureKind::Aggregated(agg) = view.measure() else {
@@ -181,9 +195,9 @@ pub fn append_facts(cube: &mut Cube, rows: &[(Vec<u32>, f64)]) -> Result<u64, Ol
                 view.name()
             )));
         };
-        if agg == AggFn::Avg {
-            return Err("AVG views cannot be maintained (or built)".into());
-        }
+        let agg = agg
+            .distributive()
+            .ok_or("AVG views cannot be maintained (or built)")?;
         views.push((id, agg));
     }
 
@@ -197,10 +211,9 @@ pub fn append_facts(cube: &mut Cube, rows: &[(Vec<u32>, f64)]) -> Result<u64, Ol
     // 2. Delta-maintain every view.
     for (vid, agg) in views {
         let view = cube.catalog.table_mut(vid);
-        let mode = combine_mode(agg, MeasureKind::Raw);
         // Delta-aggregate the new rows to the view's group-by, in key
         // order, so new groups land at the same positions in every run.
-        let mut delta: BTreeMap<Vec<u32>, AggState> = BTreeMap::new();
+        let mut delta: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
         let mut gk = vec![0u32; n_dims];
         for (keys, m) in rows {
             for d in 0..n_dims {
@@ -212,32 +225,24 @@ pub fn append_facts(cube: &mut Cube, rows: &[(Vec<u32>, f64)]) -> Result<u64, Ol
                     keys[d],
                 );
             }
+            let v = agg.of_fact(*m);
             match delta.get_mut(gk.as_slice()) {
-                Some(st) => st.fold(mode, *m),
+                Some(acc) => *acc = agg.combine(*acc, v),
                 None => {
-                    delta.insert(gk.clone(), AggState::first(mode, *m));
+                    delta.insert(gk.clone(), v);
                 }
             }
         }
         // Merge: update existing groups in place (one reseal per touched
-        // page) or append new ones. The merge of two partial aggregates of
-        // the same function is the function itself for SUM/MIN/MAX, and
-        // addition for COUNT.
+        // page) or append new ones.
         let (heap, positions) = view.heap_and_positions(&schema);
         let mut updates = Vec::new();
         let mut fresh = Vec::new();
-        for (gkey, st) in delta {
-            let delta_val = st.value(mode);
+        for (gkey, delta_val) in delta {
             match positions.get(&gkey) {
                 Some(pos) => {
                     let old = heap.read_at(pos, &mut gk);
-                    let merged = match agg {
-                        AggFn::Sum | AggFn::Count => old + delta_val,
-                        AggFn::Min => old.min(delta_val),
-                        AggFn::Max => old.max(delta_val),
-                        AggFn::Avg => unreachable!("rejected above"),
-                    };
-                    updates.push((pos, merged));
+                    updates.push((pos, agg.combine(old, delta_val)));
                 }
                 None => fresh.push((gkey, delta_val)),
             }
@@ -266,7 +271,7 @@ mod tests {
     use super::*;
     use crate::catalog::materialize_agg;
     use crate::datagen::{paper_cube, CubeBuilder, PaperCubeSpec};
-    use crate::query::{GroupBy, GroupByQuery, MemberPred};
+    use crate::query::{AggFn, GroupBy, GroupByQuery, MemberPred};
     use crate::schema::Dimension;
     use crate::stats::CubeStats;
     use starshare_prng::Prng;
@@ -280,22 +285,10 @@ mod tests {
         }
     }
 
+    /// Random fact rows: leaf keys, and measures in whole quarter units
+    /// in [0, 100) — the measure domain, where every fold is exact in any
+    /// association, so comparisons can be bitwise.
     fn random_rows(schema: &StarSchema, n: usize, seed: u64) -> Vec<(Vec<u32>, f64)> {
-        let mut rng = Prng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| {
-                let keys: Vec<u32> = (0..schema.n_dims())
-                    .map(|d| rng.gen_range(0..schema.dim(d).cardinality(0)))
-                    .collect();
-                (keys, rng.gen_range(0.0..100.0))
-            })
-            .collect()
-    }
-
-    /// Like [`random_rows`] but with measures quantized to quarter units
-    /// (exact binary fractions), so SUM/COUNT folds are exact in f64 no
-    /// matter the association and comparisons can be bitwise.
-    fn quantized_rows(schema: &StarSchema, n: usize, seed: u64) -> Vec<(Vec<u32>, f64)> {
         let mut rng = Prng::seed_from_u64(seed);
         (0..n)
             .map(|_| {
@@ -337,26 +330,7 @@ mod tests {
             assert_eq!(view.n_rows(), direct.n_rows(), "{}", view.name());
             // Compare as key→value maps (row order differs: merged views
             // append new groups at the end).
-            let to_map = |t: &crate::catalog::StoredTable| {
-                let mut m = std::collections::BTreeMap::new();
-                let mut keys = vec![0u32; 4];
-                for pos in 0..t.n_rows() {
-                    let v = t.heap().read_at(pos, &mut keys);
-                    m.insert(keys.clone(), v);
-                }
-                m
-            };
-            let a = to_map(view);
-            let b = to_map(&direct);
-            assert_eq!(a.len(), b.len());
-            for (k, va) in &a {
-                let vb = b[k];
-                assert!(
-                    (va - vb).abs() < 1e-6 * va.abs().max(1.0),
-                    "{} group {k:?}: {va} vs {vb}",
-                    view.name()
-                );
-            }
+            assert_eq!(group_bits(view), group_bits(&direct), "{}", view.name());
         }
     }
 
@@ -414,8 +388,9 @@ mod tests {
             let vtotal: f64 = (0..view.n_rows())
                 .map(|p| view.heap().read_at(p, &mut vkeys))
                 .sum();
-            assert!(
-                (vtotal - total).abs() < 1e-6 * total,
+            assert_eq!(
+                vtotal.to_bits(),
+                total.to_bits(),
                 "{}: {vtotal} vs {total}",
                 view.name()
             );
@@ -480,31 +455,50 @@ mod tests {
         assert_eq!(fresh.histogram(0).total(), 500 + 4 * 150);
     }
 
+    /// Measures outside the measure domain, one of each kind.
+    const INEXACT: [f64; 6] = [
+        0.1,
+        -0.0,
+        (1u64 << 20) as f64,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
     #[test]
     fn bad_rows_are_rejected_without_mutation() {
         let mut cube = paper_cube(spec());
-        let before = cube
-            .catalog
-            .table(cube.catalog.base_table().unwrap())
-            .n_rows();
+        let before: Vec<_> = cube.catalog.iter().map(|(_, t)| heap_rows(t)).collect();
         assert!(append_facts(&mut cube, &[(vec![0, 0, 0], 1.0)]).is_err()); // wrong arity
         assert!(append_facts(&mut cube, &[(vec![999, 0, 0, 0], 1.0)]).is_err()); // out of range
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for bad in INEXACT {
             let rows = [(vec![0, 0, 0, 0], 1.0), (vec![1, 1, 1, 1], bad)];
             match append_facts(&mut cube, &rows) {
-                Err(OlapError::NonFiniteMeasure { row, value }) => {
+                Err(OlapError::InexactMeasure { row, value }) => {
                     assert_eq!(row, 1);
                     assert_eq!(value.to_bits(), bad.to_bits());
                 }
-                other => panic!("{bad} must be rejected as non-finite, got {other:?}"),
+                other => panic!("{bad:?} must be rejected as inexact, got {other:?}"),
             }
         }
-        let after = cube
-            .catalog
-            .table(cube.catalog.base_table().unwrap())
-            .n_rows();
-        assert_eq!(before, after, "failed append must not mutate");
+        let after: Vec<_> = cube.catalog.iter().map(|(_, t)| heap_rows(t)).collect();
+        assert!(before == after, "failed append must not mutate");
         assert_eq!(cube.epoch, 0, "failed append must not bump the epoch");
+        // The largest in-domain measures are accepted.
+        let top = (1u64 << 20) as f64 - 0.25;
+        append_facts(
+            &mut cube,
+            &[(vec![0, 0, 0, 0], top), (vec![0, 0, 0, 0], -top)],
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn fact_row_count_stops_below_two_to_the_31() {
+        assert!(check_fact_rows(0).is_ok());
+        assert!(check_fact_rows(MAX_FACT_ROWS - 1).is_ok());
+        assert!(check_fact_rows(MAX_FACT_ROWS).is_err());
+        assert!(check_fact_rows(u64::MAX).is_err());
     }
 
     #[test]
@@ -585,11 +579,12 @@ mod tests {
                 *got.entry(gk).or_insert(0.0) += m;
             }
         }
-        assert_eq!(expect.len(), got.len());
-        for (k, e) in &expect {
-            let g = got[k];
-            assert!((e - g).abs() < 1e-6 * e.abs().max(1.0), "{k:?}");
-        }
+        let bits = |m: &std::collections::BTreeMap<Vec<u32>, f64>| {
+            m.iter()
+                .map(|(k, v)| (k.clone(), v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&expect), bits(&got));
     }
 
     /// Append-then-query must equal rebuild-then-query at *every*
@@ -616,7 +611,7 @@ mod tests {
         let mut cube = build();
         let mut rebuilt = build();
         for round in 0..3u64 {
-            let delta = quantized_rows(&cube.schema, 250, 0xde17a ^ round);
+            let delta = random_rows(&cube.schema, 250, 0xde17a ^ round);
             append_facts(&mut cube, &delta).unwrap();
             append_base_only(&mut rebuilt, &delta);
         }
@@ -690,7 +685,7 @@ mod tests {
     }
 
     /// MIN/MAX views stay sound under arbitrary insert-only workloads:
-    /// after every round of random (unquantized) appends, each maintained
+    /// after every round of random appends, each maintained
     /// group holds exactly the brute-force min/max over the grown base.
     #[test]
     fn min_max_stay_sound_under_random_insert_only_workloads() {
@@ -795,6 +790,10 @@ mod tests {
         let out_of_range = vec![(vec![1, 1, 1, 1], 3.0), (vec![0, 0, 0, 9_999], 4.0)];
         assert!(append_facts(&mut cube, &bad_arity).is_err());
         assert!(append_facts(&mut cube, &out_of_range).is_err());
+        for bad in INEXACT {
+            let inexact = vec![(vec![1, 1, 1, 1], 3.0), (vec![2, 2, 2, 2], bad)];
+            assert!(append_facts(&mut cube, &inexact).is_err());
+        }
         assert_eq!(before, snapshot(&cube), "failed append must mutate nothing");
         append_facts(&mut cube, &[(vec![0, 0, 0, 0], 1.0)]).unwrap();
         assert_eq!(cube.epoch, 1, "a failed append must not poison the cube");
@@ -845,7 +844,7 @@ mod tests {
         let mut b = paper_cube(spec());
         let sizes: Vec<u64> = a.catalog.iter().map(|(_, t)| t.n_rows()).collect();
         for round in 0..3u64 {
-            let delta = quantized_rows(&a.schema, 400, 0x9051 ^ round);
+            let delta = random_rows(&a.schema, 400, 0x9051 ^ round);
             append_facts(&mut a, &delta).unwrap();
             append_facts(&mut b, &delta).unwrap();
         }
@@ -931,7 +930,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let mut rebuilt = paper_cube(spec());
         for round in 0..2u64 {
-            let delta = quantized_rows(&loaded.schema, 300, 0x10ad ^ round);
+            let delta = random_rows(&loaded.schema, 300, 0x10ad ^ round);
             append_facts(&mut loaded, &delta).unwrap();
             append_base_only(&mut rebuilt, &delta);
         }
@@ -958,7 +957,7 @@ mod tests {
         let mut rebuilt = build();
         let before: Vec<_> = cube.catalog.iter().map(|(_, t)| heap_rows(t)).collect();
         for round in 0..3u64 {
-            let delta = quantized_rows(&cube.schema, 400, 0xc0de ^ round);
+            let delta = random_rows(&cube.schema, 400, 0xc0de ^ round);
             append_facts(&mut cube, &delta).unwrap();
             append_base_only(&mut rebuilt, &delta);
         }

@@ -10,12 +10,18 @@
 //! load time from the heap (cheap relative to I/O, and it keeps the format
 //! independent of the index representation). File ids are preserved so
 //! buffer-pool accounting is identical before and after a round trip.
+//!
+//! A cube file is outside input: loading refuses any table of 2^31 rows or
+//! more and any measure outside the measure domain — fact measures for the
+//! base table, partial aggregates for views (`starshare_storage::measure`).
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use starshare_storage::{FileId, HeapFile, TupleLayout};
+use starshare_storage::{
+    quarter_units, FileId, HeapFile, TupleLayout, MEASURE_LIMIT_UNITS, PARTIAL_LIMIT_UNITS,
+};
 
 use crate::catalog::{Catalog, Cube, MeasureKind, StoredTable};
 use crate::query::{AggFn, GroupBy, LevelRef};
@@ -246,13 +252,23 @@ pub fn load_cube(path: impl AsRef<Path>) -> io::Result<Cube> {
         let file = FileId(read_u32(&mut r)?);
         max_file = max_file.max(file.index());
         let n_rows = read_u64(&mut r)?;
+        crate::maintain::check_fact_rows(n_rows).map_err(|e| bad(e.to_string()))?;
+        let limit = match measure {
+            MeasureKind::Raw => MEASURE_LIMIT_UNITS,
+            MeasureKind::Aggregated(_) => PARTIAL_LIMIT_UNITS,
+        };
         let mut heap = HeapFile::new(file, TupleLayout::new(n_dims));
         let mut keys = vec![0u32; n_dims];
-        for _ in 0..n_rows {
+        for row in 0..n_rows {
             for k in keys.iter_mut() {
                 *k = read_u32(&mut r)?;
             }
             let m = read_f64(&mut r)?;
+            if quarter_units(m, limit).is_none() {
+                return Err(bad(format!(
+                    "table {name} row {row}: inexact measure {m:?}"
+                )));
+            }
             heap.append(&keys, m);
         }
         let table = StoredTable::with_measure(name, GroupBy::new(levels), heap, measure);
@@ -365,6 +381,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn rejects_a_measure_outside_the_domain() {
+        let cube = paper_cube(PaperCubeSpec {
+            base_rows: 200,
+            d_leaf: 24,
+            seed: 5,
+            with_indexes: false,
+        });
+        let path = tmp("inexact.ss");
+        save_cube(&cube, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // The base table's first row, as written: its keys, then its measure.
+        let base = cube.catalog.table(cube.catalog.base_table().unwrap());
+        let mut keys = vec![0u32; 4];
+        let m = base.heap().read_at(0, &mut keys);
+        let mut row: Vec<u8> = keys.iter().flat_map(|k| k.to_le_bytes()).collect();
+        row.extend(m.to_le_bytes());
+        let at = bytes
+            .windows(row.len())
+            .position(|w| w == row.as_slice())
+            .expect("first row is in the file");
+        let measure = at + 16..at + 24;
+        bytes[measure].copy_from_slice(&0.1f64.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let r = load_cube(&path);
+        std::fs::remove_file(&path).ok();
+        let err = r.expect_err("a measure of 0.1 must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("inexact measure 0.1"), "{err}");
     }
 
     #[test]

@@ -319,6 +319,19 @@ pub enum AggFn {
 }
 
 impl AggFn {
+    /// This aggregate's partial-result algebra, or `None` for AVG: an
+    /// average of averages is not the average, so AVG would need a
+    /// (sum, count) partial.
+    pub fn distributive(self) -> Option<Distributive> {
+        Some(match self {
+            AggFn::Sum => Distributive::Sum,
+            AggFn::Count => Distributive::Count,
+            AggFn::Min => Distributive::Min,
+            AggFn::Max => Distributive::Max,
+            AggFn::Avg => return None,
+        })
+    }
+
     /// Parses a case-insensitive name.
     pub fn parse(s: &str) -> Option<AggFn> {
         Some(match s.to_ascii_lowercase().as_str() {
@@ -329,6 +342,43 @@ impl AggFn {
             "avg" | "average" | "mean" => AggFn::Avg,
             _ => return None,
         })
+    }
+}
+
+/// A distributive aggregate (Gray et al.): the aggregate over a union of
+/// disjoint row sets is [`combine`](Distributive::combine) of the parts'
+/// aggregates. On the measure domain (`starshare_storage::measure`) every
+/// combine is exact, so partials merge in any order with the same bits.
+/// This is the one fold the result cache, its append patch and view
+/// maintenance use for partial results.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Distributive {
+    /// Partials add.
+    Sum,
+    /// A fact row counts 1; partials add.
+    Count,
+    /// The smaller partial wins.
+    Min,
+    /// The larger partial wins.
+    Max,
+}
+
+impl Distributive {
+    /// The partial aggregate of one fact row with measure `m`.
+    pub fn of_fact(self, m: f64) -> f64 {
+        match self {
+            Distributive::Count => 1.0,
+            _ => m,
+        }
+    }
+
+    /// Merges the partial aggregates of two disjoint row sets.
+    pub fn combine(self, a: f64, b: f64) -> f64 {
+        match self {
+            Distributive::Sum | Distributive::Count => a + b,
+            Distributive::Min => a.min(b),
+            Distributive::Max => a.max(b),
+        }
     }
 }
 

@@ -18,18 +18,6 @@
 //!   actually achieved ([`SharingStats`]), the quantity the serving bench
 //!   gates on.
 //!
-//! ### Determinism note
-//!
-//! [`tplo`](crate::tplo) picks every query's plan *in isolation* and only
-//! then merges plans that landed on the same base table — a query's
-//! `(table, method)` assignment is therefore independent of its
-//! window-mates. That makes TPLO the assignment-stable choice for serving
-//! windows whose per-query answers must be bit-identical whether a query
-//! runs alone or windowed (see `starshare-serve`'s contract). ETPLG/GG
-//! admit a query *relative to the classes built so far*, so their
-//! assignments — and hence result bits, via float re-association across
-//! different addend sets — may legitimately depend on window composition.
-//!
 //! ### Result caching upstream
 //!
 //! When the engine's subsumption result cache is enabled

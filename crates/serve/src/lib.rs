@@ -23,10 +23,11 @@
 //!
 //! ### The contract
 //!
-//! * **Determinism** — with the default [`WindowConfig`] (TPLO +
-//!   whole-table morsels), a submission's results are **bit-identical**
-//!   to running it alone, regardless of which window-mates it shared a
-//!   window with. See `starshare_opt::window` for the argument.
+//! * **Determinism** — windows plan and execute with the engine's own
+//!   optimizer and morsel size, and a submission's results are
+//!   **bit-identical** to running it alone, regardless of which
+//!   window-mates it shared a window with: aggregation is exact on the
+//!   measure domain, so no plan or merge order can move a bit.
 //! * **Isolation** — one session's injected/real storage fault degrades
 //!   only its own expressions; a window-mate sharing the same plan class
 //!   still answers (the engine re-runs a shared failed class per owner).

@@ -9,8 +9,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use starshare_core::{
-    AppendOutcome, CacheStats, Engine, Error, ExecStrategy, MetricsSnapshot, MorselSpec, Result,
-    SimTime, WindowConfig, WindowOutcome,
+    AppendOutcome, CacheStats, Engine, Error, MetricsSnapshot, Result, SimTime, WindowConfig,
+    WindowOutcome,
 };
 
 use crate::session::{CloseReason, Reply, Session, TenantState, WindowInfo};
@@ -419,7 +419,7 @@ fn coordinate(
             CloseReason::Deadline
         };
         shared.note_window(batch.len(), n_exprs);
-        run_window(&mut engine, &cfg, &shared, window_id, close_reason, batch);
+        run_window(&mut engine, &shared, window_id, close_reason, batch);
         for a in pending_appends {
             apply_append(&mut engine, &shared, a);
         }
@@ -461,14 +461,12 @@ fn apply_append(engine: &mut Engine, shared: &Shared, req: AppendReq) {
 /// submission's reply (releasing its tenant slot).
 fn run_window(
     engine: &mut Engine,
-    cfg: &WindowConfig,
     shared: &Shared,
     window_id: u64,
     close_reason: CloseReason,
     batch: Vec<Submission>,
 ) {
     let subs: Vec<&[String]> = batch.iter().map(|s| s.exprs.as_slice()).collect();
-    let strategy = ExecStrategy::Morsel(MorselSpec::with_pages(cfg.morsel_pages));
     // Appends only land between windows, so the epoch is fixed for the
     // whole window: every answer below is a read of this one snapshot.
     let epoch = engine.cube().epoch;
@@ -491,7 +489,7 @@ fn run_window(
             );
         }
     });
-    match engine.mdx_window(&subs, cfg.optimizer, strategy) {
+    match engine.mdx_window(&subs) {
         Ok(out) => {
             shared.note_cache(&out.cache);
             deliver(window_id, epoch, close_reason, batch, out);
@@ -507,7 +505,7 @@ fn run_window(
             // aboard: re-run each submission alone so one tenant's
             // unplannable query set cannot fail its window-mates.
             for s in batch {
-                match engine.mdx_window(&[s.exprs.as_slice()], cfg.optimizer, strategy) {
+                match engine.mdx_window(&[s.exprs.as_slice()]) {
                     Ok(out) => {
                         shared.note_cache(&out.cache);
                         deliver(window_id, epoch, close_reason, vec![s], out);

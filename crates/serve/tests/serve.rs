@@ -4,8 +4,7 @@
 use std::time::Duration;
 
 use starshare_core::{
-    Engine, EngineConfig, Error, ExecStrategy, FaultPlan, MorselSpec, OptimizerKind, PaperCubeSpec,
-    WindowConfig,
+    Engine, EngineConfig, Error, FaultPlan, OlapError, PaperCubeSpec, WindowConfig,
 };
 use starshare_serve::{Serve, Server};
 
@@ -19,9 +18,7 @@ fn spec() -> PaperCubeSpec {
 }
 
 fn engine() -> Engine {
-    EngineConfig::paper()
-        .optimizer(OptimizerKind::Tplo)
-        .build_paper(spec())
+    EngineConfig::paper().build_paper(spec())
 }
 
 /// A window policy that pools exactly `n` expressions deterministically:
@@ -70,11 +67,8 @@ fn windowed_replies_are_bit_identical_to_solo_runs() {
     assert!(r1.all_ok() && r2.all_ok());
 
     // Reference: each submission alone on a fresh engine, same config.
-    let strategy = ExecStrategy::Morsel(MorselSpec::whole_table());
     let mut solo = engine();
-    let s1 = solo
-        .mdx_window(&[&[Q_CHILDREN]], OptimizerKind::Tplo, strategy)
-        .unwrap();
+    let s1 = solo.mdx_window(&[&[Q_CHILDREN]]).unwrap();
     assert!(same_bits(r1.expr(0), s1.submission(0)[0].as_ref().unwrap()));
     assert_eq!(
         r1.attributed, s1.attributed[0],
@@ -82,9 +76,7 @@ fn windowed_replies_are_bit_identical_to_solo_runs() {
     );
 
     let mut solo = engine();
-    let s2 = solo
-        .mdx_window(&[&[Q_PAGES, Q_FILTER]], OptimizerKind::Tplo, strategy)
-        .unwrap();
+    let s2 = solo.mdx_window(&[&[Q_PAGES, Q_FILTER]]).unwrap();
     for i in 0..2 {
         assert!(same_bits(r2.expr(i), s2.submission(0)[i].as_ref().unwrap()));
     }
@@ -125,13 +117,7 @@ fn parse_error_stays_inside_its_session() {
 fn one_sessions_fault_cannot_fail_a_window_mate() {
     // Clean reference bits first.
     let mut clean = engine();
-    let reference = clean
-        .mdx_window(
-            &[&[Q_CHILDREN]],
-            OptimizerKind::Tplo,
-            ExecStrategy::Morsel(MorselSpec::whole_table()),
-        )
-        .unwrap();
+    let reference = clean.mdx_window(&[&[Q_CHILDREN]]).unwrap();
     let reference = reference.submission(0)[0].as_ref().unwrap();
 
     let mut saw_fault = false;
@@ -202,10 +188,7 @@ fn repeated_dashboard_traffic_is_served_from_the_shared_cache() {
     // refresh exact-hits, and a coarser derivable probe subsumption-hits
     // — all without a scan, all bit-identical to an uncached engine.
     const Q_COARSE: &str = "{A''.A1} on COLUMNS {B''.B1} on ROWS CONTEXT ABCD;";
-    let cached = EngineConfig::paper()
-        .optimizer(OptimizerKind::Tplo)
-        .result_cache(true)
-        .build_paper(spec());
+    let cached = EngineConfig::paper().result_cache(true).build_paper(spec());
     let server = Server::start_with(cached, pool_exactly(1));
     let a = server.session("tenant-a");
     let b = server.session("tenant-b");
@@ -230,13 +213,7 @@ fn repeated_dashboard_traffic_is_served_from_the_shared_cache() {
 
     // The rolled-up answer matches a direct uncached evaluation.
     let mut plain = engine();
-    let direct = plain
-        .mdx_window(
-            &[&[Q_COARSE]],
-            OptimizerKind::Tplo,
-            ExecStrategy::Morsel(MorselSpec::whole_table()),
-        )
-        .unwrap();
+    let direct = plain.mdx_window(&[&[Q_COARSE]]).unwrap();
     assert!(same_bits(
         coarse.expr(0),
         direct.submission(0)[0].as_ref().unwrap()
@@ -247,9 +224,8 @@ fn repeated_dashboard_traffic_is_served_from_the_shared_cache() {
 /// seeded stream in the repo.
 const APPEND_SALT: u64 = 0x5e12_4e55_a99e_u64;
 
-/// A deterministic quantized append batch: quarter-unit measures are exact
-/// binary fractions, so f64 sums over them are exact in any order and a
-/// patched cache entry must match a cache-less recompute bit-for-bit.
+/// A deterministic append batch in the measure domain (quarter units), so
+/// a patched cache entry must match a cache-less recompute bit-for-bit.
 fn append_batch(cards: &[u32], i: u64, n: usize) -> Vec<(Vec<u32>, f64)> {
     let mut rng = starshare_prng::Prng::seed_from_u64(APPEND_SALT ^ i);
     (0..n)
@@ -270,18 +246,14 @@ fn leaf_cards(e: &Engine) -> Vec<u32> {
 fn concurrent_appends_see_monotonic_snapshots_with_fresh_bits() {
     const BATCHES: u64 = 4;
     const BATCH_ROWS: usize = 64;
-    let cached = EngineConfig::paper()
-        .optimizer(OptimizerKind::Tplo)
-        .result_cache(true)
-        .build_paper(spec());
+    let cached = EngineConfig::paper().result_cache(true).build_paper(spec());
     let cards = leaf_cards(&cached);
     let server = Server::start_with(cached, pool_exactly(1));
     let querier = server.session("dash");
     let appender = server.session("etl");
 
     // References first: the query's bits at every append prefix, from a
-    // plain cache-less engine (TPLO + whole-table morsels make windowed
-    // answers bit-identical to solo ones).
+    // plain cache-less engine.
     let refs: Vec<_> = (0..=BATCHES + 1)
         .map(|prefix| {
             let mut plain = engine();
@@ -290,13 +262,7 @@ fn concurrent_appends_see_monotonic_snapshots_with_fresh_bits() {
                     .append_facts(&append_batch(&cards, i, BATCH_ROWS))
                     .unwrap();
             }
-            plain
-                .mdx_window(
-                    &[&[Q_CHILDREN]],
-                    OptimizerKind::Tplo,
-                    ExecStrategy::Morsel(MorselSpec::whole_table()),
-                )
-                .unwrap()
+            plain.mdx_window(&[&[Q_CHILDREN]]).unwrap()
         })
         .collect();
 
@@ -422,4 +388,41 @@ fn deadline_closes_an_underfilled_window() {
     let r = s.mdx(Q_FILTER).unwrap();
     assert_eq!(r.window.n_submissions, 1);
     assert!(r.all_ok());
+}
+
+#[test]
+fn an_inexact_append_fails_alone_while_window_mates_answer() {
+    let e = engine();
+    let cards = leaf_cards(&e);
+    let server = Server::start_with(e, pool_exactly(2));
+    let reader = server.session("reader");
+    let mate = server.session("mate");
+    let writer = server.session("etl");
+
+    // The append reaches the coordinator while the window collects, or
+    // right after it: either way it applies between windows and fails
+    // alone, with the typed error.
+    let t1 = reader.submit(&[Q_CHILDREN]).unwrap();
+    let mut rows = append_batch(&cards, 11, 8);
+    rows[5].1 = 0.1;
+    let appender = std::thread::spawn(move || writer.append(&rows));
+    let t2 = mate.submit(&[Q_FILTER]).unwrap();
+    let (r1, r2) = (t1.wait().unwrap(), t2.wait().unwrap());
+    match appender.join().unwrap() {
+        Err(Error::Storage(OlapError::InexactMeasure { row: 5, value })) => {
+            assert_eq!(value, 0.1)
+        }
+        other => panic!("an inexact measure must be refused, got {other:?}"),
+    }
+    assert!(r1.all_ok() && r2.all_ok());
+    assert_eq!(r1.window.window_id, r2.window.window_id);
+
+    let mut solo = engine();
+    let s1 = solo.mdx_window(&[&[Q_CHILDREN]]).unwrap();
+    assert!(same_bits(r1.expr(0), s1.submission(0)[0].as_ref().unwrap()));
+    // The failed batch moved nothing: the next window reads epoch 0.
+    let again = reader.mdx(Q_CHILDREN).unwrap();
+    assert_eq!(again.window.epoch, 0);
+    assert!(same_bits(again.expr(0), r1.expr(0)));
+    assert_eq!(server.stats().appends, 0);
 }

@@ -17,13 +17,13 @@
 //! A compressed heap ([`HeapFile::new_compressed`] or
 //! [`HeapFile::compress`]) seals each page as it fills: every dimension
 //! column is stored as a constant or as bit-packed offsets from the page
-//! minimum, and the measure column is stored as bit-packed quarter-unit
-//! integers when every value round-trips exactly (falling back to raw
-//! `f64`s otherwise). Decoding is exact — a compressed heap returns
-//! bit-identical tuples to its uncompressed twin — and a page that would
-//! not shrink stays raw. The tail page is always raw until it fills, so a
-//! heap built compressed and a heap compressed after the fact have
-//! identical page layouts.
+//! minimum, and the measure column is stored as bit-packed quarter units.
+//! Decoding is exact — a compressed heap returns bit-identical tuples to
+//! its uncompressed twin. A page stays raw when packing would not shrink
+//! it or when a measure lies outside the quarter-unit domain
+//! ([`quarter_units`]); only direct heap users can store such measures.
+//! The tail page is always raw until it fills, so a heap built compressed
+//! and a heap compressed after the fact have identical page layouts.
 //!
 //! Accounted accesses charge the *stored* byte count of the page as
 //! sequential I/O plus the same count as decompression work, so the
@@ -38,6 +38,7 @@
 
 use crate::batch::ScanBatch;
 use crate::buffer::{AccessKind, BufferPool};
+use crate::measure::{quarter_units, PARTIAL_LIMIT_UNITS};
 use crate::page::{FileId, PageId, PAGE_SIZE};
 use crate::tuple::TupleLayout;
 
@@ -60,17 +61,13 @@ enum DimCol {
     },
 }
 
-/// The measure column of a sealed page.
+/// The measure column of a sealed page, in quarter units:
+/// value = (base + delta) / 4.
 #[derive(Debug, Clone)]
-enum MeasureCol {
-    /// Measures are exact quarter-unit integers: value = (base + delta) / 4.
-    Quantized {
-        base: i64,
-        bits: u32,
-        words: Box<[u64]>,
-    },
-    /// At least one measure does not quantize exactly; stored verbatim.
-    Raw(Box<[f64]>),
+struct MeasureCol {
+    base: i64,
+    bits: u32,
+    words: Box<[u64]>,
 }
 
 /// A sealed (compressed) page: per-column packed data plus its simulated
@@ -139,47 +136,33 @@ impl PackedPage {
     /// The measure in page slot `slot` — bit-identical to what was sealed.
     #[inline]
     fn measure(&self, slot: usize) -> f64 {
-        match &self.measure {
-            MeasureCol::Raw(ms) => ms[slot],
-            MeasureCol::Quantized { base, bits, words } => {
-                let delta = if *bits == 0 {
-                    0
-                } else {
-                    unpack_word(words, *bits, slot) as i64
-                };
-                (base + delta) as f64 / 4.0
-            }
-        }
+        let MeasureCol { base, bits, words } = &self.measure;
+        let delta = if *bits == 0 {
+            0
+        } else {
+            unpack_word(words, *bits, slot) as i64
+        };
+        (base + delta) as f64 / 4.0
     }
 }
 
-/// Attempts to quantize every measure as an exact quarter-unit integer.
-/// Returns the column only if each value round-trips bit-identically.
+/// Packs every measure as quarter units, or `None` when one lies outside
+/// the domain of stored aggregates.
 fn quantize_measures(ms: &[f64]) -> Option<MeasureCol> {
-    let mut qs = Vec::with_capacity(ms.len());
-    for &m in ms {
-        let q4 = m * 4.0;
-        if !q4.is_finite() || q4 != q4.trunc() || q4.abs() > (1u64 << 50) as f64 {
-            return None;
-        }
-        let qi = q4 as i64;
-        if ((qi as f64) / 4.0).to_bits() != m.to_bits() {
-            return None;
-        }
-        qs.push(qi);
-    }
+    let qs = ms
+        .iter()
+        .map(|&m| quarter_units(m, PARTIAL_LIMIT_UNITS))
+        .collect::<Option<Vec<i64>>>()?;
     let base = *qs.iter().min()?;
     let range = (*qs.iter().max()? - base) as u64;
     let bits = if range == 0 { 0 } else { bits_for(range) };
-    if bits > 48 {
-        return None;
-    }
     let words = pack_words(qs.iter().map(|&q| (q - base) as u64), qs.len(), bits);
-    Some(MeasureCol::Quantized { base, bits, words })
+    Some(MeasureCol { base, bits, words })
 }
 
 /// Seals `n` tuples of raw page bytes into a [`PackedPage`], or `None` when
-/// the packed form would not be smaller than the raw page.
+/// a measure lies outside the quarter-unit domain or the packed form would
+/// not be smaller than the raw page.
 fn seal_page(layout: &TupleLayout, bytes: &[u8], n: usize) -> Option<PackedPage> {
     let rec = layout.record_size();
     let mut stored = PACKED_HEADER_BYTES;
@@ -214,19 +197,8 @@ fn seal_page(layout: &TupleLayout, bytes: &[u8], n: usize) -> Option<PackedPage>
         measures.push(f64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()));
         off += rec;
     }
-    let measure = match quantize_measures(&measures) {
-        Some(q) => {
-            stored += 16;
-            if let MeasureCol::Quantized { bits, .. } = &q {
-                stored += (n * *bits as usize).div_ceil(8);
-            }
-            q
-        }
-        None => {
-            stored += 8 + n * 8;
-            MeasureCol::Raw(measures.into_boxed_slice())
-        }
-    };
+    let measure = quantize_measures(&measures)?;
+    stored += 16 + (n * measure.bits as usize).div_ceil(8);
     if stored >= PAGE_SIZE {
         return None;
     }
@@ -872,9 +844,13 @@ mod tests {
 
     // ---- compression ----
 
-    /// Adversarial measures: integers, exact quarter units, values that
-    /// don't quantize, negative zero, and non-finite floats.
-    fn tricky_measure(i: u64) -> f64 {
+    /// Quarter units on every page but page 1, which mixes in adversarial
+    /// measures outside the domain: values that don't quantize, negative
+    /// zero, non-finite floats and magnitudes past any partial aggregate.
+    fn tricky_measure(i: u64, per_page: u64) -> f64 {
+        if i / per_page != 1 {
+            return (i % 400) as f64 * 0.25 - 50.0;
+        }
         match i % 7 {
             0 => i as f64,
             1 => i as f64 + 0.25,
@@ -882,7 +858,7 @@ mod tests {
             3 => -(i as f64) - 0.75,
             4 => -0.0,
             5 => f64::INFINITY,
-            _ => (i as f64) * 1e12,
+            _ => (i as f64) * 1e15,
         }
     }
 
@@ -895,7 +871,7 @@ mod tests {
             .map(|i| {
                 (
                     [(i / 50) as u32, 7, (i % 3) as u32 + 1000],
-                    tricky_measure(i),
+                    tricky_measure(i, per_page),
                 )
             })
             .collect();
@@ -911,10 +887,12 @@ mod tests {
             assert_eq!(ka, kb, "keys differ at {pos}");
             assert_eq!(ma.to_bits(), mb.to_bits(), "measure differs at {pos}");
         }
-        // Full pages shrank; the partial tail stays raw at full size.
+        // In-domain full pages shrank; page 1 (measures outside the
+        // domain) and the partial tail stay raw at full size.
         assert!(comp.resident_bytes() < plain.resident_bytes());
         let last = comp.page_count() - 1;
         assert_eq!(comp.page_cost(last), (PAGE_SIZE as u64, 0));
+        assert_eq!(comp.page_cost(1), (PAGE_SIZE as u64, 0));
         let (io, dec) = comp.page_cost(0);
         assert!(io < PAGE_SIZE as u64);
         assert_eq!(io, dec);
@@ -926,7 +904,12 @@ mod tests {
         let per_page = layout.tuples_per_page() as u64;
         let n = per_page * 3 + 9;
         let rows: Vec<([u32; 2], f64)> = (0..n)
-            .map(|i| ([(i % 17) as u32, (i / 64) as u32], tricky_measure(i)))
+            .map(|i| {
+                (
+                    [(i % 17) as u32, (i / 64) as u32],
+                    tricky_measure(i, per_page),
+                )
+            })
             .collect();
         let mut late = HeapFile::from_rows(FileId(1), layout, rows.iter().cloned());
         late.compress();
@@ -971,7 +954,7 @@ mod tests {
         let mut h = HeapFile::from_rows_compressed(FileId(3), layout, rows.iter().cloned());
         // Unsorted, spanning every page, with one position updated twice
         // (the last update wins); page 1 gets an unquantizable measure, so
-        // it may grow or fall back to raw.
+        // it falls back to raw.
         let updates = [
             (per_page + 1, 0.1),
             (7, 99.0),
@@ -995,6 +978,7 @@ mod tests {
             h.page_cost(0).1 > 0,
             "an updated packed page must stay packed"
         );
+        assert_eq!(h.page_cost(1), (PAGE_SIZE as u64, 0));
         let mut ka = [0u32; 2];
         let mut kb = [0u32; 2];
         for pos in 0..n {

@@ -25,6 +25,7 @@ pub mod batch;
 pub mod buffer;
 pub mod fault;
 pub mod heap;
+pub mod measure;
 pub mod model;
 pub mod page;
 pub mod tuple;
@@ -33,6 +34,7 @@ pub use batch::ScanBatch;
 pub use buffer::{AccessKind, BufferPool, IoStats};
 pub use fault::{FaultError, FaultInjector, FaultKind, FaultPlan, FaultStats};
 pub use heap::{BatchCursor, HeapFile, ScanCursor, ZONE_PAGES};
+pub use measure::{quarter_units, MAX_FACT_ROWS, MEASURE_LIMIT_UNITS, PARTIAL_LIMIT_UNITS};
 pub use model::{CpuCounters, HardwareModel, SimTime};
 pub use page::{FileId, PageId, PAGE_SIZE};
 pub use tuple::TupleLayout;

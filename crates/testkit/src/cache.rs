@@ -22,8 +22,8 @@
 //!    — a patch that drifts by one ULP fails here.
 
 use starshare_core::{
-    paper_queries::paper_query_text, paper_schema, EngineConfig, Error, ExecStrategy, FaultPlan,
-    MorselSpec, OptimizerKind, PaperCubeSpec, WindowOutcome,
+    paper_queries::paper_query_text, paper_schema, EngineConfig, Error, FaultPlan, PaperCubeSpec,
+    WindowOutcome,
 };
 use starshare_prng::Prng;
 
@@ -74,11 +74,7 @@ pub struct CacheCheck {
 /// storage axis too.
 fn engine(spec: PaperCubeSpec, cached: bool, seed: u64) -> starshare_core::Engine {
     StorageProfile::from_seed(seed)
-        .apply(
-            EngineConfig::paper()
-                .optimizer(OptimizerKind::Tplo)
-                .result_cache(cached),
-        )
+        .apply(EngineConfig::paper().result_cache(cached))
         .build_paper(spec)
 }
 
@@ -86,16 +82,11 @@ pub(crate) fn run(
     e: &mut starshare_core::Engine,
     exprs: &[String],
 ) -> Result<WindowOutcome, Error> {
-    e.mdx_window(
-        &[exprs],
-        OptimizerKind::Tplo,
-        ExecStrategy::Morsel(MorselSpec::whole_table()),
-    )
+    e.mdx_window(&[exprs])
 }
 
 /// Deterministic append batch for `seed`: keys drawn within the leaf
-/// cardinalities, measures quantized to quarter units like the generator's
-/// (exact binary fractions keep rollup sums bit-stable).
+/// cardinalities, measures in quarter units like the generator's.
 fn append_rows(spec: PaperCubeSpec, seed: u64) -> Vec<(Vec<u32>, f64)> {
     let schema = paper_schema(spec.d_leaf);
     let cards: Vec<u32> = (0..schema.n_dims())
@@ -143,13 +134,7 @@ pub(crate) fn compare(
             match (cr, rr) {
                 (Ok(cr), Ok(rr)) => {
                     *comparisons += 1;
-                    if cr.rows.len() != rr.rows.len()
-                        || cr
-                            .rows
-                            .iter()
-                            .zip(&rr.rows)
-                            .any(|((ck, cv), (rk, rv))| ck != rk || cv.to_bits() != rv.to_bits())
-                    {
+                    if !cr.bit_eq(rr) {
                         return Err(at(&format!(
                             "query {qi}: cached rows differ from the cache-less engine"
                         )));
@@ -195,8 +180,7 @@ pub fn check_cache_differential(
     // Replay 0 submits one window per expression: later expressions can
     // then hit — exactly or by rollup — results the earlier ones just
     // cached (the one-window reference stays valid bit-for-bit because
-    // windowed and solo answers are bit-identical under TPLO with
-    // whole-table morsels; see `starshare_opt::window`).
+    // windowed and solo answers are bit-identical).
     for (xi, expr) in session.exprs.iter().enumerate() {
         let label = format!("seed {seed} replay 0 window {xi}");
         match run(&mut cached, std::slice::from_ref(expr)) {

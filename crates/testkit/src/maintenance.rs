@@ -14,8 +14,8 @@
 //! Each appending round also fires a *faulted* append first — a batch with
 //! a malformed row — and asserts it is rejected atomically: no epoch bump,
 //! no partial rows, and the next differential still matches. Generated
-//! measures are quantized to quarter units (exact binary fractions), so
-//! sums are associativity-free and the comparison can demand bit equality.
+//! measures lie in the measure domain (quarter units), so the comparison
+//! can demand bit equality.
 //!
 //! A failure is a [`Case`] whose `appends` are non-empty, which routes
 //! [`run_case`](crate::run_case) back through this differential — the
@@ -23,8 +23,8 @@
 //! with the same machinery as the pure-query harnesses.
 
 use starshare_core::{
-    paper_queries::paper_query_text, paper_schema, EngineConfig, Error, ExecStrategy, FaultPlan,
-    MorselSpec, PaperCubeSpec, WindowOutcome,
+    paper_queries::paper_query_text, paper_schema, EngineConfig, Error, FaultPlan, PaperCubeSpec,
+    WindowOutcome,
 };
 use starshare_prng::Prng;
 
@@ -73,8 +73,7 @@ pub fn maintenance_exprs(spec: PaperCubeSpec, seed: u64) -> Vec<String> {
 }
 
 /// Deterministic append batches for `seed`: keys within the leaf
-/// cardinalities, measures quantized to quarter units like the
-/// generator's, so both engines' sums stay exact.
+/// cardinalities, measures in quarter units like the generator's.
 pub fn maintenance_appends(spec: PaperCubeSpec, seed: u64) -> Vec<Vec<(Vec<u32>, f64)>> {
     let schema = paper_schema(spec.d_leaf);
     let cards: Vec<u32> = (0..schema.n_dims())
@@ -124,11 +123,7 @@ pub(crate) fn run_maintenance_case(case: &Case) -> Result<(), String> {
 }
 
 fn window(e: &mut starshare_core::Engine, case: &Case) -> Result<WindowOutcome, Error> {
-    e.mdx_window(
-        &[case.exprs.as_slice()],
-        case.optimizer,
-        ExecStrategy::Morsel(MorselSpec::whole_table()),
-    )
+    e.mdx_window(&[case.exprs.as_slice()])
 }
 
 fn run_maintenance_core(case: &Case) -> Result<MaintenanceCheck, String> {

@@ -4,7 +4,7 @@
 //! shrinker's `still_fails` predicate: build the case's cube and
 //! configuration from scratch, run the session (with faults armed if the
 //! case has a schedule), and check every per-query outcome — answered
-//! queries must match [`reference_eval`] to 1e-9, failed queries must
+//! queries must match [`reference_eval`] bit for bit, failed queries must
 //! carry the typed fault error and only exist when the injector actually
 //! denied something.
 
@@ -80,7 +80,7 @@ pub fn run_case(case: &Case) -> Result<(), String> {
         for (qi, (r, want)) in oc.results.iter().zip(exp).enumerate() {
             match r {
                 Ok(r) => {
-                    if !r.approx_eq(want, 1e-9) {
+                    if !r.bit_eq(want) {
                         return Err(format!(
                             "expression {xi} query {qi}: answer disagrees with reference_eval"
                         ));

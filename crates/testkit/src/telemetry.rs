@@ -8,9 +8,7 @@
 //! clock bit-identical on vs off), so the replayed trace is faithful to
 //! the failing run: same seed, same spans, same counters — just visible.
 
-use starshare_core::{
-    EngineConfig, ExecStrategy, MorselSpec, OptimizerKind, PaperCubeSpec, TelemetryConfig,
-};
+use starshare_core::{EngineConfig, PaperCubeSpec, TelemetryConfig};
 
 use crate::shrink::Case;
 use crate::windows::generate_window;
@@ -82,16 +80,11 @@ pub fn dump_window_telemetry(
 ) -> Result<TelemetryArtifacts, String> {
     let submissions = generate_window(spec, seed);
     let mut engine = EngineConfig::paper()
-        .optimizer(OptimizerKind::Tplo)
         .telemetry(TelemetryConfig::enabled(seed))
         .build_paper(spec);
     let slices: Vec<&[String]> = submissions.iter().map(Vec::as_slice).collect();
     engine
-        .mdx_window(
-            &slices,
-            OptimizerKind::Tplo,
-            ExecStrategy::Morsel(MorselSpec::whole_table()),
-        )
+        .mdx_window(&slices)
         .map_err(|e| format!("window failed: {e}"))?;
     write_artifacts(&engine, base)
 }
@@ -116,7 +109,7 @@ mod tests {
             spec: harness_spec(),
             seed: session.seed,
             exprs: session.exprs,
-            optimizer: OptimizerKind::Gg,
+            optimizer: starshare_core::OptimizerKind::Gg,
             threads: 1,
             fault: FaultPlan::none(),
             appends: Vec::new(),

@@ -35,7 +35,7 @@ fn random_rows(e: &Engine, n: usize, seed: u64) -> Vec<(Vec<u32>, f64)> {
             let keys: Vec<u32> = (0..schema.n_dims())
                 .map(|d| rng.gen_range(0..schema.dim(d).cardinality(0)))
                 .collect();
-            (keys, rng.gen_range(0.0..100.0))
+            (keys, rng.gen_range(0..400u32) as f64 * 0.25)
         })
         .collect()
 }
@@ -56,7 +56,7 @@ fn queries_track_appends_exactly() {
             let q = &out.expr(0).bound.queries[0];
             let expect = reference_eval(e.cube(), base, q);
             assert!(
-                out.result(0).approx_eq(&expect, 1e-9),
+                out.result(0).bit_eq(&expect),
                 "round {round} Q{n} diverged after append"
             );
         }
@@ -66,9 +66,8 @@ fn queries_track_appends_exactly() {
 }
 
 /// The same tracking property with the result cache on: patched entries
-/// must answer within the float tolerance of a from-scratch reference
-/// (these measures are *not* quantized, so ULP drift is allowed here; the
-/// bit-exact gate lives in the testkit's `maintenance` differential).
+/// must answer exactly what a from-scratch reference does — the tolerance
+/// is zero, because the measures lie in the measure domain.
 #[test]
 fn cached_queries_track_appends_within_tolerance() {
     let mut e = EngineConfig::paper().result_cache(true).build_paper(spec());
@@ -81,7 +80,7 @@ fn cached_queries_track_appends_within_tolerance() {
             let q = &out.expr(0).bound.queries[0];
             let expect = reference_eval(e.cube(), base, q);
             assert!(
-                out.result(0).approx_eq(&expect, 1e-9),
+                out.result(0).bit_eq(&expect),
                 "round {round} Q{n} diverged on the cached engine"
             );
         }
@@ -103,7 +102,7 @@ fn appended_cube_round_trips_through_snapshot() {
     let mut e2 = EngineConfig::paper().build(loaded, HardwareModel::paper_1998());
     let out1 = e.mdx(paper_query_text(3)).unwrap();
     let out2 = e2.mdx(paper_query_text(3)).unwrap();
-    assert!(out1.result(0).approx_eq(out2.result(0), 1e-12));
+    assert!(out1.result(0).bit_eq(out2.result(0)));
 }
 
 #[test]
@@ -146,12 +145,12 @@ fn failed_append_mutates_nothing() {
     );
     assert_eq!(e.cube().catalog.table(base).n_rows(), rows_before);
     let again = e.mdx(paper_query_text(1)).unwrap();
-    assert!(reference.result(0).approx_eq(again.result(0), 0.0));
+    assert!(reference.result(0).bit_eq(again.result(0)));
 }
 
-/// A NaN or infinite measure is refused at the engine boundary with the
-/// typed error, before the cube, the cache, or the epoch is touched —
-/// otherwise it would poison every SUM/MIN/MAX view and patched entry.
+/// A measure outside the measure domain — inexact, negative zero, too
+/// large, NaN or infinite — is refused at the engine boundary with the
+/// typed error, before the cube, the cache, or the epoch is touched.
 #[test]
 fn non_finite_measures_are_rejected_at_the_engine() {
     let mut e = EngineConfig::paper().result_cache(true).build_paper(spec());
@@ -159,21 +158,36 @@ fn non_finite_measures_are_rejected_at_the_engine() {
     let epoch = e.cube().epoch;
     let base = e.cube().catalog.base_table().unwrap();
     let rows_before = e.cube().catalog.table(base).n_rows();
-    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+    let (cached, cache_stats) = (e.cached_results(), e.cache_stats());
+    let too_big = (1u64 << 20) as f64;
+    for bad in [
+        0.1,
+        -0.0,
+        too_big,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ] {
         let rows = vec![(vec![0, 0, 0, 0], 1.0), (vec![1, 1, 1, 1], bad)];
         match e.append_facts(&rows) {
-            Err(starshare::Error::Storage(OlapError::NonFiniteMeasure { row: 1, value })) => {
+            Err(starshare::Error::Storage(OlapError::InexactMeasure { row: 1, value })) => {
                 assert_eq!(value.to_bits(), bad.to_bits());
             }
-            other => panic!("{bad} must be rejected as non-finite, got {other:?}"),
+            other => panic!("{bad:?} must be rejected as inexact, got {other:?}"),
         }
         assert_eq!(
             e.cube().epoch,
             epoch,
             "a rejected batch must not move the epoch"
         );
+        assert_eq!(
+            e.cached_results(),
+            cached,
+            "a rejected batch must not touch the cache"
+        );
+        assert_eq!(e.cache_stats(), cache_stats);
     }
     assert_eq!(e.cube().catalog.table(base).n_rows(), rows_before);
     let again = e.mdx(paper_query_text(1)).unwrap();
-    assert!(reference.result(0).approx_eq(again.result(0), 0.0));
+    assert!(reference.result(0).bit_eq(again.result(0)));
 }

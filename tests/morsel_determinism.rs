@@ -6,10 +6,10 @@
 //!   across 1, 2, 7, and 16 threads, because morsel boundaries and merge
 //!   order depend only on data and plan, never on scheduling.
 //! * Across morsel sizes (1 page, the default, whole-table), the page
-//!   access counters and the candidate-bitmap test count stay put and
-//!   answers agree to 1e-9 — float association follows the merge tree's
-//!   shape, and the merge-dependent CPU counters legitimately move with
-//!   the partial count, but what was *read* and *tested* cannot.
+//!   access counters, the candidate-bitmap test count and the answers'
+//!   bits stay put — the merge tree's shape follows the morsel count, but
+//!   every merge order is exact on the measure domain. The merge-dependent
+//!   CPU counters legitimately move with the partial count.
 //! * The differential oracle, widened over morsel sizes, agrees with the
 //!   row-at-a-time reference on generated MDX sessions and reproduces
 //!   itself bit-for-bit when rerun.
@@ -114,10 +114,7 @@ fn morsel_size_moves_neither_io_nor_answers() {
             assert_eq!(a.results.len(), b.results.len(), "{label}");
             for (x, y) in a.results.iter().zip(&b.results) {
                 assert_eq!(x.query, y.query, "{label}: query order");
-                assert!(
-                    x.approx_eq(y, 1e-9),
-                    "{label}: answers must agree to within float association"
-                );
+                assert!(x.bit_eq(y), "{label}: answers must not move a bit");
             }
         }
     }
