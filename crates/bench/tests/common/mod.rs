@@ -30,10 +30,10 @@ use starshare_bench::{build_engine, forced_class, query, table};
 use starshare_core::{
     combine_mode, execute_class, paper_queries::paper_query_text, paper_schema,
     shared_scan_hash_join, AggState, BufferPool, CacheStats, Catalog, ClassSpec, CombineMode,
-    CpuCounters, Cube, CubeBuilder, Engine, EngineConfig, ExecContext, ExecReport, ExecStrategy,
-    GlobalPlan, GroupBy, GroupByQuery, HardwareModel, HeapFile, IndexFormat, IoStats, JoinMethod,
-    LevelRef, MemberPred, OptimizerKind, PaperCubeSpec, QueryResult, SimTime, StoredTable, TableId,
-    TupleLayout, WindowConfig, WindowOutcome, PAGE_SIZE,
+    CpuCounters, Cube, CubeBuilder, Engine, EngineConfig, ExecContext, ExecReport, GlobalPlan,
+    GroupBy, GroupByQuery, HardwareModel, HeapFile, IndexFormat, IoStats, JoinMethod, LevelRef,
+    MemberPred, OptimizerKind, PaperCubeSpec, QueryResult, SimTime, StoredTable, TableId,
+    TupleLayout, WindowConfig, WindowOutcome, DEFAULT_MORSEL_PAGES, PAGE_SIZE,
 };
 use starshare_prng::Prng;
 use starshare_serve::Server;
@@ -364,7 +364,7 @@ fn sweep(name: &'static str, cube: &Cube, spec: &ClassSpec) -> ThreadSweep {
         .iter()
         .map(|&threads| {
             let mut ctx = ExecContext::paper_1998();
-            let oc = execute_class(&mut ctx, cube, spec, threads, ExecStrategy::default())
+            let oc = execute_class(&mut ctx, cube, spec, threads, DEFAULT_MORSEL_PAGES)
                 .expect("gate workload executes");
             let r = oc.report;
             ((r.sim, r.critical, r.io), oc.results)

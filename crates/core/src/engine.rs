@@ -4,35 +4,16 @@ use std::time::Duration;
 
 use starshare_bitmap::IndexFormat;
 use starshare_exec::{
-    execute_class, CacheHit, CacheStats, ClassSpec, ExecContext, ExecError, ExecReport,
-    ExecStrategy, MetricsSnapshot, MorselSpec, Provenance, QueryProfile, QueryResult, ResultCache,
-    Telemetry, TelemetryConfig, WindowReport, WindowTimer, DEFAULT_MORSEL_PAGES,
+    execute_class, CacheStats, ClassSpec, ExecContext, ExecError, ExecReport, MetricsRegistry,
+    MetricsSnapshot, QueryProfile, QueryResult, ResultCache, Telemetry, TelemetryConfig,
+    DEFAULT_MORSEL_PAGES,
 };
-use starshare_mdx::{bind, parse, BoundMdx};
+use starshare_mdx::BoundMdx;
 use starshare_olap::{paper_cube, Cube, GroupByQuery, PaperCubeSpec};
-use starshare_opt::{
-    plan_window, CostModel, GlobalPlan, JoinMethod, OptimizerKind, PlanClass, QueryPlan,
-    SharingStats,
-};
-use starshare_storage::{CpuCounters, FaultPlan, FaultStats, HardwareModel, SimTime};
+use starshare_opt::{CostModel, GlobalPlan, JoinMethod, OptimizerKind, PlanClass, QueryPlan};
+use starshare_storage::{CpuCounters, FaultPlan, FaultStats, HardwareModel};
 
 use crate::error::{Error, Result};
-
-/// Per-field saturating difference of two CPU counter sets — used to
-/// split a class's fold (merge) charge out of its total CPU when
-/// building per-query profiles.
-fn cpu_minus(a: &CpuCounters, b: &CpuCounters) -> CpuCounters {
-    CpuCounters {
-        hash_builds: a.hash_builds.saturating_sub(b.hash_builds),
-        hash_probes: a.hash_probes.saturating_sub(b.hash_probes),
-        agg_updates: a.agg_updates.saturating_sub(b.agg_updates),
-        tuple_copies: a.tuple_copies.saturating_sub(b.tuple_copies),
-        predicate_evals: a.predicate_evals.saturating_sub(b.predicate_evals),
-        bitmap_words: a.bitmap_words.saturating_sub(b.bitmap_words),
-        bitmap_tests: a.bitmap_tests.saturating_sub(b.bitmap_tests),
-        index_lookups: a.index_lookups.saturating_sub(b.index_lookups),
-    }
-}
 
 /// The result of executing one [`GlobalPlan`].
 #[derive(Debug)]
@@ -163,53 +144,6 @@ impl Outcome {
     }
 }
 
-/// The outcome of one optimization **window** ([`Engine::mdx_window`]): a
-/// batch of *submissions* (each its own list of MDX expressions, e.g. one
-/// per serving session) planned as a single pooled query set, executed
-/// once, and routed back per submission.
-#[derive(Debug)]
-pub struct WindowOutcome {
-    /// The shared plan over the union of every submission's queries.
-    pub plan: GlobalPlan,
-    /// Per submission, in input order: one outcome per expression (the
-    /// same shape as [`Outcome::outcomes`]).
-    pub submissions: Vec<Vec<Result<ExprOutcome>>>,
-    /// Per submission: the simulated cost its query set would have cost
-    /// *alone* under the same optimizer — the window's cost-attribution
-    /// figure, independent of window-mates by construction. With the
-    /// result cache on, this is the submission's cache charges (zero for
-    /// exact hits, rollup CPU for subsumption hits) plus the solo cost of
-    /// its misses; zero for submissions with no bound queries.
-    pub attributed: Vec<SimTime>,
-    /// How much cross-submission sharing the plan achieved.
-    pub sharing: SharingStats,
-    /// What the result cache did for this window: exact and subsumption
-    /// hits, misses, insertions, evictions (all zero when the cache is
-    /// disabled).
-    pub cache: CacheStats,
-    /// Window-level accounting (plan wall, execution totals, envelope).
-    pub report: WindowReport,
-    /// Per submission, one profile per bound query (binding order): cache
-    /// provenance plus phase attribution of the simulated time. Empty
-    /// when telemetry is off ([`EngineConfig::telemetry`]).
-    pub profiles: Vec<Vec<QueryProfile>>,
-}
-
-impl WindowOutcome {
-    /// The `i`-th submission's expression outcomes.
-    pub fn submission(&self, i: usize) -> &[Result<ExprOutcome>] {
-        &self.submissions[i]
-    }
-
-    /// True when every expression of every submission fully answered.
-    pub fn all_ok(&self) -> bool {
-        self.submissions
-            .iter()
-            .flatten()
-            .all(|o| o.as_ref().is_ok_and(ExprOutcome::all_ok))
-    }
-}
-
 /// What one [`Engine::append_facts`] call did: the rows landed, the data
 /// epoch the cube moved to, and what the result cache did to stay fresh —
 /// either delta-patching its entries ([`EngineConfig::cache_patching`], the
@@ -246,6 +180,36 @@ pub struct DegradedExecution {
     pub merge_cpu: Vec<CpuCounters>,
     /// Totals across the classes that completed.
     pub total: ExecReport,
+}
+
+/// How plan execution carves a class into morsels. The executor
+/// ([`execute_class`]) takes a bare page count; this one-variant enum
+/// stays only as the type of [`EngineConfig::strategy`] and of
+/// [`Engine::execute_plan_degraded_with`]'s parameter, which the
+/// benchmark's traced replay (`perfbench/src/replay.rs`) builds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecStrategy {
+    /// Morsel-driven work-stealing execution with a deterministic tree
+    /// merge.
+    Morsel(MorselSpec),
+}
+
+/// Morsel size: boundaries depend only on it and the data, never on the
+/// thread count or scheduling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MorselSpec {
+    /// Pages per scan morsel, and the page-count cap for probe morsels.
+    /// `u32::MAX` yields a single whole-table morsel.
+    pub pages: u32,
+}
+
+impl MorselSpec {
+    /// A spec with the given pages-per-morsel (clamped to at least 1).
+    pub fn with_pages(pages: u32) -> Self {
+        MorselSpec {
+            pages: pages.max(1),
+        }
+    }
 }
 
 /// How a serving layer batches submissions into optimization windows and
@@ -333,10 +297,8 @@ impl WindowConfig {
 /// value — optimizer, result cache, worker threads, morsel size, and the
 /// serving-window knobs ([`WindowConfig`]).
 ///
-/// This replaces the old `Engine::new(..)` vs `EngineBuilder` split: a
-/// config is built once (and can be cloned, stored, and shared — unlike a
-/// builder holding the cube), then applied to a cube with
-/// [`build`](EngineConfig::build) or [`build_paper`](EngineConfig::build_paper).
+/// Build one, then apply it to a cube with [`build`](EngineConfig::build)
+/// or [`build_paper`](EngineConfig::build_paper).
 ///
 /// ```
 /// use starshare_core::{EngineConfig, OptimizerKind, PaperCubeSpec};
@@ -425,7 +387,7 @@ impl EngineConfig {
             cache_bytes: Self::DEFAULT_CACHE_BYTES,
             cache_patching: true,
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            strategy: ExecStrategy::Morsel(MorselSpec::default()),
+            strategy: ExecStrategy::Morsel(MorselSpec::with_pages(DEFAULT_MORSEL_PAGES)),
             window: WindowConfig::default(),
             telemetry: TelemetryConfig::default(),
             index_format: IndexFormat::Plain,
@@ -553,11 +515,6 @@ impl EngineConfig {
                 }
             }
         }
-        self.finish(cube, model)
-    }
-
-    /// [`build`](EngineConfig::build) minus the format passes (shared tail).
-    fn finish(self, cube: Cube, model: HardwareModel) -> Engine {
         let mut cache = self
             .result_cache
             .then(|| ResultCache::new(self.cache_bytes));
@@ -588,12 +545,12 @@ impl EngineConfig {
 /// cold start, as the paper does before each test.
 #[derive(Debug)]
 pub struct Engine {
-    cube: Cube,
-    ctx: ExecContext,
+    pub(crate) cube: Cube,
+    pub(crate) ctx: ExecContext,
     /// Opt-in subsumption-aware result cache (see
     /// [`EngineConfig::result_cache`] / [`EngineConfig::cache_bytes`]).
-    cache: Option<ResultCache>,
-    config: EngineConfig,
+    pub(crate) cache: Option<ResultCache>,
+    pub(crate) config: EngineConfig,
 }
 
 impl Engine {
@@ -607,12 +564,6 @@ impl Engine {
     /// hardware model and the paper [`EngineConfig`] (one thread).
     pub fn paper(spec: PaperCubeSpec) -> Self {
         EngineConfig::paper().build_paper(spec)
-    }
-
-    /// An engine over an existing cube with an explicit configuration
-    /// (equivalent to [`EngineConfig::build`]).
-    pub fn with_config(cube: Cube, model: HardwareModel, config: EngineConfig) -> Self {
-        config.build(cube, model)
     }
 
     /// The engine's configuration.
@@ -644,11 +595,6 @@ impl Engine {
     pub fn morsel_pages(&self) -> u32 {
         let ExecStrategy::Morsel(spec) = self.config.strategy;
         spec.pages
-    }
-
-    /// Sets the pages-per-morsel size on a live engine (clamped to ≥ 1).
-    pub fn set_morsel_pages(&mut self, pages: u32) {
-        self.config.strategy = ExecStrategy::Morsel(MorselSpec::with_pages(pages));
     }
 
     /// Cached results currently held (0 when the cache is disabled).
@@ -741,16 +687,7 @@ impl Engine {
         let cache = self.cache_stats().since(stats_before);
         tele.metrics(|m| {
             m.observe_append(appended);
-            m.observe_cache(
-                cache.exact_hits,
-                cache.subsumption_hits,
-                cache.misses,
-                cache.insertions,
-                cache.evictions,
-                cache.invalidations,
-                cache.patched,
-                cache.patch_drops,
-            );
+            observe_cache(m, &cache);
         });
         tele.trace(|t| {
             t.advance(report.sim);
@@ -842,468 +779,6 @@ impl Engine {
         })
     }
 
-    /// Evaluates one optimization **window**: several independent
-    /// *submissions* (each its own batch of MDX expressions — e.g. one
-    /// per serving session), planned as a single pooled query set with the
-    /// engine's optimizer, executed once under its execution strategy, and
-    /// routed back per submission. This is the entry point `starshare-serve`
-    /// drives; the engine's own [`mdx_many`](Engine::mdx_many) is the
-    /// single-submission special case.
-    ///
-    /// Per-submission isolation inside the shared run:
-    ///
-    /// * parse/bind errors fail only their expression's slot;
-    /// * an execution failure (e.g. an injected storage fault) in a class
-    ///   shared by several submissions triggers a **per-owner re-run** of
-    ///   that class, so one submission's fault cannot fail a window-mate —
-    ///   each owner's sub-class either answers or fails alone (a window
-    ///   with a single submission skips this and keeps plain per-class
-    ///   degradation);
-    /// * [`WindowOutcome::attributed`] prices each submission's query set
-    ///   *as if it ran alone* — independent of window-mates.
-    pub fn mdx_window<S: AsRef<str>>(&mut self, submissions: &[&[S]]) -> Result<WindowOutcome> {
-        let (optimizer, strategy) = (self.config.optimizer, self.config.strategy);
-        // Routes executed (or cached) per-query outcomes back to their
-        // submissions, preserving expression input order and binding
-        // order within each expression.
-        fn route(
-            bounds: Vec<Vec<Result<BoundMdx>>>,
-            take: &mut dyn FnMut(usize, &GroupByQuery) -> Result<QueryResult>,
-        ) -> Vec<Vec<Result<ExprOutcome>>> {
-            bounds
-                .into_iter()
-                .enumerate()
-                .map(|(si, sub)| {
-                    sub.into_iter()
-                        .map(|b| {
-                            b.map(|bound| {
-                                let results = bound.queries.iter().map(|q| take(si, q)).collect();
-                                ExprOutcome { bound, results }
-                            })
-                        })
-                        .collect()
-                })
-                .collect()
-        }
-
-        let mut timer = WindowTimer::start();
-        let mut bounds: Vec<Vec<Result<BoundMdx>>> = Vec::with_capacity(submissions.len());
-        let mut sets: Vec<Vec<GroupByQuery>> = Vec::with_capacity(submissions.len());
-        for texts in submissions {
-            let mut sub_bounds = Vec::with_capacity(texts.len());
-            let mut set = Vec::new();
-            for text in texts.iter() {
-                match parse(text.as_ref())
-                    .map_err(Error::from)
-                    .and_then(|expr| bind(&self.cube.schema, &expr).map_err(Error::from))
-                {
-                    Ok(bound) => {
-                        set.extend(bound.queries.clone());
-                        sub_bounds.push(Ok(bound));
-                    }
-                    Err(e) => sub_bounds.push(Err(e)),
-                }
-            }
-            bounds.push(sub_bounds);
-            sets.push(set);
-        }
-        let n_queries: usize = sets.iter().map(Vec::len).sum();
-        let n_exprs: usize = submissions.iter().map(|s| s.len()).sum();
-        let degenerate_sharing = SharingStats {
-            n_submissions: submissions.len(),
-            n_queries,
-            n_classes: 0,
-            cross_submission_classes: 0,
-            shared_scan_ratio: 1.0,
-        };
-
-        let tele = self.ctx.telemetry.clone();
-        tele.trace(|t| {
-            t.start(
-                "window.close",
-                vec![
-                    ("n_submissions", submissions.len().into()),
-                    ("n_exprs", n_exprs.into()),
-                    ("n_queries", n_queries.into()),
-                ],
-            )
-        });
-
-        if n_queries == 0 {
-            // Every expression failed to parse/bind (or bound to nothing):
-            // no plan to run.
-            let routed = route(bounds, &mut |_, _| {
-                Err(Error::Exec(ExecError::new("expression bound no queries")))
-            });
-            tele.metrics(|m| m.observe_window(submissions.len() as u64, 0, 0, 0, n_exprs as u64));
-            tele.trace(|t| {
-                t.end(
-                    "window.close",
-                    vec![("n_classes", 0u64.into()), ("sim_ns", SimTime::ZERO.into())],
-                )
-            });
-            tele.store_profiles(Vec::new());
-            let n_subs = sets.len();
-            return Ok(WindowOutcome {
-                plan: GlobalPlan::default(),
-                submissions: routed,
-                attributed: vec![SimTime::ZERO; n_subs],
-                sharing: degenerate_sharing,
-                cache: CacheStats::default(),
-                report: timer.finish(ExecReport::default(), n_subs, 0, 0),
-                profiles: vec![Vec::new(); n_subs],
-            });
-        }
-
-        // Split the window into cache-answerable queries and misses: only
-        // the misses are planned and executed. `cached[si][j]` parallels
-        // `sets[si][j]`; subsumption rollups are charged (per owning
-        // submission and on the window total) as CPU over cached rows.
-        let stats_before = self
-            .cache
-            .as_ref()
-            .map_or_else(CacheStats::default, |c| c.stats());
-        // Each hit with how it was obtained and its rollup charge (for
-        // per-query profiles); `None` for misses.
-        let mut cached: Vec<Vec<Option<(QueryResult, Provenance, SimTime)>>> =
-            Vec::with_capacity(sets.len());
-        let mut cache_charges: Vec<SimTime> = vec![SimTime::ZERO; sets.len()];
-        let mut cache_total = ExecReport::default();
-        let mut miss_sets: Vec<Vec<GroupByQuery>> = Vec::with_capacity(sets.len());
-        if let Some(cache) = &mut self.cache {
-            cache.advance_epoch(self.cube.epoch);
-            let model = self.ctx.model;
-            for (si, set) in sets.iter().enumerate() {
-                let mut hits = Vec::with_capacity(set.len());
-                let mut misses = Vec::new();
-                for q in set {
-                    match cache.lookup(&self.cube.schema, q, &model) {
-                        Some(CacheHit::Exact { result, patched }) => {
-                            let prov = if patched {
-                                Provenance::DeltaPatched
-                            } else {
-                                Provenance::ExactHit
-                            };
-                            tele.trace(|t| {
-                                t.event(
-                                    "cache.probe",
-                                    vec![
-                                        ("submission", si.into()),
-                                        ("outcome", prov.as_str().into()),
-                                    ],
-                                )
-                            });
-                            hits.push(Some((result, prov, SimTime::ZERO)));
-                        }
-                        Some(CacheHit::Subsumption { result, report }) => {
-                            cache_charges[si] += report.sim;
-                            cache_total.merge(&report);
-                            tele.trace(|t| {
-                                t.advance(report.sim);
-                                t.event(
-                                    "cache.probe",
-                                    vec![
-                                        ("submission", si.into()),
-                                        ("outcome", Provenance::SubsumptionRollup.as_str().into()),
-                                        ("rollup_ns", report.sim.into()),
-                                    ],
-                                );
-                            });
-                            hits.push(Some((result, Provenance::SubsumptionRollup, report.sim)));
-                        }
-                        None => {
-                            tele.trace(|t| {
-                                t.event(
-                                    "cache.probe",
-                                    vec![("submission", si.into()), ("outcome", "miss".into())],
-                                )
-                            });
-                            misses.push(q.clone());
-                            hits.push(None);
-                        }
-                    }
-                }
-                cached.push(hits);
-                miss_sets.push(misses);
-            }
-        } else {
-            cached = sets.iter().map(|s| vec![None; s.len()]).collect();
-            miss_sets = sets.clone();
-        }
-
-        let n_miss: usize = miss_sets.iter().map(Vec::len).sum();
-        tele.trace(|t| {
-            t.start(
-                "opt.plan",
-                vec![
-                    ("heuristic", optimizer.to_string().into()),
-                    ("n_miss_queries", n_miss.into()),
-                ],
-            )
-        });
-        let planned = (|| -> Result<_> {
-            let cm = self.cost_model();
-            let wp = plan_window(&cm, &miss_sets, optimizer)?;
-            // Price each submission as if it ran alone — the window's
-            // cost-attribution figure, independent of window-mates: the
-            // charge for its cache hits plus the solo cost of its misses.
-            // A single-submission window's miss plan *is* its own solo run.
-            let attributed: Vec<SimTime> = if miss_sets.len() == 1 {
-                vec![cache_charges[0] + wp.plan.estimated_cost]
-            } else {
-                miss_sets
-                    .iter()
-                    .zip(&cache_charges)
-                    .map(|(set, &charge)| {
-                        if set.is_empty() {
-                            Ok(charge)
-                        } else {
-                            Ok(charge + optimizer.run(&cm, set)?.estimated_cost)
-                        }
-                    })
-                    .collect::<Result<_>>()?
-            };
-            Ok((wp, attributed))
-        })();
-        let (wp, attributed) = match planned {
-            Ok(v) => v,
-            Err(e) => {
-                // Close the open spans so a failed window cannot skew the
-                // nesting of later ones.
-                tele.trace(|t| {
-                    t.end("opt.plan", Vec::new());
-                    t.end("window.close", Vec::new());
-                });
-                return Err(e);
-            }
-        };
-        timer.planned();
-        let plan = wp.plan;
-        let owners = wp.owners;
-        // The plan covers only the misses; report the window's full query
-        // count (the serving layer counts queries served, not scanned).
-        let mut sharing = wp.sharing;
-        sharing.n_queries = n_queries;
-        tele.trace(|t| {
-            t.end(
-                "opt.plan",
-                vec![
-                    ("n_classes", sharing.n_classes.into()),
-                    (
-                        "cross_submission_classes",
-                        sharing.cross_submission_classes.into(),
-                    ),
-                    ("shared_scan_ratio", sharing.shared_scan_ratio.into()),
-                    ("estimated_cost_ns", plan.estimated_cost.into()),
-                ],
-            )
-        });
-
-        let (exec, _) = self.run_plan(&plan, strategy, false);
-        let mut results = exec.results;
-        let per_class = exec.per_class;
-        let class_merge_cpu = exec.merge_cpu;
-        let mut total = exec.total;
-        // The subsumption rollups' CPU is window work too.
-        total.merge(&cache_total);
-
-        // One profile per plan slot: a query's profile is the phase
-        // attribution of the shared operator pass that produced its
-        // answer (class counters minus the fold charge, which gets its
-        // own merge phase) — members of a multi-query class share it.
-        let mut slot_profile: Vec<QueryProfile> = Vec::new();
-        if tele.enabled() {
-            let model = self.ctx.model;
-            for (ci, class) in plan.classes.iter().enumerate() {
-                let prov = if class.plans.len() > 1 {
-                    Provenance::WindowShared
-                } else {
-                    Provenance::Direct
-                };
-                let merge_cpu = class_merge_cpu.get(ci).copied().unwrap_or_default();
-                let scan_cpu = cpu_minus(&per_class[ci].cpu, &merge_cpu);
-                let profile =
-                    QueryProfile::executed(prov, &model, &per_class[ci].io, &scan_cpu, &merge_cpu);
-                slot_profile.extend(std::iter::repeat_n(profile, class.plans.len()));
-            }
-        }
-
-        // Fault isolation across submissions: a failed class whose slots
-        // belong to more than one submission is re-run once per owner, so
-        // one submission's fault cannot take a window-mate's queries
-        // down. Single-owner failures stand — they are that submission's
-        // own degradation (PR 3 semantics).
-        if sharing.n_submissions > 1 {
-            let mut base = 0usize;
-            for class in &plan.classes {
-                let len = class.plans.len();
-                let slots = base..base + len;
-                base += len;
-                if len == 0 || !results[slots.clone()].iter().all(|r| r.is_err()) {
-                    continue;
-                }
-                let owner_slice = &owners[slots.clone()];
-                let mut distinct: Vec<usize> = Vec::new();
-                for &o in owner_slice {
-                    if !distinct.contains(&o) {
-                        distinct.push(o);
-                    }
-                }
-                if distinct.len() < 2 {
-                    continue;
-                }
-                for &o in &distinct {
-                    let sub = PlanClass {
-                        table: class.table,
-                        plans: class
-                            .plans
-                            .iter()
-                            .zip(owner_slice)
-                            .filter(|&(_, po)| *po == o)
-                            .map(|(p, _)| p.clone())
-                            .collect(),
-                    };
-                    match self.run_class(&sub, strategy) {
-                        Ok((rs, rep, _)) => {
-                            // `run_class` answers exactly `sub.plans`, in order.
-                            let owned = slots.clone().zip(owner_slice).filter(|&(_, &po)| po == o);
-                            for ((slot, _), r) in owned.zip(rs) {
-                                results[slot] = Ok(r);
-                            }
-                            total.merge(&rep);
-                        }
-                        Err(e) => {
-                            for (slot, &po) in slots.clone().zip(owner_slice) {
-                                if po == o {
-                                    results[slot] = Err(Error::from(e.clone()));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Distribute outcomes back to expressions (binding order within
-        // each): cache answers serve their slots directly — the take
-        // calls for submission `si` arrive in exactly `sets[si]` order —
-        // and every miss consumes one owned plan slot, in plan order
-        // (duplicate queries each consume their own slot).
-        let plan_queries: Vec<GroupByQuery> =
-            plan.assignments().map(|(_, q, _)| q.clone()).collect();
-        let mut pool: Vec<Option<Result<QueryResult>>> = results.into_iter().map(Some).collect();
-        let mut next_q: Vec<usize> = vec![0; sets.len()];
-        let tele_on = tele.enabled();
-        let mut profiles: Vec<Vec<QueryProfile>> =
-            sets.iter().map(|s| Vec::with_capacity(s.len())).collect();
-        let routed = route(bounds, &mut |si, q| {
-            let j = next_q[si];
-            next_q[si] += 1;
-            if let Some((r, prov, rollup)) = cached[si][j].take() {
-                debug_assert_eq!(&r.query, q, "cache answer routed to the wrong slot");
-                if tele_on {
-                    profiles[si].push(QueryProfile::cached(prov, rollup));
-                }
-                return Ok(r);
-            }
-            // The first untaken slot this submission owns for `q`.
-            let (slot, r) = pool
-                .iter_mut()
-                .enumerate()
-                .filter(|&(i, _)| owners[i] == si && plan_queries[i] == *q)
-                .find_map(|(i, p)| p.take().map(|r| (i, r)))
-                .ok_or_else(|| Error::Exec(ExecError::new("plan lost a query")))?;
-            if tele_on {
-                profiles[si].push(slot_profile[slot]);
-            }
-            r
-        });
-        if tele_on {
-            tele.store_profiles(profiles.iter().flatten().copied().collect());
-        }
-        // Admit every fresh result (executed misses and subsumption
-        // rollups — exact hits are already resident), seeded with its
-        // estimated solo production cost: the simulated time a future hit
-        // saves, which is what eviction ranks by. Alone, a query's plan
-        // under every optimizer is its best local plan.
-        if let Some(cache) = &mut self.cache {
-            let cm = CostModel::new(&self.cube, self.ctx.model);
-            for oc in routed.iter().flatten().flatten() {
-                for r in oc.results.iter().flatten() {
-                    if cache.contains_exact(&r.query) {
-                        continue;
-                    }
-                    let cost = cm.best_local(&r.query).map_or(SimTime::ZERO, |(_, _, c)| c);
-                    cache.insert(r.query.clone(), r.clone(), cost);
-                }
-            }
-        }
-        let cache_stats = self
-            .cache
-            .as_ref()
-            .map_or_else(CacheStats::default, |c| c.stats())
-            .since(stats_before);
-        let n_classes = plan.classes.len();
-        tele.metrics(|m| {
-            m.observe_window(
-                sets.len() as u64,
-                n_queries as u64,
-                n_classes as u64,
-                sharing.cross_submission_classes as u64,
-                n_exprs as u64,
-            );
-            m.observe_exec(&total.io, total.sim, total.critical);
-            m.observe_cache(
-                cache_stats.exact_hits,
-                cache_stats.subsumption_hits,
-                cache_stats.misses,
-                cache_stats.insertions,
-                cache_stats.evictions,
-                cache_stats.invalidations,
-                cache_stats.patched,
-                cache_stats.patch_drops,
-            );
-        });
-        if let Some(fs) = self.fault_stats() {
-            tele.metrics(|m| {
-                m.set_faults(
-                    fs.checked,
-                    fs.transient,
-                    fs.poisoned_pages,
-                    fs.poison_denials,
-                )
-            });
-        }
-        tele.trace(|t| {
-            if cache_stats.insertions > 0 {
-                t.event(
-                    "cache.admit",
-                    vec![("count", cache_stats.insertions.into())],
-                );
-            }
-            if cache_stats.evictions > 0 {
-                t.event("cache.evict", vec![("count", cache_stats.evictions.into())]);
-            }
-            t.end(
-                "window.close",
-                vec![
-                    ("n_classes", n_classes.into()),
-                    ("sim_ns", total.sim.into()),
-                    ("critical_ns", total.critical.into()),
-                ],
-            );
-        });
-        Ok(WindowOutcome {
-            plan,
-            submissions: routed,
-            attributed,
-            sharing,
-            cache: cache_stats,
-            report: timer.finish(total, sets.len(), n_queries, n_classes),
-            profiles,
-        })
-    }
-
     /// Optimizes a query set with a specific algorithm.
     pub fn optimize(&self, queries: &[GroupByQuery], kind: OptimizerKind) -> Result<GlobalPlan> {
         Ok(kind.run(&self.cost_model(), queries)?)
@@ -1316,7 +791,7 @@ impl Engine {
     /// The plan's totals are the classes' reports summed, `critical`
     /// included; none of them depends on the thread count.
     pub fn execute_plan(&mut self, plan: &GlobalPlan) -> Result<PlanExecution> {
-        let (exec, failed) = self.run_plan(plan, self.config.strategy, true);
+        let (exec, failed) = self.run_plan(plan, self.morsel_pages(), true);
         if let Some(e) = failed {
             return Err(e.into());
         }
@@ -1350,7 +825,8 @@ impl Engine {
         plan: &GlobalPlan,
         strategy: ExecStrategy,
     ) -> DegradedExecution {
-        self.run_plan(plan, strategy, false).0
+        let ExecStrategy::Morsel(spec) = strategy;
+        self.run_plan(plan, spec.pages, false).0
     }
 
     /// The one per-class loop behind every plan execution: runs each class
@@ -1359,10 +835,10 @@ impl Engine {
     /// `Err` for exactly its member queries, and later classes still run —
     /// unless `strict`, where the first failure ends the run and comes
     /// back alongside (a class with no queries has no slot to carry it).
-    fn run_plan(
+    pub(crate) fn run_plan(
         &mut self,
         plan: &GlobalPlan,
-        strategy: ExecStrategy,
+        morsel_pages: u32,
         strict: bool,
     ) -> (DegradedExecution, Option<ExecError>) {
         let mut results: Vec<Result<QueryResult>> = Vec::with_capacity(plan.n_queries());
@@ -1371,7 +847,7 @@ impl Engine {
         let mut total = ExecReport::default();
         let mut failed = None;
         for class in &plan.classes {
-            match self.run_class(class, strategy) {
+            match self.run_class(class, morsel_pages) {
                 Ok((rs, rep, mc)) => {
                     results.extend(rs.into_iter().map(Ok));
                     total.merge(&rep);
@@ -1401,15 +877,15 @@ impl Engine {
     }
 
     /// Runs one plan class as a shared operator on the morsel executor
-    /// under `strategy`, returning its results **in class plan order**,
+    /// at `morsel_pages` pages per morsel, returning its results **in class plan order**,
     /// the class's report, and the report's merge-phase CPU. Each call is
     /// one executor invocation, so a faulted class cannot take its
     /// neighbours down with it — the plan loop and the window path's
     /// per-owner fault-isolation re-runs both build on this.
-    fn run_class(
+    pub(crate) fn run_class(
         &mut self,
         class: &PlanClass,
-        strategy: ExecStrategy,
+        morsel_pages: u32,
     ) -> std::result::Result<(Vec<QueryResult>, ExecReport, CpuCounters), ExecError> {
         let members = |method| {
             class
@@ -1430,7 +906,7 @@ impl Engine {
             &self.cube,
             &spec,
             self.config.threads,
-            strategy,
+            morsel_pages,
         )?;
         let mut rs = out.results;
         if rs.len() != class.plans.len() {
@@ -1494,12 +970,26 @@ impl Engine {
                     method: *m,
                 }],
             };
-            let (rs, rep, _) = self.run_class(&class, self.config.strategy)?;
+            let (rs, rep, _) = self.run_class(&class, self.morsel_pages())?;
             results.extend(rs);
             total.merge(&rep);
         }
         Ok((results, total))
     }
+}
+
+/// Folds one result-cache activity delta into the metrics registry.
+pub(crate) fn observe_cache(m: &mut MetricsRegistry, c: &CacheStats) {
+    m.observe_cache(
+        c.exact_hits,
+        c.subsumption_hits,
+        c.misses,
+        c.insertions,
+        c.evictions,
+        c.invalidations,
+        c.patched,
+        c.patch_drops,
+    );
 }
 
 #[cfg(test)]
@@ -2074,173 +1564,5 @@ mod cache_tests {
         e.flush();
         let again = e.mdx(paper_query_text(1)).unwrap();
         assert!(again.report.sim > SimTime::ZERO);
-    }
-}
-
-#[cfg(test)]
-mod window_tests {
-    use super::*;
-    use starshare_mdx::paper_queries::paper_query_text;
-
-    fn spec() -> PaperCubeSpec {
-        PaperCubeSpec {
-            base_rows: 5_000,
-            d_leaf: 48,
-            seed: 17,
-            with_indexes: true,
-        }
-    }
-
-    fn engine() -> Engine {
-        Engine::paper(spec())
-    }
-
-    #[test]
-    fn window_routes_every_submission_in_order() {
-        let mut e = engine();
-        let sub_a = [paper_query_text(1), paper_query_text(2)];
-        let sub_b = [paper_query_text(3)];
-        let subs: Vec<&[&str]> = vec![&sub_a, &sub_b];
-        let w = e.mdx_window(&subs).unwrap();
-        assert!(w.all_ok());
-        assert_eq!(w.submissions.len(), 2);
-        assert_eq!(w.submission(0).len(), 2);
-        assert_eq!(w.submission(1).len(), 1);
-        assert_eq!(w.sharing.n_submissions, 2);
-        assert_eq!(w.attributed.len(), 2);
-        // Each expression's results come back in its own binding order.
-        for sub in &w.submissions {
-            for oc in sub.iter().flatten() {
-                for (q, r) in oc.bound.queries.iter().zip(&oc.results) {
-                    assert_eq!(&r.as_ref().unwrap().query, q);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn windowed_results_are_bit_identical_to_solo_runs() {
-        // The serving determinism contract: at the engine's own optimizer
-        // and morsel size, a submission's answers do not depend on
-        // window-mates.
-        let texts = [
-            paper_query_text(1),
-            paper_query_text(2),
-            paper_query_text(3),
-        ];
-        let mut e = engine();
-        let subs: Vec<&[&str]> = texts.iter().map(std::slice::from_ref).collect();
-        let windowed = e.mdx_window(&subs).unwrap();
-        assert!(windowed.all_ok());
-        for (si, text) in texts.iter().enumerate() {
-            let mut solo_engine = engine();
-            let solo = solo_engine
-                .mdx_window(&[std::slice::from_ref(text)])
-                .unwrap();
-            let w_oc = windowed.submission(si)[0].as_ref().unwrap();
-            let s_oc = solo.submission(0)[0].as_ref().unwrap();
-            for (wr, sr) in w_oc.results.iter().zip(&s_oc.results) {
-                assert_eq!(
-                    wr.as_ref().unwrap().rows,
-                    sr.as_ref().unwrap().rows,
-                    "submission {si} must be bit-identical alone vs windowed"
-                );
-            }
-            assert_eq!(
-                windowed.attributed[si], solo.attributed[0],
-                "attributed cost must be co-tenant independent"
-            );
-        }
-    }
-
-    #[test]
-    fn duplicate_submissions_share_one_class_and_both_answer() {
-        let mut e = engine();
-        let t = paper_query_text(1);
-        let w = e.mdx_window(&[&[t], &[t]]).unwrap();
-        assert!(w.all_ok());
-        // Identical queries merge into one class fed by both submitters.
-        assert!(w.sharing.cross_submission_classes >= 1);
-        assert!(w.sharing.shared_scan_ratio > 1.0);
-        let a = w.submission(0)[0].as_ref().unwrap().result(0);
-        let b = w.submission(1)[0].as_ref().unwrap().result(0);
-        assert_eq!(a.rows, b.rows);
-        assert_eq!(w.attributed[0], w.attributed[1]);
-    }
-
-    #[test]
-    fn parse_errors_stay_inside_their_submission() {
-        let mut e = engine();
-        let sub_b = [paper_query_text(2)];
-        let subs: Vec<&[&str]> = vec![&["this is not MDX"], &sub_b];
-        let w = e.mdx_window(&subs).unwrap();
-        assert!(matches!(w.submission(0)[0], Err(Error::Parse(_))));
-        assert!(w.submission(1)[0].as_ref().unwrap().all_ok());
-        assert_eq!(w.attributed[0], SimTime::ZERO);
-        assert!(w.attributed[1] > SimTime::ZERO);
-    }
-
-    #[test]
-    fn empty_window_reports_degenerate_sharing() {
-        let mut e = engine();
-        let subs: Vec<&[&str]> = vec![&["nope"], &[]];
-        let w = e.mdx_window(&subs).unwrap();
-        assert_eq!(w.sharing.n_classes, 0);
-        assert_eq!(w.sharing.shared_scan_ratio, 1.0);
-        assert!(matches!(w.submission(0)[0], Err(Error::Parse(_))));
-        assert!(w.submission(1).is_empty());
-    }
-
-    #[test]
-    fn one_submissions_fault_cannot_fail_a_window_mate() {
-        // Two submissions of the same query share one class; a fault
-        // striking that class triggers the per-owner re-run, so failures
-        // (if any) are per submission — and survivors stay bit-identical
-        // to the clean run.
-        let t = paper_query_text(1);
-        let clean_rows = {
-            let mut e = engine();
-            let w = e.mdx_window(&[&[t], &[t]]).unwrap();
-            w.submission(0)[0].as_ref().unwrap().result(0).rows.clone()
-        };
-        let mut faulted_submissions = 0usize;
-        for seed in 0..24u64 {
-            let mut e = engine();
-            e.inject_faults(FaultPlan {
-                seed,
-                transient: 0.05,
-                poison: 0.01,
-            });
-            let w = e.mdx_window(&[&[t], &[t]]).unwrap();
-            for si in 0..2 {
-                match &w.submission(si)[0].as_ref().unwrap().results[0] {
-                    Ok(r) => assert_eq!(
-                        r.rows, clean_rows,
-                        "seed {seed}: survivor must match the clean run bit-for-bit"
-                    ),
-                    Err(e) => {
-                        assert!(e.is_fault(), "seed {seed}: {e}");
-                        faulted_submissions += 1;
-                    }
-                }
-            }
-        }
-        // The sweep must actually exercise the isolation path.
-        assert!(faulted_submissions > 0, "no seed produced a fault");
-    }
-
-    #[test]
-    fn window_report_envelope_covers_planning_and_execution() {
-        let mut e = engine();
-        let sub_a = [paper_query_text(1)];
-        let sub_b = [paper_query_text(3)];
-        let subs: Vec<&[&str]> = vec![&sub_a, &sub_b];
-        let w = e.mdx_window(&subs).unwrap();
-        assert_eq!(w.report.n_submissions, 2);
-        assert_eq!(w.report.n_queries, w.sharing.n_queries);
-        assert_eq!(w.report.n_classes, w.plan.classes.len());
-        assert!(w.report.wall >= w.report.plan_wall);
-        assert!(w.report.busy() >= w.report.plan_wall);
-        assert!(w.report.exec.sim > SimTime::ZERO);
     }
 }

@@ -4,7 +4,7 @@
 //! variant per pipeline stage, wrapping that stage's own error type with
 //! full [`std::error::Error::source`] chaining — so callers can match on
 //! *where* a request failed (parse vs bind vs optimize vs execute vs
-//! storage) without string inspection, while `{}` still renders the whole
+//! append) without string inspection, while `{}` still renders the whole
 //! story.
 
 use std::fmt;
@@ -62,9 +62,10 @@ pub enum Error {
     /// in [`mdx_many`](crate::Engine::mdx_many) — the rest of the batch
     /// still answers.
     Fault(FaultError),
-    /// The storage/data-model layer rejected an operation (e.g. an
-    /// out-of-range key in [`append_facts`](crate::Engine::append_facts)).
-    Storage(OlapError),
+    /// [`append_facts`](crate::Engine::append_facts) refused its rows
+    /// (bad arity, an out-of-range key, a measure outside the domain);
+    /// nothing was mutated.
+    Append(OlapError),
     /// The serving layer refused admission: the bounded submission queue or
     /// the tenant's in-flight budget is full (`starshare-serve`). The
     /// submission was not enqueued — retry after draining in-flight work.
@@ -103,7 +104,7 @@ impl fmt::Display for Error {
             Error::Optimize(e) => write!(f, "optimize error: {e}"),
             Error::Exec(e) => write!(f, "execution error: {e}"),
             Error::Fault(e) => write!(f, "storage fault: {e}"),
-            Error::Storage(e) => write!(f, "storage error: {e}"),
+            Error::Append(e) => write!(f, "append rejected: {e}"),
             Error::Overloaded(o) => write!(f, "overloaded: {o}"),
             Error::Closed => write!(f, "server closed"),
         }
@@ -118,7 +119,7 @@ impl std::error::Error for Error {
             Error::Optimize(e) => Some(e),
             Error::Exec(e) => Some(e),
             Error::Fault(e) => Some(e),
-            Error::Storage(e) => Some(e),
+            Error::Append(e) => Some(e),
             Error::Overloaded(_) | Error::Closed => None,
         }
     }
@@ -159,7 +160,7 @@ impl From<FaultError> for Error {
 
 impl From<OlapError> for Error {
     fn from(e: OlapError) -> Self {
-        Error::Storage(e)
+        Error::Append(e)
     }
 }
 
@@ -183,10 +184,9 @@ mod tests {
     #[test]
     fn every_variant_converts_from_its_stage_error() {
         assert!(matches!(Error::from(ExecError::new("x")), Error::Exec(_)));
-        assert!(matches!(
-            Error::from(OlapError::new("x")),
-            Error::Storage(_)
-        ));
+        let append = Error::from(OlapError::new("x"));
+        assert!(matches!(append, Error::Append(_)));
+        assert_eq!(append.to_string(), "append rejected: x");
     }
 
     #[test]

@@ -26,22 +26,23 @@
 pub mod engine;
 pub mod error;
 pub mod grid;
+pub mod window;
 
 pub use engine::{
-    AppendOutcome, DegradedExecution, Engine, EngineConfig, ExprOutcome, Outcome, PlanExecution,
-    WindowConfig, WindowOutcome,
+    AppendOutcome, DegradedExecution, Engine, EngineConfig, ExecStrategy, ExprOutcome, MorselSpec,
+    Outcome, PlanExecution, WindowConfig,
 };
 pub use error::{Error, Overload, Result};
 pub use grid::{pivot, render_pivot, PivotGrid, PivotPage};
+pub use window::{WindowOutcome, WindowReport, WindowTimer};
 
 pub use starshare_bitmap::{Bitmap, BitmapJoinIndex, CompressedBitmap, IndexFormat, MemberBits};
 pub use starshare_exec::{
     execute_class, hash_star_join, index_star_join, reference_eval, result_bytes,
     shared_hybrid_join, shared_index_join, shared_scan_hash_join, AggKernel, CacheHit, CacheStats,
-    ClassOutcome, ClassSpec, DimPipeline, ExecContext, ExecError, ExecReport, ExecStrategy,
-    GroupAcc, KernelTier, MetricsRegistry, MetricsSnapshot, MorselSpec, Provenance, QueryProfile,
-    QueryResult, ResultCache, Telemetry, TelemetryConfig, WindowReport, WindowTimer,
-    DEFAULT_MORSEL_PAGES, DENSE_MAX_GROUPS,
+    ClassOutcome, ClassSpec, DimPipeline, ExecContext, ExecError, ExecReport, GroupAcc, KernelTier,
+    MetricsRegistry, MetricsSnapshot, Provenance, QueryProfile, QueryResult, ResultCache,
+    Telemetry, TelemetryConfig, DEFAULT_MORSEL_PAGES, DENSE_MAX_GROUPS,
 };
 pub use starshare_mdx::{
     bind, generate_mdx, paper_queries, parse, Axis, AxisSpec, BindError, BoundAxis, BoundMdx,

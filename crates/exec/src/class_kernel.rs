@@ -379,10 +379,7 @@ mod tests {
 
     use super::*;
     use crate::context::ExecContext;
-    use crate::parallel::{
-        execute_class_compiled, ClassOutcome, ClassSpec, ExecStrategy, MorselSpec,
-        DEFAULT_MORSEL_PAGES,
-    };
+    use crate::parallel::{execute_class_compiled, ClassOutcome, ClassSpec, DEFAULT_MORSEL_PAGES};
     use crate::result::QueryResult;
     use starshare_olap::{
         paper_schema, AggFn, CubeBuilder, Dimension, GroupBy, GroupByQuery, MemberPred, StarSchema,
@@ -529,9 +526,7 @@ mod tests {
             for threads in [1, 2, 7, 16] {
                 let run = |compile: CompileKernel| {
                     let mut ctx = ExecContext::paper_1998();
-                    let strategy = ExecStrategy::Morsel(MorselSpec::with_pages(pages));
-                    execute_class_compiled(&mut ctx, cube, spec, threads, strategy, compile)
-                        .unwrap()
+                    execute_class_compiled(&mut ctx, cube, spec, threads, pages, compile).unwrap()
                 };
                 assert_outcomes_identical(
                     &run(ClassKernel::compile),

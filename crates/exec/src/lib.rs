@@ -38,7 +38,6 @@ pub mod reference;
 pub mod result;
 pub mod retry;
 pub mod rollup;
-pub mod window;
 
 pub use cache::{result_bytes, CacheHit, CacheStats, ResultCache};
 pub use context::{ExecContext, ExecReport};
@@ -47,9 +46,7 @@ pub use kernel::{AggKernel, GroupAcc, KernelTier, DENSE_MAX_GROUPS};
 pub use operators::{
     hash_star_join, index_star_join, shared_hybrid_join, shared_index_join, shared_scan_hash_join,
 };
-pub use parallel::{
-    execute_class, ClassOutcome, ClassSpec, ExecStrategy, MorselSpec, DEFAULT_MORSEL_PAGES,
-};
+pub use parallel::{execute_class, ClassOutcome, ClassSpec, DEFAULT_MORSEL_PAGES};
 pub use reference::reference_eval;
 pub use result::QueryResult;
 pub use retry::{with_retry, MAX_READ_RETRIES};
@@ -57,4 +54,3 @@ pub use rollup::DimPipeline;
 pub use starshare_obs::{
     MetricsRegistry, MetricsSnapshot, Provenance, QueryProfile, Telemetry, TelemetryConfig,
 };
-pub use window::{WindowReport, WindowTimer};

@@ -43,38 +43,6 @@ pub const DEFAULT_MORSEL_PAGES: u32 = 128;
 /// morsel targets fewer.
 const MIN_PROBE_CANDIDATES_PER_MORSEL: u64 = 32;
 
-/// Morsel sizing knob. Boundaries derived from a spec depend only on the
-/// spec and the data — never on thread count or scheduling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MorselSpec {
-    /// Pages per scan morsel, and the page-count cap for probe morsels.
-    /// `u32::MAX` yields a single whole-table morsel.
-    pub pages: u32,
-}
-
-impl Default for MorselSpec {
-    fn default() -> Self {
-        MorselSpec {
-            pages: DEFAULT_MORSEL_PAGES,
-        }
-    }
-}
-
-impl MorselSpec {
-    /// A spec with the given pages-per-morsel (clamped to at least 1).
-    pub fn with_pages(pages: u32) -> Self {
-        MorselSpec {
-            pages: pages.max(1),
-        }
-    }
-
-    /// One morsel spanning the whole table: parallelism degenerates to one
-    /// unit per class, which is exactly the sequential work split.
-    pub fn whole_table() -> Self {
-        MorselSpec { pages: u32::MAX }
-    }
-}
-
 /// Carves `heap` into contiguous `pages`-page tuple ranges `[lo, hi)`.
 /// Deterministic in `(heap, pages)`; empty tables yield no morsels.
 pub(crate) fn scan_morsels(heap: &HeapFile, pages: u32) -> Vec<(u64, u64)> {

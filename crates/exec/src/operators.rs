@@ -25,7 +25,7 @@ use starshare_storage::CpuCounters;
 use crate::context::{ExecContext, ExecReport};
 use crate::error::ExecError;
 use crate::kernel::GroupAcc;
-use crate::parallel::{execute_class, ClassSpec, ExecStrategy, MorselSpec};
+use crate::parallel::{execute_class, ClassSpec};
 use crate::plan_io::QueryBitmap;
 use crate::result::QueryResult;
 use crate::rollup::DimPipeline;
@@ -147,8 +147,7 @@ fn run_pass(
         hash_queries: hash_queries.to_vec(),
         index_queries: index_queries.to_vec(),
     };
-    let strategy = ExecStrategy::Morsel(MorselSpec::whole_table());
-    let out = execute_class(ctx, cube, &spec, 1, strategy)?;
+    let out = execute_class(ctx, cube, &spec, 1, u32::MAX)?;
     Ok((out.results, out.report))
 }
 

@@ -33,9 +33,9 @@
 //! Everything else the simulated clock sees is independent of how many host
 //! threads actually ran:
 //!
-//! * morsel boundaries are computed **from the data and the
-//!   [`MorselSpec`]** before any thread runs — never from the thread
-//!   count or the stealing order;
+//! * morsel boundaries are computed **from the data and the morsel page
+//!   count** before any thread runs — never from the thread count or the
+//!   stealing order;
 //! * each worker counts CPU privately, writing into its morsel's
 //!   pre-assigned slot; the coordinator folds the partials back in morsel
 //!   order, pairing each with the morsel's share of the charged I/O;
@@ -76,27 +76,7 @@ use crate::prune::keep_tuple_ranges;
 use crate::result::QueryResult;
 use crate::retry::with_retry;
 
-pub use crate::morsel::{MorselSpec, DEFAULT_MORSEL_PAGES};
-
-/// How a class's base-table pass is split and merged.
-///
-/// Morsel-driven execution is the only strategy, at every thread count —
-/// there is no other executor. The enum keeps its single variant because
-/// the engine's public surface names it — `EngineConfig::strategy` and
-/// `Engine::execute_plan_degraded_with` carry one — and the morsel size
-/// travels inside it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecStrategy {
-    /// Morsel-driven work-stealing execution with a deterministic tree
-    /// merge.
-    Morsel(MorselSpec),
-}
-
-impl Default for ExecStrategy {
-    fn default() -> Self {
-        ExecStrategy::Morsel(MorselSpec::default())
-    }
-}
+pub use crate::morsel::DEFAULT_MORSEL_PAGES;
 
 /// One class of a global plan, ready for partitioned execution: the shared
 /// base table plus its member queries split by join method.
@@ -394,7 +374,10 @@ fn host_capped(threads: usize) -> usize {
     std::thread::available_parallelism().map_or(threads, |n| threads.min(n.get()))
 }
 
-/// Executes one class on `threads` worker threads under `strategy`.
+/// Executes one class on `threads` worker threads, carving its
+/// base-table pass into morsels of `morsel_pages` pages (the page-count
+/// cap for probe morsels; clamped to ≥ 1, and `u32::MAX` yields one
+/// whole-table morsel).
 ///
 /// The class's morsels are the units of the work-stealing scheduler.
 /// Results come back in hash-then-index order. Phase 1 and the class's
@@ -407,9 +390,9 @@ pub fn execute_class(
     cube: &Cube,
     spec: &ClassSpec,
     threads: usize,
-    strategy: ExecStrategy,
+    morsel_pages: u32,
 ) -> Result<ClassOutcome, ExecError> {
-    execute_class_compiled(ctx, cube, spec, threads, strategy, ClassKernel::compile)
+    execute_class_compiled(ctx, cube, spec, threads, morsel_pages, ClassKernel::compile)
 }
 
 /// Phase 1 on the coordinator: compiles the member states and the class
@@ -500,16 +483,15 @@ pub(crate) fn execute_class_compiled(
     cube: &Cube,
     spec: &ClassSpec,
     threads: usize,
-    strategy: ExecStrategy,
+    morsel_pages: u32,
     compile: CompileKernel,
 ) -> Result<ClassOutcome, ExecError> {
     let start = Instant::now();
     let model = ctx.model;
-    let ExecStrategy::Morsel(morsel) = strategy;
 
     // ---- Phase 1 (coordinator): compile, bitmaps, builds, boundaries,
     // then the class's page accesses, charged in morsel order.
-    let class = prepare(&mut ctx.pool, cube, spec, morsel.pages, compile)?;
+    let class = prepare(&mut ctx.pool, cube, spec, morsel_pages, compile)?;
     let morsel_io = charge_morsels(&mut ctx.pool, &class)?;
     let phase1_wall = start.elapsed();
 
@@ -708,7 +690,7 @@ mod tests {
             index_queries: vec![q_selective(&cube)],
         };
         let mut ctx = ExecContext::paper_1998();
-        let out = execute_class(&mut ctx, &cube, &spec, 2, ExecStrategy::default()).unwrap();
+        let out = execute_class(&mut ctx, &cube, &spec, 2, DEFAULT_MORSEL_PAGES).unwrap();
         assert_matches_reference(&cube, &spec, &out);
         assert!(out.report.critical <= out.report.sim);
         assert!(out.report.critical > SimTime::ZERO);
@@ -723,7 +705,7 @@ mod tests {
             index_queries: vec![q_selective(&cube)],
         };
         let mut ctx = ExecContext::paper_1998();
-        let out = execute_class(&mut ctx, &cube, &spec, 3, ExecStrategy::default()).unwrap();
+        let out = execute_class(&mut ctx, &cube, &spec, 3, DEFAULT_MORSEL_PAGES).unwrap();
         assert_matches_reference(&cube, &spec, &out);
     }
 
@@ -736,26 +718,23 @@ mod tests {
             hash_queries: vec![q_broad(&cube), q_selective(&cube)],
             index_queries: vec![],
         };
-        for strategy in [
-            ExecStrategy::Morsel(MorselSpec::with_pages(1)),
-            ExecStrategy::default(),
-        ] {
+        for pages in [1, DEFAULT_MORSEL_PAGES] {
             let runs: Vec<ClassOutcome> = [1usize, 2, 7, 16]
                 .iter()
                 .map(|&n| {
                     let mut ctx = ExecContext::paper_1998();
-                    execute_class(&mut ctx, &cube, &spec, n, strategy).unwrap()
+                    execute_class(&mut ctx, &cube, &spec, n, pages).unwrap()
                 })
                 .collect();
             for other in &runs[1..] {
-                assert_eq!(runs[0].report.sim, other.report.sim, "{strategy:?}");
+                assert_eq!(runs[0].report.sim, other.report.sim, "{pages} pages");
                 assert_eq!(
                     runs[0].report.critical, other.report.critical,
-                    "{strategy:?}"
+                    "{pages} pages"
                 );
-                assert_eq!(runs[0].report.io, other.report.io, "{strategy:?}");
+                assert_eq!(runs[0].report.io, other.report.io, "{pages} pages");
                 for (a, b) in runs[0].results.iter().zip(&other.results) {
-                    assert_eq!(a.rows, b.rows, "bit-identical results ({strategy:?})");
+                    assert_eq!(a.rows, b.rows, "bit-identical results ({pages} pages)");
                 }
             }
         }
@@ -779,8 +758,7 @@ mod tests {
             .iter()
             .map(|&pages| {
                 let mut ctx = ExecContext::paper_1998();
-                let strategy = ExecStrategy::Morsel(MorselSpec::with_pages(pages));
-                execute_class(&mut ctx, &cube, &spec, 4, strategy).unwrap()
+                execute_class(&mut ctx, &cube, &spec, 4, pages).unwrap()
             })
             .collect();
         for other in &runs[1..] {
@@ -816,7 +794,7 @@ mod tests {
             index_queries: vec![q],
         };
         let mut ctx = ExecContext::paper_1998();
-        let out = execute_class(&mut ctx, &cube, &spec, 2, ExecStrategy::default()).unwrap();
+        let out = execute_class(&mut ctx, &cube, &spec, 2, DEFAULT_MORSEL_PAGES).unwrap();
         let n = cube.catalog.table(t).n_rows();
         assert_eq!(out.report.cpu.bitmap_tests, n);
         assert_eq!(out.report.io.accesses(), n, "one access per probed row");
@@ -833,7 +811,7 @@ mod tests {
             hash_queries: vec![],
             index_queries: vec![],
         };
-        assert!(execute_class(&mut ctx, &cube, &spec, 2, ExecStrategy::default()).is_err());
+        assert!(execute_class(&mut ctx, &cube, &spec, 2, DEFAULT_MORSEL_PAGES).is_err());
     }
 
     #[test]
@@ -847,7 +825,7 @@ mod tests {
         };
         let mut ctx = ExecContext::paper_1998();
         let before = ctx.pool.stats();
-        let out = execute_class(&mut ctx, &cube, &spec, 2, ExecStrategy::default()).unwrap();
+        let out = execute_class(&mut ctx, &cube, &spec, 2, DEFAULT_MORSEL_PAGES).unwrap();
         let delta = ctx.pool.stats().since(&before);
         assert_eq!(delta, out.report.io);
         assert!(delta.seq_faults > 0);
@@ -865,8 +843,8 @@ mod tests {
         };
         for threads in [1, 2, 4] {
             let mut ctx = ExecContext::paper_1998();
-            let cold = execute_class(&mut ctx, &cube, &spec, threads, ExecStrategy::default());
-            let warm = execute_class(&mut ctx, &cube, &spec, threads, ExecStrategy::default());
+            let cold = execute_class(&mut ctx, &cube, &spec, threads, DEFAULT_MORSEL_PAGES);
+            let warm = execute_class(&mut ctx, &cube, &spec, threads, DEFAULT_MORSEL_PAGES);
             let (cold, warm) = (cold.unwrap().report.io, warm.unwrap().report.io);
             assert!(cold.seq_faults > 0, "{threads} threads");
             assert_eq!(warm.seq_faults + warm.random_faults, 0, "{threads} threads");
@@ -904,7 +882,7 @@ mod tests {
                     let outcomes: Vec<_> = classes
                         .iter()
                         .map(|spec| {
-                            execute_class(&mut ctx, &cube, spec, threads, ExecStrategy::default())
+                            execute_class(&mut ctx, &cube, spec, threads, DEFAULT_MORSEL_PAGES)
                                 .map(|out| (out.results, out.report.io, out.report.sim))
                                 .map_err(|e| e.fault().copied())
                         })

@@ -257,7 +257,7 @@ mod tests {
     fn pruned_execution_is_bit_identical_to_unpruned() {
         use crate::context::ExecContext;
         use crate::operators::shared_hybrid_join;
-        use crate::parallel::{execute_class, ClassSpec, ExecStrategy, MorselSpec};
+        use crate::parallel::{execute_class, ClassSpec, DEFAULT_MORSEL_PAGES};
 
         let build = |compress: bool| {
             let b = CubeBuilder::new(paper_schema(24))
@@ -324,8 +324,7 @@ mod tests {
                 hash_queries: queries(&comp),
                 index_queries: vec![],
             };
-            let strategy = ExecStrategy::Morsel(MorselSpec::default());
-            let out = execute_class(&mut ctx, &comp, &spec, threads, strategy).unwrap();
+            let out = execute_class(&mut ctx, &comp, &spec, threads, DEFAULT_MORSEL_PAGES).unwrap();
             assert_eq!(out.results, comp_rs, "{threads} threads");
             assert_eq!(out.report.io.seq_faults, comp_rep.io.seq_faults);
             assert_eq!(out.report.io.bytes_scanned(), comp_rep.io.bytes_scanned());

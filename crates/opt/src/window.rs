@@ -96,6 +96,10 @@ pub struct WindowPlan {
     /// queries across submissions each own exactly one slot, earlier
     /// submissions matched first.
     pub owners: Vec<usize>,
+    /// `slots[si][m]` is the slot that answers submission `si`'s `m`-th
+    /// query: the matching of [`owners`](WindowPlan::owners), seen from
+    /// the submission side, so results route back by indexing.
+    pub slots: Vec<Vec<usize>>,
     /// Sharing statistics.
     pub sharing: SharingStats,
 }
@@ -133,56 +137,53 @@ pub fn plan_window(
         kind.run(cm, &union)?
     };
 
-    // Attribute each plan slot to a submission: walk the assignments in
-    // plan order and give each slot the first not-yet-consumed pooled
-    // query equal to it. The plan's queries are a permutation of the
-    // union, so this always resolves; matching earliest-first keeps the
-    // attribution consistent with result routing (which also consumes
-    // duplicates in submission order).
+    // Match each plan slot to a pooled query: walk the assignments in
+    // plan order and give each slot the first not-yet-matched pooled
+    // query equal to it, so duplicates are matched earliest-first — the
+    // one place that rule lives. The plan's queries are a permutation of
+    // the union, so every slot and every pooled query is matched.
     let pooled: Vec<(usize, &GroupByQuery)> = submissions
         .iter()
         .enumerate()
         .flat_map(|(si, set)| set.iter().map(move |q| (si, q)))
         .collect();
-    let mut consumed = vec![false; pooled.len()];
+    let mut slot_of: Vec<Option<usize>> = vec![None; pooled.len()];
     let mut owners = Vec::with_capacity(pooled.len());
-    for (_, q, _) in plan.assignments() {
-        let slot = pooled
-            .iter()
-            .enumerate()
-            .position(|(i, (_, pq))| !consumed[i] && *pq == q)
+    for (slot, (_, q, _)) in plan.assignments().enumerate() {
+        let i = (0..pooled.len())
+            .find(|&i| slot_of[i].is_none() && pooled[i].1 == q)
             .ok_or_else(|| OptError::new("window plan contains a query no submission pooled"))?;
-        consumed[slot] = true;
-        owners.push(pooled[slot].0);
+        slot_of[i] = Some(slot);
+        owners.push(pooled[i].0);
     }
+    let mut matched = slot_of.into_iter();
+    let slots = submissions
+        .iter()
+        .map(|set| set.iter().map(|_| matched.next().flatten()).collect())
+        .collect::<Option<Vec<Vec<usize>>>>()
+        .ok_or_else(|| OptError::new("window plan lost a pooled query"))?;
 
-    let n_queries = union.len();
-    let n_classes = plan.classes.len();
-    let mut cross = 0usize;
-    let mut base = 0usize;
-    for class in &plan.classes {
-        let slice = &owners[base..base + class.plans.len()];
-        if slice.windows(2).any(|w| w[0] != w[1]) {
-            cross += 1;
-        }
-        base += class.plans.len();
-    }
-    let sharing = SharingStats {
-        n_submissions: submissions.len(),
-        n_queries,
-        n_classes,
-        cross_submission_classes: cross,
-        shared_scan_ratio: if n_classes == 0 {
-            1.0
-        } else {
-            n_queries as f64 / n_classes as f64
-        },
-    };
-    Ok(WindowPlan {
+    let (n_queries, n_classes) = (union.len(), plan.classes.len());
+    let mut wp = WindowPlan {
         plan,
         owners,
-        sharing,
-    })
+        slots,
+        sharing: SharingStats {
+            n_submissions: submissions.len(),
+            n_queries,
+            n_classes,
+            cross_submission_classes: 0,
+            shared_scan_ratio: if n_classes == 0 {
+                1.0
+            } else {
+                n_queries as f64 / n_classes as f64
+            },
+        },
+    };
+    wp.sharing.cross_submission_classes = (0..n_classes)
+        .filter(|&ci| wp.class_owners(ci).len() > 1)
+        .count();
+    Ok(wp)
 }
 
 #[cfg(test)]
@@ -226,6 +227,17 @@ mod tests {
             .map(|(_, &o)| o)
             .collect();
         assert_eq!(dup_owners, vec![0, 1]);
+        // Each submission's m-th query is answered by a slot it owns that
+        // plans that very query.
+        let planned: Vec<&GroupByQuery> = wp.plan.assignments().map(|(_, q, _)| q).collect();
+        for (si, set) in subs.iter().enumerate() {
+            for (m, query) in set.iter().enumerate() {
+                let slot = wp.slots[si][m];
+                assert_eq!(planned[slot], query);
+                assert_eq!(wp.owners[slot], si);
+            }
+        }
+        assert_ne!(wp.slots[0][0], wp.slots[1][0]);
         assert_eq!(wp.sharing.n_submissions, 2);
         assert_eq!(wp.sharing.n_queries, 3);
     }
@@ -252,6 +264,7 @@ mod tests {
         let wp = plan_window(&cm, &[Vec::new(), Vec::new()], OptimizerKind::Gg).unwrap();
         assert_eq!(wp.plan.n_queries(), 0);
         assert!(wp.owners.is_empty());
+        assert_eq!(wp.slots, vec![Vec::<usize>::new(); 2]);
         assert_eq!(wp.sharing.shared_scan_ratio, 1.0);
         assert_eq!(wp.sharing.n_submissions, 2);
     }

@@ -409,8 +409,9 @@ fn an_inexact_append_fails_alone_while_window_mates_answer() {
     let t2 = mate.submit(&[Q_FILTER]).unwrap();
     let (r1, r2) = (t1.wait().unwrap(), t2.wait().unwrap());
     match appender.join().unwrap() {
-        Err(Error::Storage(OlapError::InexactMeasure { row: 5, value })) => {
-            assert_eq!(value, 0.1)
+        Err(e @ Error::Append(OlapError::InexactMeasure { row: 5, value })) => {
+            assert_eq!(value, 0.1);
+            assert!(e.to_string().starts_with("append rejected: row 5"), "{e}");
         }
         other => panic!("an inexact measure must be refused, got {other:?}"),
     }

@@ -258,6 +258,20 @@ impl CpuCounters {
         self.index_lookups += other.index_lookups;
     }
 
+    /// Per-field saturating difference from `earlier`.
+    pub fn since(&self, earlier: &CpuCounters) -> CpuCounters {
+        CpuCounters {
+            hash_builds: self.hash_builds.saturating_sub(earlier.hash_builds),
+            hash_probes: self.hash_probes.saturating_sub(earlier.hash_probes),
+            agg_updates: self.agg_updates.saturating_sub(earlier.agg_updates),
+            tuple_copies: self.tuple_copies.saturating_sub(earlier.tuple_copies),
+            predicate_evals: self.predicate_evals.saturating_sub(earlier.predicate_evals),
+            bitmap_words: self.bitmap_words.saturating_sub(earlier.bitmap_words),
+            bitmap_tests: self.bitmap_tests.saturating_sub(earlier.bitmap_tests),
+            index_lookups: self.index_lookups.saturating_sub(earlier.index_lookups),
+        }
+    }
+
     /// True if no work has been counted.
     pub fn is_zero(&self) -> bool {
         *self == CpuCounters::default()
@@ -278,6 +292,23 @@ mod tests {
         let total: SimTime = vec![a, b, b].into_iter().sum();
         assert_eq!(total.as_secs_f64(), 2.5);
         assert_eq!(a.to_string(), "1.500s");
+    }
+
+    #[test]
+    fn cpu_since_is_a_saturating_difference() {
+        let a = CpuCounters {
+            hash_probes: 5,
+            agg_updates: 2,
+            ..CpuCounters::default()
+        };
+        let b = CpuCounters {
+            hash_probes: 3,
+            agg_updates: 4,
+            ..CpuCounters::default()
+        };
+        let d = a.since(&b);
+        assert_eq!((d.hash_probes, d.agg_updates), (2, 0));
+        assert!(a.since(&a).is_zero());
     }
 
     #[test]

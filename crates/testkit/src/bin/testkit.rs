@@ -21,9 +21,12 @@
 //! differential: a long-lived cached engine interleaves MDX rounds with
 //! append batches (plus an atomically-rejected malformed append per
 //! round) and must answer every round bit-identically to a fresh engine
-//! replaying the append prefix from scratch. A `fuzz` or `maintenance`
-//! failure is shrunk to a minimal case and written to `--out` (default
-//! `testkit-repro.txt`) in the repro format; the process exits non-zero.
+//! replaying the append prefix from scratch. Every `--faults` sweep draws
+//! its plans from `sweep_faults` and fails if it degraded no query, so
+//! the per-query degradation path is always exercised. A `fuzz` or
+//! `maintenance` failure is shrunk to a minimal case and written to
+//! `--out` (default `testkit-repro.txt`) in the repro format; the process
+//! exits non-zero.
 //! `replay` re-runs such a file and reports pass/fail — the loop a bug
 //! report travels through. Every written repro comes with two telemetry
 //! sidecars (`<out>.trace.jsonl`, `<out>.metrics.json`) from a
@@ -37,8 +40,8 @@ use starshare_core::{FaultPlan, OptimizerKind};
 use starshare_testkit::{
     check_cache_differential, check_fault_isolation, check_maintenance_differential,
     check_windowed_vs_solo, dump_case_telemetry, dump_window_telemetry, format_case,
-    generate_session, harness_spec, maintenance_case, parse_case, run_case, shrink, Case,
-    FaultHarness, Oracle, StorageProfile,
+    generate_session, harness_spec, maintenance_case, parse_case, run_case, shrink, sweep_faults,
+    Case, FaultHarness, Oracle, StorageProfile,
 };
 
 fn main() -> ExitCode {
@@ -112,7 +115,7 @@ fn fuzz(args: &[String]) -> ExitCode {
             let h = &mut hs[(seed % hs.len() as u64) as usize];
             for k in 0..fault_seeds {
                 // Distinct fault stream per (session, k).
-                let fault = FaultPlan::seeded(seed.wrapping_mul(1000) + k);
+                let fault = sweep_faults(seed.wrapping_mul(1000) + k);
                 let cmp = h.compare(&session, fault);
                 degraded_total += cmp.n_degraded();
                 if !cmp.ok() {
@@ -151,7 +154,7 @@ fn fuzz(args: &[String]) -> ExitCode {
             "fault sweeps: {fault_seeds} per session, {degraded_total} queries degraded gracefully"
         );
     }
-    ExitCode::SUCCESS
+    sweep_exit(with_faults, degraded_total)
 }
 
 /// The multi-session windowing sweep: windowed-vs-solo bit identity per
@@ -180,11 +183,7 @@ fn windows(args: &[String]) -> ExitCode {
             }
         }
         if with_faults {
-            let fault = FaultPlan {
-                seed: seed.wrapping_mul(7919),
-                transient: 0.05,
-                poison: 0.01,
-            };
+            let fault = sweep_faults(seed.wrapping_mul(7919));
             match check_fault_isolation(spec, seed, fault) {
                 Ok(c) => degraded += c.degraded,
                 Err(detail) => {
@@ -211,7 +210,7 @@ fn windows(args: &[String]) -> ExitCode {
             }
         }
     }
-    ExitCode::SUCCESS
+    sweep_exit(with_faults, degraded)
 }
 
 /// The result-cache differential sweep: warm replays (and, with
@@ -244,11 +243,7 @@ fn cache(args: &[String]) -> ExitCode {
             }
         }
         if with_faults {
-            let fault = FaultPlan {
-                seed: seed.wrapping_mul(7919),
-                transient: 0.05,
-                poison: 0.01,
-            };
+            let fault = sweep_faults(seed.wrapping_mul(7919));
             match check_cache_differential(spec, seed, Some(fault)) {
                 Ok(c) => degraded += c.degraded,
                 Err(detail) => {
@@ -266,7 +261,7 @@ fn cache(args: &[String]) -> ExitCode {
     if with_faults {
         println!("fault transparency: {degraded} queries degraded, none drifted");
     }
-    ExitCode::SUCCESS
+    sweep_exit(with_faults, degraded)
 }
 
 /// The streaming-freshness sweep: per seed, a long-lived cached engine
@@ -301,11 +296,7 @@ fn maintenance(args: &[String]) -> ExitCode {
             }
         }
         if with_faults {
-            let fault = FaultPlan {
-                seed: seed.wrapping_mul(7919),
-                transient: 0.05,
-                poison: 0.01,
-            };
+            let fault = sweep_faults(seed.wrapping_mul(7919));
             match check_maintenance_differential(spec, seed, Some(fault)) {
                 Ok(c) => degraded += c.degraded,
                 Err(detail) => {
@@ -322,6 +313,17 @@ fn maintenance(args: &[String]) -> ExitCode {
     );
     if with_faults {
         println!("fault transparency: {degraded} queries degraded, none went stale");
+    }
+    sweep_exit(with_faults, degraded)
+}
+
+/// Success — unless a `--faults` sweep degraded no query: it never
+/// exercised the per-query degradation path, so it fails rather than
+/// passing vacuously.
+fn sweep_exit(with_faults: bool, degraded: usize) -> ExitCode {
+    if with_faults && degraded == 0 {
+        eprintln!("fault sweep degraded no query: the degradation path went unexercised");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

@@ -283,11 +283,7 @@ mod tests {
     fn faulted_replays_degrade_gracefully_or_match() {
         let mut degraded = 0usize;
         for seed in 0..6u64 {
-            let fault = FaultPlan {
-                seed: seed.wrapping_mul(7919),
-                transient: 0.05,
-                poison: 0.01,
-            };
+            let fault = crate::sweep_faults(seed.wrapping_mul(7919));
             let check = check_cache_differential(harness_spec(), seed, Some(fault)).unwrap();
             degraded += check.degraded;
         }

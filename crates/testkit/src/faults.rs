@@ -30,6 +30,16 @@ use crate::storage::StorageProfile;
 /// The thread counts [`FaultHarness::compare`] runs every fault plan at.
 pub const FAULT_THREADS: [usize; 2] = [1, 4];
 
+/// The fault plan every `--faults` sweep draws: rates at which a sweep
+/// degrades queries as well as retrying reads to success.
+pub fn sweep_faults(seed: u64) -> FaultPlan {
+    FaultPlan {
+        seed,
+        transient: 0.05,
+        poison: 0.01,
+    }
+}
+
 /// One query's result rows, as the engine returns them.
 type QueryRows = Vec<(Vec<u32>, f64)>;
 

@@ -66,7 +66,7 @@ pub mod telemetry;
 pub mod windows;
 
 pub use cache::{check_cache_differential, CacheCheck, APPEND_ROWS, CACHE_REPLAYS};
-pub use faults::{FaultHarness, FaultedComparison, FaultedQuery, FAULT_THREADS};
+pub use faults::{sweep_faults, FaultHarness, FaultedComparison, FaultedQuery, FAULT_THREADS};
 pub use maintenance::{
     check_maintenance_differential, maintenance_case, MaintenanceCheck, MAINT_APPEND_ROWS,
     MAINT_ROUNDS,

@@ -258,11 +258,7 @@ mod tests {
     #[test]
     fn faulted_maintenance_degrades_gracefully_or_matches() {
         for seed in 0..3u64 {
-            let fault = FaultPlan {
-                seed: seed.wrapping_mul(6151),
-                transient: 0.05,
-                poison: 0.01,
-            };
+            let fault = crate::sweep_faults(seed.wrapping_mul(6151));
             check_maintenance_differential(harness_spec(), seed, Some(fault)).unwrap();
         }
     }

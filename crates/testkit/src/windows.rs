@@ -240,11 +240,7 @@ mod tests {
     fn faults_stay_inside_their_submission() {
         let mut degraded = 0usize;
         for seed in 0..6u64 {
-            let fault = FaultPlan {
-                seed: seed.wrapping_mul(7919),
-                transient: 0.05,
-                poison: 0.01,
-            };
+            let fault = crate::sweep_faults(seed.wrapping_mul(7919));
             let check = check_fault_isolation(harness_spec(), seed, fault).unwrap();
             degraded += check.degraded;
         }

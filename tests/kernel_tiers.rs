@@ -11,8 +11,8 @@
 
 use starshare::{
     execute_class, hash_star_join, reference_eval, ClassSpec, Cube, CubeBuilder, DimPipeline,
-    Dimension, ExecContext, ExecStrategy, GroupBy, GroupByQuery, KernelTier, LevelRef, MemberPred,
-    StarSchema, DENSE_MAX_GROUPS,
+    Dimension, ExecContext, GroupBy, GroupByQuery, KernelTier, LevelRef, MemberPred, StarSchema,
+    DEFAULT_MORSEL_PAGES, DENSE_MAX_GROUPS,
 };
 use starshare_prng::Prng;
 
@@ -142,8 +142,7 @@ fn check_cube(cube: &Cube, headline: KernelTier, seed: u64, iters: usize) {
             .iter()
             .map(|&threads| {
                 let mut ctx = ExecContext::paper_1998();
-                execute_class(&mut ctx, cube, &spec, threads, ExecStrategy::default())
-                    .expect("runs")
+                execute_class(&mut ctx, cube, &spec, threads, DEFAULT_MORSEL_PAGES).expect("runs")
             })
             .collect();
         assert!(
@@ -203,7 +202,7 @@ fn shared_class_mixing_tiers_matches_reference() {
         index_queries: vec![],
     };
     let mut ctx = ExecContext::paper_1998();
-    let out = execute_class(&mut ctx, &cube, &spec, 4, ExecStrategy::default()).expect("runs");
+    let out = execute_class(&mut ctx, &cube, &spec, 4, DEFAULT_MORSEL_PAGES).expect("runs");
     for (r, q) in out.results.iter().zip([&coarse, &fine]) {
         let expect = reference_eval(&cube, base, q);
         assert!(r.approx_eq(&expect, 1e-9), "{}", q.display(&cube.schema));

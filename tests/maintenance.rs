@@ -170,8 +170,9 @@ fn non_finite_measures_are_rejected_at_the_engine() {
     ] {
         let rows = vec![(vec![0, 0, 0, 0], 1.0), (vec![1, 1, 1, 1], bad)];
         match e.append_facts(&rows) {
-            Err(starshare::Error::Storage(OlapError::InexactMeasure { row: 1, value })) => {
+            Err(e @ starshare::Error::Append(OlapError::InexactMeasure { row: 1, value })) => {
                 assert_eq!(value.to_bits(), bad.to_bits());
+                assert!(e.to_string().starts_with("append rejected: "), "{e}");
             }
             other => panic!("{bad:?} must be rejected as inexact, got {other:?}"),
         }
