@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use starshare_storage::{AccessKind, BufferPool, FileId, HeapFile, PageId, PAGE_SIZE};
+use starshare_storage::{AccessKind, BufferPool, FileId, HeapFile, PageId, ScanBatch, PAGE_SIZE};
 
 use crate::bitvec::Bitmap;
 use crate::compressed::CompressedBitmap;
@@ -179,7 +179,8 @@ impl BitmapJoinIndex {
         Self::build_with_format(name, file_id, heap, dim, IndexFormat::Plain, roll_up)
     }
 
-    /// Builds an index with an explicit storage format.
+    /// Builds an index with an explicit storage format: an empty index
+    /// [`extend`](Self::extend)ed over the whole heap.
     pub fn build_with_format<F>(
         name: impl Into<String>,
         file_id: FileId,
@@ -191,30 +192,16 @@ impl BitmapJoinIndex {
     where
         F: Fn(u32) -> u32,
     {
-        let n_rows = heap.n_tuples();
-        let mut plain: BTreeMap<u32, Bitmap> = BTreeMap::new();
-        let mut keys = vec![0u32; heap.layout().n_dims()];
-        for pos in 0..n_rows {
-            heap.read_at(pos, &mut keys);
-            let member = roll_up(keys[dim]);
-            plain
-                .entry(member)
-                .or_insert_with(|| Bitmap::new(n_rows))
-                .set(pos);
-        }
         let mut idx = BitmapJoinIndex {
             name: name.into(),
             file_id,
-            n_rows,
+            n_rows: 0,
             format,
-            bitmaps: plain
-                .into_iter()
-                .map(|(m, bm)| (m, MemberSlot::Plain(bm)))
-                .collect(),
+            bitmaps: BTreeMap::new(),
             page_ranges: BTreeMap::new(),
             total_pages: 0,
         };
-        idx.reseal_and_relayout();
+        idx.extend(heap, dim, roll_up);
         idx
     }
 
@@ -372,41 +359,40 @@ impl BitmapJoinIndex {
             "heap shrank below the indexed row count"
         );
         // Collect the tail's positions per member (ascending by
-        // construction), so compressed members can bulk-append.
-        let mut tail: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-        let mut keys = vec![0u32; heap.layout().n_dims()];
-        for pos in self.n_rows..new_rows {
-            heap.read_at(pos, &mut keys);
-            tail.entry(roll_up(keys[dim])).or_default().push(pos);
-        }
-        for slot in self.bitmaps.values_mut() {
-            if let MemberSlot::Plain(bm) = slot {
-                bm.grow(new_rows);
+        // construction), so compressed members can bulk-append. Members
+        // are a level's dense ids, so a vector indexed by member holds them.
+        let mut tail: Vec<Vec<u64>> = Vec::new();
+        let mut cursor = heap.scan_batches(self.n_rows, new_rows);
+        let mut batch = ScanBatch::new(heap.layout());
+        while cursor.read_next(&mut batch) {
+            for (i, &key) in batch.col(dim).iter().enumerate() {
+                let member = roll_up(key) as usize;
+                if member >= tail.len() {
+                    tail.resize_with(member + 1, Vec::new);
+                }
+                tail[member].push(batch.pos(i));
             }
         }
-        for (member, positions) in tail {
-            match self
-                .bitmaps
-                .entry(member)
-                .or_insert_with(|| MemberSlot::Plain(Bitmap::new(new_rows)))
-            {
+        for (member, positions) in tail.iter().enumerate() {
+            if !positions.is_empty() {
+                let old_rows = self.n_rows;
+                self.bitmaps
+                    .entry(member as u32)
+                    .or_insert_with(|| MemberSlot::Plain(Bitmap::new(old_rows)));
+            }
+        }
+        for (&member, slot) in &mut self.bitmaps {
+            let positions = tail.get(member as usize).map_or(&[][..], Vec::as_slice);
+            match slot {
                 MemberSlot::Plain(bm) => {
-                    for &p in &positions {
+                    bm.grow(new_rows);
+                    for &p in positions {
                         bm.set(p);
                     }
                 }
                 // extend_with grows the bitmap itself (its append-only
                 // check needs the pre-growth length).
-                MemberSlot::Compressed(cb) => cb.extend_with(new_rows, &positions),
-            }
-        }
-        // Compressed members with no tail rows still need to cover the new
-        // length.
-        for slot in self.bitmaps.values_mut() {
-            if let MemberSlot::Compressed(cb) = slot {
-                if cb.len() < new_rows {
-                    cb.grow(new_rows);
-                }
+                MemberSlot::Compressed(cb) => cb.extend_with(new_rows, positions),
             }
         }
         self.n_rows = new_rows;
@@ -634,6 +620,84 @@ mod format_tests {
             for m in fresh.members().collect::<Vec<_>>() {
                 assert_eq!(grown.peek(m), fresh.peek(m), "{format:?} member {m}");
                 assert_eq!(grown.lookup_pages(m), fresh.lookup_pages(m));
+            }
+        }
+    }
+
+    /// The index build before page batches: one `read_at` per row into a
+    /// `BTreeMap` of plain bitmaps, then the format's reseal and layout.
+    fn build_row_at_a_time(
+        heap: &HeapFile,
+        dim: usize,
+        format: IndexFormat,
+        roll_up: impl Fn(u32) -> u32,
+    ) -> BitmapJoinIndex {
+        let n_rows = heap.n_tuples();
+        let mut plain: BTreeMap<u32, Bitmap> = BTreeMap::new();
+        let mut keys = vec![0u32; heap.layout().n_dims()];
+        for pos in 0..n_rows {
+            heap.read_at(pos, &mut keys);
+            plain
+                .entry(roll_up(keys[dim]))
+                .or_insert_with(|| Bitmap::new(n_rows))
+                .set(pos);
+        }
+        let mut idx = BitmapJoinIndex {
+            name: "x".into(),
+            file_id: FileId(1),
+            n_rows,
+            format,
+            bitmaps: plain
+                .into_iter()
+                .map(|(m, bm)| (m, MemberSlot::Plain(bm)))
+                .collect(),
+            page_ranges: BTreeMap::new(),
+            total_pages: 0,
+        };
+        idx.reseal_and_relayout();
+        idx
+    }
+
+    fn assert_same_index(a: &BitmapJoinIndex, b: &BitmapJoinIndex, what: &str) {
+        assert_eq!(a.n_rows, b.n_rows, "{what}: rows");
+        assert_eq!(a.bitmaps, b.bitmaps, "{what}: member bitmaps and forms");
+        assert_eq!(a.page_ranges, b.page_ranges, "{what}: page ranges");
+        assert_eq!(a.total_pages, b.total_pages, "{what}: pages");
+    }
+
+    /// A fresh build equals the row-at-a-time oracle and an index extended
+    /// in two steps as the same heap grew, in both formats: interleaved
+    /// members (plain wins), clustered runs (compressed wins), a member
+    /// that first appears in the last step, and members never present.
+    #[test]
+    fn build_equals_two_step_extend_and_row_oracle() {
+        let mut rng = starshare_prng::Prng::seed_from_u64(0x1d8);
+        for format in [IndexFormat::Plain, IndexFormat::Compressed] {
+            for clustered in [false, true] {
+                let mut heap = HeapFile::new(FileId(0), TupleLayout::new(2));
+                let mut extended =
+                    BitmapJoinIndex::build_with_format("x", FileId(1), &heap, 1, format, |k| k / 3);
+                for (step, rows) in [(0u32, 30_000u64), (1, 25_000)] {
+                    for i in 0..rows {
+                        let key = match (clustered, step) {
+                            (_, 1) if i % 1000 == 0 => 40,
+                            (true, _) => (i / 2_000) as u32 % 12,
+                            (false, _) => rng.gen_range(0..12u32) * 2,
+                        };
+                        heap.append(&[i as u32, key], i as f64);
+                    }
+                    extended.extend(&heap, 1, |k| k / 3);
+                }
+                let what = format!("{format:?} clustered={clustered}");
+                let fresh =
+                    BitmapJoinIndex::build_with_format("x", FileId(1), &heap, 1, format, |k| k / 3);
+                assert!(fresh.peek(13).is_some() && fresh.peek(12).is_none());
+                let oracle = build_row_at_a_time(&heap, 1, format, |k| k / 3);
+                assert_same_index(&fresh, &oracle, &what);
+                assert_same_index(&extended, &fresh, &what);
+                if format == IndexFormat::Compressed && clustered {
+                    assert!(fresh.compressed_members() > 0, "{what}");
+                }
             }
         }
     }

@@ -13,10 +13,11 @@
 //! materialized group-bys can this query be computed from?*
 
 use starshare_bitmap::{BitmapJoinIndex, IndexFormat};
-use starshare_storage::{FileId, HeapFile, TupleLayout};
+use starshare_storage::{FileId, HeapFile, ScanBatch, TupleLayout};
 
+use crate::groupkey::{GroupKey, GroupKeyCodec, GroupMap};
 use crate::maintain::GroupPositions;
-use crate::query::{AggFn, GroupBy, GroupByQuery, LevelRef};
+use crate::query::{AggFn, GroupBy, GroupByQuery};
 use crate::schema::{DimId, StarSchema};
 
 /// What a stored table's measure column means.
@@ -539,26 +540,26 @@ impl AggState {
     }
 }
 
-/// Aggregates `source` to `target` levels, producing a new stored table.
+/// Aggregates `source` to `target` levels into a new SUM view.
 ///
 /// This is load-time work (building the precomputed group-bys the optimizer
-/// chooses among), so it reads the source raw. Measures are SUM-combined —
-/// the setting the paper evaluates; re-aggregating a SUM view is always
-/// sound.
+/// chooses among), so it reads the source's page batches unaccounted and
+/// groups them through the [`GroupKeyCodec`] rolling source to target.
 ///
-/// Output rows are stored in *deterministic hash order*: the order a
-/// hash-aggregation operator of the paper's era would emit them, which is
-/// effectively random with respect to the key. This matters for fidelity:
-/// it leaves views unclustered, so bitmap-directed probes really do touch
-/// ~one page per candidate tuple — the same assumption the §5.1 cost
-/// model's random-I/O term makes. (A key-sorted layout would make index
-/// plans far cheaper than the optimizer estimates and distort every
-/// hash-vs-index crossover.) The order depends only on the key set, so two
-/// materializations of the same target agree row-for-row regardless of
-/// source.
+/// Output rows are stored in *deterministic hash order* ([`hash_order`] of
+/// the group key, ties by key): the order a hash-aggregation operator of
+/// the paper's era would emit them, effectively random with respect to the
+/// key. This matters for fidelity: it leaves views unclustered, so
+/// bitmap-directed probes really do touch ~one page per candidate tuple —
+/// the same assumption the §5.1 cost model's random-I/O term makes. (A
+/// key-sorted layout would make index plans far cheaper than the optimizer
+/// estimates and distort every hash-vs-index crossover.) The order depends
+/// only on the key set, so two materializations of the same target agree
+/// row-for-row regardless of source.
 ///
 /// # Panics
-/// Panics if `source` cannot derive `target`.
+/// Panics if `source` cannot derive `target`, or a stored key lies outside
+/// its level.
 pub fn materialize(
     schema: &StarSchema,
     source: &StoredTable,
@@ -575,8 +576,8 @@ pub fn materialize(
 ///
 /// # Panics
 /// Panics if `source` cannot derive `target`, the source's measure cannot
-/// answer `agg`, or `agg` is AVG (an AVG view could never be used —
-/// averages do not re-aggregate).
+/// answer `agg`, `agg` is AVG (an AVG view could never be used —
+/// averages do not re-aggregate), or a stored key lies outside its level.
 pub fn materialize_agg(
     schema: &StarSchema,
     source: &StoredTable,
@@ -594,32 +595,35 @@ pub fn materialize_agg(
     assert!(agg != AggFn::Avg, "AVG views are not re-aggregatable");
     let mode = combine_mode(agg, source.measure());
     let n_dims = schema.n_dims();
-    let layout = TupleLayout::new(n_dims);
-    let mut acc: std::collections::HashMap<Vec<u32>, AggState> = std::collections::HashMap::new();
-    let mut keys = vec![0u32; n_dims];
-    let mut out_keys = vec![0u32; n_dims];
-    for pos in 0..source.n_rows() {
-        let m = source.heap().read_at(pos, &mut keys);
-        for d in 0..n_dims {
-            out_keys[d] = roll_key(
-                schema,
-                d,
-                source.group_by().level(d),
-                target.level(d),
-                keys[d],
-            );
-        }
-        match acc.get_mut(out_keys.as_slice()) {
-            Some(st) => st.fold(mode, m),
-            None => {
-                acc.insert(out_keys.clone(), AggState::first(mode, m));
-            }
+    // View domains are sparse: hash, never a dense array.
+    let codec = GroupKeyCodec::rolling(schema, source.group_by(), &target, 0);
+    let mut groups: GroupMap<AggState> = GroupMap::default();
+    let mut cursor = source.heap().scan_batches(0, source.n_rows());
+    let mut batch = ScanBatch::new(source.heap().layout());
+    while cursor.read_next(&mut batch) {
+        codec.assert_in_domain(&batch);
+        for i in 0..batch.len() {
+            let m = batch.measure(i);
+            groups
+                .entry(codec.key(|d| batch.key(d, i)))
+                .and_modify(|st| st.fold(mode, m))
+                .or_insert_with(|| AggState::first(mode, m));
         }
     }
-    let mut rows: Vec<(Vec<u32>, f64)> =
-        acc.into_iter().map(|(k, st)| (k, st.value(mode))).collect();
-    rows.sort_by_cached_key(|(k, _)| (hash_order(k), k.clone()));
-    let heap = HeapFile::from_rows(file_id, layout, rows);
+    let mut key = vec![0u32; n_dims];
+    let mut rows: Vec<(u64, GroupKey, f64)> = groups
+        .into_iter()
+        .map(|(k, st)| {
+            codec.unpack_into(&k, &mut key);
+            (hash_order(&key), k, st.value(mode))
+        })
+        .collect();
+    rows.sort_unstable_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+    let mut heap = HeapFile::new(file_id, TupleLayout::new(n_dims));
+    for (_, k, v) in rows {
+        codec.unpack_into(&k, &mut key);
+        heap.append(&key, v);
+    }
     StoredTable::with_measure(name, target, heap, MeasureKind::Aggregated(agg))
 }
 
@@ -637,28 +641,132 @@ fn hash_order(key: &[u32]) -> u64 {
     h
 }
 
-/// Rolls one stored key from `from` to `to` (All stores key 0).
-///
-/// # Panics
-/// Panics if `from` cannot provide `to`.
-pub fn roll_key(schema: &StarSchema, d: DimId, from: LevelRef, to: LevelRef, key: u32) -> u32 {
-    match (from, to) {
-        (_, LevelRef::All) => 0,
-        (LevelRef::Level(f), LevelRef::Level(t)) => {
-            assert!(f <= t, "stored level coarser than requested");
-            schema.dim(d).roll_up(key, f, t)
-        }
-        (LevelRef::All, LevelRef::Level(_)) => {
-            panic!("cannot refine an All dimension")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::MemberPred;
+    use crate::query::{LevelRef, MemberPred};
     use crate::schema::Dimension;
+    use starshare_prng::Prng;
+
+    /// The materialization before the group-key codec: one `read_at` per
+    /// row into a `HashMap<Vec<u32>, AggState>`, rows sorted by
+    /// `(hash_order, key)`. Returns the rows as keys and measure bits.
+    fn materialize_oracle(
+        schema: &StarSchema,
+        source: &StoredTable,
+        target: &GroupBy,
+        agg: AggFn,
+    ) -> Vec<(Vec<u32>, u64)> {
+        let mode = combine_mode(agg, source.measure());
+        let n_dims = schema.n_dims();
+        let mut acc: std::collections::HashMap<Vec<u32>, AggState> =
+            std::collections::HashMap::new();
+        let mut keys = vec![0u32; n_dims];
+        let mut out_keys = vec![0u32; n_dims];
+        for pos in 0..source.n_rows() {
+            let m = source.heap().read_at(pos, &mut keys);
+            for d in 0..n_dims {
+                out_keys[d] = match (source.group_by().level(d), target.level(d)) {
+                    (_, LevelRef::All) => 0,
+                    (LevelRef::Level(f), LevelRef::Level(t)) => {
+                        schema.dim(d).roll_up(keys[d], f, t)
+                    }
+                    (LevelRef::All, LevelRef::Level(_)) => panic!("cannot refine an All dimension"),
+                };
+            }
+            match acc.get_mut(out_keys.as_slice()) {
+                Some(st) => st.fold(mode, m),
+                None => {
+                    acc.insert(out_keys.clone(), AggState::first(mode, m));
+                }
+            }
+        }
+        let mut rows: Vec<(Vec<u32>, f64)> =
+            acc.into_iter().map(|(k, st)| (k, st.value(mode))).collect();
+        rows.sort_by_cached_key(|(k, _)| (hash_order(k), k.clone()));
+        rows.into_iter().map(|(k, v)| (k, v.to_bits())).collect()
+    }
+
+    /// Every row of a table in heap order: keys and measure bits.
+    fn rows_of(t: &StoredTable) -> Vec<(Vec<u32>, u64)> {
+        let mut keys = vec![0u32; t.group_by().n_dims()];
+        (0..t.n_rows())
+            .map(|pos| {
+                let m = t.heap().read_at(pos, &mut keys);
+                (keys.clone(), m.to_bits())
+            })
+            .collect()
+    }
+
+    /// Views built through the codec equal the oracle's row for row and
+    /// bit for bit, over random small schemas, random targets (from the
+    /// base and from a view) and every re-aggregatable function. Every
+    /// tenth schema has four dimensions of 2^16 leaves and first
+    /// re-aggregates the base at its own levels, a domain that overflows
+    /// `u64` and spills.
+    #[test]
+    fn codec_materialization_matches_the_row_at_a_time_oracle() {
+        let mut rng = Prng::seed_from_u64(0xc0dec);
+        let mut spilled = 0;
+        for case in 0..40 {
+            let dims: Vec<Dimension> = if case % 10 == 0 {
+                (0..4)
+                    .map(|d| Dimension::uniform(format!("H{d}"), 1 << 8, &[1 << 8]))
+                    .collect()
+            } else {
+                (0..rng.gen_range(1..5u32))
+                    .map(|d| {
+                        let fan_outs: Vec<u32> = (0..rng.gen_range(0..3u32))
+                            .map(|_| rng.gen_range(1..6u32))
+                            .collect();
+                        Dimension::uniform(format!("D{d}"), rng.gen_range(1..5u32), &fan_outs)
+                    })
+                    .collect()
+            };
+            let schema = StarSchema::new(dims, "m");
+            let cube = crate::datagen::CubeBuilder::new(schema.clone())
+                .rows(rng.gen_range(0..600u64))
+                .seed(case)
+                .build();
+            let base = cube.catalog.table(TableId(0));
+            let random_target = |rng: &mut Prng, from: &GroupBy| {
+                GroupBy::new(
+                    (0..schema.n_dims())
+                        .map(|d| match from.level(d) {
+                            LevelRef::Level(l) => {
+                                let top = schema.dim(d).n_levels();
+                                match rng.gen_range(l as u32..top as u32 + 1) {
+                                    t if t == top as u32 => LevelRef::All,
+                                    t => LevelRef::Level(t as u8),
+                                }
+                            }
+                            LevelRef::All => LevelRef::All,
+                        })
+                        .collect(),
+                )
+            };
+            for agg in [AggFn::Sum, AggFn::Min, AggFn::Max, AggFn::Count] {
+                let mid = match case % 10 {
+                    0 => base.group_by().clone(),
+                    _ => random_target(&mut rng, base.group_by()),
+                };
+                let view = materialize_agg(&schema, base, mid.clone(), agg, "v", FileId(1));
+                assert_eq!(rows_of(&view), materialize_oracle(&schema, base, &mid, agg));
+                let top = random_target(&mut rng, &mid);
+                let rolled = materialize_agg(&schema, &view, top.clone(), agg, "w", FileId(2));
+                assert_eq!(
+                    rows_of(&rolled),
+                    materialize_oracle(&schema, &view, &top, agg)
+                );
+                let codec =
+                    crate::groupkey::GroupKeyCodec::rolling(&schema, base.group_by(), &mid, 0);
+                spilled += usize::from(
+                    codec.tier() == crate::groupkey::KeyTier::Spill && view.n_rows() > 0,
+                );
+            }
+        }
+        assert!(spilled > 0, "some case must spill");
+    }
 
     #[test]
     fn agg_state_merge_equals_unpartitioned_fold() {
@@ -908,21 +1016,6 @@ mod tests {
             vec![MemberPred::eq(0, 0), MemberPred::All],
         );
         assert!(!base.has_indexes_for(&q_fine));
-    }
-
-    #[test]
-    fn roll_key_all_cases() {
-        let s = schema();
-        assert_eq!(
-            roll_key(&s, 0, LevelRef::Level(0), LevelRef::Level(1), 3),
-            1
-        );
-        assert_eq!(
-            roll_key(&s, 0, LevelRef::Level(1), LevelRef::Level(1), 1),
-            1
-        );
-        assert_eq!(roll_key(&s, 0, LevelRef::Level(0), LevelRef::All, 3), 0);
-        assert_eq!(roll_key(&s, 0, LevelRef::All, LevelRef::All, 0), 0);
     }
 
     #[test]

@@ -83,10 +83,7 @@ pub fn estimate_query(
     // Restricted combination space at the target group-by.
     let mut combos = 1.0;
     for (d, lr) in query.group_by.levels().iter().enumerate() {
-        let full = match lr {
-            crate::query::LevelRef::Level(l) => schema.dim(d).cardinality(*l) as f64,
-            crate::query::LevelRef::All => 1.0,
-        };
+        let full = lr.cardinality(schema.dim(d)) as f64;
         combos *= full * query.preds[d].selectivity(schema, d).min(1.0);
     }
     combos = combos.max(1.0);

@@ -9,6 +9,8 @@
 //!   and executor both consume;
 //! * [`catalog`] — stored tables (the base fact table plus materialized
 //!   group-bys), their bitmap join indexes, and load-time materialization;
+//! * [`groupkey`] — the one group-key codec: packing, unpacking and the
+//!   dense / packed / spill tier choice every group-key map uses;
 //! * [`estimate`] — the cardinality/selectivity estimates the cost model
 //!   feeds on (Cardenas' formula for post-aggregation distincts);
 //! * [`datagen`] — deterministic synthetic data, including the paper's
@@ -19,6 +21,7 @@ pub mod catalog;
 pub mod datagen;
 pub mod error;
 pub mod estimate;
+pub mod groupkey;
 pub mod maintain;
 pub mod persist;
 pub mod query;

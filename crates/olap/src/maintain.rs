@@ -22,19 +22,19 @@
 //! append-only by design); a deleting workload would need either
 //! re-aggregation or the classic summary-delta method with counts.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use starshare_storage::{quarter_units, HeapFile, ScanBatch, MAX_FACT_ROWS, MEASURE_LIMIT_UNITS};
 
-use crate::catalog::{roll_key, Cube, MeasureKind};
+use crate::catalog::{Cube, MeasureKind};
 use crate::error::OlapError;
-use crate::query::{GroupBy, LevelRef};
+use crate::groupkey::{GroupKey, GroupKeyCodec, GroupMap, KeyTier};
+use crate::query::GroupBy;
 use crate::schema::StarSchema;
 
 /// Largest group-key domain — the product of a view's stored-level
 /// cardinalities — that gets a dense position array: 4 Mi slots, 16 MiB
-/// of `u32` per view. Larger domains hash the group key instead. This is
-/// the one place the dense/hash rule lives.
+/// of `u32` per view. Larger domains hash the packed key instead.
 pub(crate) const DENSE_POSITION_MAX_SLOTS: u64 = 1 << 22;
 
 /// Group-key → row-position index of one aggregated view: which heap row
@@ -42,70 +42,63 @@ pub(crate) const DENSE_POSITION_MAX_SLOTS: u64 = 1 << 22;
 /// scanning the view. Rows `0..covered` of the heap are indexed.
 #[derive(Debug, Clone)]
 pub(crate) struct GroupPositions {
+    codec: GroupKeyCodec,
     slots: Slots,
     covered: u64,
 }
 
 #[derive(Debug, Clone)]
 enum Slots {
-    /// `slots[Σ key[d]·weights[d]]` is the group's position, `u32::MAX`
-    /// when the group is absent.
-    Dense { weights: Vec<u64>, slots: Vec<u32> },
+    /// `slots[packed key]` is the group's position, `u32::MAX` when the
+    /// group is absent.
+    Dense(Vec<u32>),
     /// Domains past [`DENSE_POSITION_MAX_SLOTS`].
-    Hashed(HashMap<Vec<u32>, u64>),
+    Hashed(GroupMap<u64>),
 }
 
 impl GroupPositions {
     /// An empty index over the key domain of a view storing `group_by`.
     pub(crate) fn new(schema: &StarSchema, group_by: &GroupBy) -> Self {
-        let cards: Vec<u64> = (0..schema.n_dims())
-            .map(|d| match group_by.level(d) {
-                LevelRef::Level(l) => schema.dim(d).cardinality(l) as u64,
-                LevelRef::All => 1,
-            })
-            .collect();
-        let domain = cards.iter().try_fold(1u64, |acc, &c| acc.checked_mul(c));
-        let slots = match domain {
-            Some(total) if total <= DENSE_POSITION_MAX_SLOTS => {
-                let mut weights = vec![1u64; cards.len()];
-                for d in (0..cards.len().saturating_sub(1)).rev() {
-                    weights[d] = weights[d + 1] * cards[d + 1];
-                }
-                Slots::Dense {
-                    weights,
-                    slots: vec![u32::MAX; total as usize],
-                }
-            }
-            _ => Slots::Hashed(HashMap::new()),
+        let codec = GroupKeyCodec::rolling(schema, group_by, group_by, DENSE_POSITION_MAX_SLOTS);
+        let slots = match (codec.tier(), codec.domain()) {
+            (KeyTier::Dense, Some(n)) => Slots::Dense(vec![u32::MAX; n as usize]),
+            _ => Slots::Hashed(GroupMap::default()),
         };
-        GroupPositions { slots, covered: 0 }
+        GroupPositions {
+            codec,
+            slots,
+            covered: 0,
+        }
     }
 
-    /// The heap position of group `key`, if the view holds it.
-    pub(crate) fn get(&self, key: &[u32]) -> Option<u64> {
-        match &self.slots {
-            Slots::Dense { weights, slots } => {
-                let p = slots[dense_offset(weights, key)];
-                (p != u32::MAX).then_some(p as u64)
+    /// The heap position of group `key`, if the view holds it. Keys come
+    /// from any codec rolling to this view's group-by.
+    pub(crate) fn get(&self, key: &GroupKey) -> Option<u64> {
+        match (&self.slots, key) {
+            (Slots::Dense(slots), GroupKey::Packed(p)) => {
+                let pos = slots[*p as usize];
+                (pos != u32::MAX).then_some(pos as u64)
             }
-            Slots::Hashed(map) => map.get(key).copied(),
+            (Slots::Hashed(map), key) => map.get(key).copied(),
+            _ => unreachable!("a dense domain packs"),
         }
     }
 
     /// Records that group `key` was just appended at the heap's next
     /// position.
-    pub(crate) fn push(&mut self, key: &[u32]) {
+    pub(crate) fn push(&mut self, key: GroupKey) {
         let pos = self.covered;
-        match &mut self.slots {
-            Slots::Dense { weights, slots } => {
-                let slot = &mut slots[dense_offset(weights, key)];
-                debug_assert_eq!(*slot, u32::MAX, "group {key:?} is already indexed");
+        match (&mut self.slots, key) {
+            (Slots::Dense(slots), GroupKey::Packed(p)) => {
+                let slot = &mut slots[p as usize];
+                debug_assert_eq!(*slot, u32::MAX, "group {p} is already indexed");
                 *slot = u32::try_from(pos).expect("dense views hold < 2^32 groups");
             }
-            Slots::Hashed(map) => {
-                let prev = map.insert(key.to_vec(), pos);
-                debug_assert!(prev.is_none(), "group {key:?} is already indexed");
+            (Slots::Hashed(map), key) => {
+                let prev = map.insert(key, pos);
+                debug_assert!(prev.is_none(), "group is already indexed");
             }
+            _ => unreachable!("a dense domain packs"),
         }
         self.covered += 1;
     }
@@ -115,24 +108,13 @@ impl GroupPositions {
     pub(crate) fn extend(&mut self, heap: &HeapFile) {
         let mut cursor = heap.scan_batches(self.covered, heap.n_tuples());
         let mut batch = ScanBatch::new(heap.layout());
-        let mut key = vec![0u32; heap.layout().n_dims()];
         while cursor.read_next(&mut batch) {
             for i in 0..batch.len() {
-                for (d, k) in key.iter_mut().enumerate() {
-                    *k = batch.key(d, i);
-                }
-                self.push(&key);
+                let key = self.codec.key(|d| batch.key(d, i));
+                self.push(key);
             }
         }
     }
-}
-
-fn dense_offset(weights: &[u64], key: &[u32]) -> usize {
-    weights
-        .iter()
-        .zip(key)
-        .map(|(&w, &k)| w * k as u64)
-        .sum::<u64>() as usize
 }
 
 /// Refuses a fact table of `rows` rows: the measure domain's exactness
@@ -213,44 +195,35 @@ pub fn append_facts(cube: &mut Cube, rows: &[(Vec<u32>, f64)]) -> Result<u64, Ol
         let view = cube.catalog.table_mut(vid);
         // Delta-aggregate the new rows to the view's group-by, in key
         // order, so new groups land at the same positions in every run.
-        let mut delta: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
-        let mut gk = vec![0u32; n_dims];
+        let codec = GroupKeyCodec::rolling(&schema, &GroupBy::finest(n_dims), view.group_by(), 0);
+        let mut delta: BTreeMap<GroupKey, f64> = BTreeMap::new();
         for (keys, m) in rows {
-            for d in 0..n_dims {
-                gk[d] = roll_key(
-                    &schema,
-                    d,
-                    LevelRef::Level(0),
-                    view.group_by().level(d),
-                    keys[d],
-                );
-            }
             let v = agg.of_fact(*m);
-            match delta.get_mut(gk.as_slice()) {
-                Some(acc) => *acc = agg.combine(*acc, v),
-                None => {
-                    delta.insert(gk.clone(), v);
-                }
-            }
+            delta
+                .entry(codec.key(|d| keys[d]))
+                .and_modify(|acc| *acc = agg.combine(*acc, v))
+                .or_insert(v);
         }
         // Merge: update existing groups in place (one reseal per touched
         // page) or append new ones.
         let (heap, positions) = view.heap_and_positions(&schema);
+        let mut gk = vec![0u32; n_dims];
         let mut updates = Vec::new();
         let mut fresh = Vec::new();
-        for (gkey, delta_val) in delta {
-            match positions.get(&gkey) {
+        for (key, delta_val) in delta {
+            match positions.get(&key) {
                 Some(pos) => {
                     let old = heap.read_at(pos, &mut gk);
                     updates.push((pos, agg.combine(old, delta_val)));
                 }
-                None => fresh.push((gkey, delta_val)),
+                None => fresh.push((key, delta_val)),
             }
         }
         heap.update_measures(&updates);
-        for (gkey, v) in fresh {
-            heap.append(&gkey, v);
-            positions.push(&gkey);
+        for (key, v) in fresh {
+            codec.unpack_into(&key, &mut gk);
+            heap.append(&gk, v);
+            positions.push(key);
         }
         view.extend_indexes(&schema);
     }
@@ -858,8 +831,9 @@ mod tests {
 
     /// The position index is exact after any sequence of appends: every
     /// row's key maps to that row, and a key no row holds maps to nothing.
-    /// Covers the dense tier (every paper view) and the hashed tier (a
-    /// finest-level view whose domain exceeds the dense bound).
+    /// Covers the dense tier (every paper view), the packed hashed tier (a
+    /// finest-level view whose domain exceeds the dense bound) and spilled
+    /// keys (a view whose domain overflows `u64`).
     #[test]
     fn position_index_maps_every_row_and_nothing_else() {
         let wide = StarSchema::new(
@@ -867,6 +841,12 @@ mod tests {
                 Dimension::uniform("X", 64, &[64]),
                 Dimension::uniform("Y", 64, &[64]),
             ],
+            "m",
+        );
+        let huge = StarSchema::new(
+            ["P", "Q", "R", "S"]
+                .map(|n| Dimension::uniform(n, 1 << 16, &[]))
+                .to_vec(),
             "m",
         );
         let cubes = [
@@ -878,6 +858,13 @@ mod tests {
                 .materialize("XY")
                 .materialize("X'Y")
                 .materialize_agg("X'Y'", AggFn::Max)
+                .build(),
+            CubeBuilder::new(huge)
+                .rows(2_000)
+                .seed(6)
+                .base_name("base")
+                .materialize("PQRS")
+                .materialize_agg("PQR*S*", AggFn::Min)
                 .build(),
         ];
         for (ci, mut cube) in cubes.into_iter().enumerate() {
@@ -891,23 +878,24 @@ mod tests {
                     }
                     let index = view.group_positions().expect("built on first append");
                     let hashed = matches!(index.slots, Slots::Hashed(_));
-                    assert_eq!(hashed, view.name() == "XY", "{}: tier", view.name());
+                    let expect = ["XY", "PQRS", "MIN:PQR*S*"].contains(&view.name());
+                    assert_eq!(hashed, expect, "{}: tier", view.name());
+                    let spilled = index.codec.tier() == KeyTier::Spill;
+                    assert_eq!(spilled, view.name() == "PQRS", "{}: tier", view.name());
+                    let get = |key: &[u32]| index.get(&index.codec.key(|d| key[d]));
                     let rows = group_bits(view);
                     for (pos, (key, _)) in heap_rows(view).into_iter().enumerate() {
-                        assert_eq!(index.get(&key), Some(pos as u64), "{} {key:?}", view.name());
+                        assert_eq!(get(&key), Some(pos as u64), "{} {key:?}", view.name());
                     }
                     // Probe random keys of the view's domain: present iff
                     // some row holds them.
                     let cards: Vec<u32> = (0..cube.schema.n_dims())
-                        .map(|d| match view.group_by().level(d) {
-                            LevelRef::Level(l) => cube.schema.dim(d).cardinality(l),
-                            LevelRef::All => 1,
-                        })
+                        .map(|d| view.group_by().level(d).cardinality(cube.schema.dim(d)))
                         .collect();
                     for _ in 0..500 {
                         let key: Vec<u32> = cards.iter().map(|&c| rng.gen_range(0..c)).collect();
                         assert_eq!(
-                            index.get(&key).is_some(),
+                            get(&key).is_some(),
                             rows.contains_key(&key),
                             "{} {key:?}",
                             view.name()

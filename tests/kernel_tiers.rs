@@ -90,9 +90,13 @@ fn random_query(cube: &Cube, rng: &mut Prng) -> GroupByQuery {
 }
 
 /// The tier the kernel must pick, from the exact group-by cardinality
-/// product ([`GroupBy::exact_combinations`]).
+/// product.
 fn expected_tier(cube: &Cube, q: &GroupByQuery) -> KernelTier {
-    match q.group_by.exact_combinations(&cube.schema) {
+    let cards = q.group_by.key_cardinalities(&cube.schema);
+    match cards
+        .iter()
+        .try_fold(1u64, |acc, &c| acc.checked_mul(c as u64))
+    {
         Some(t) if t <= DENSE_MAX_GROUPS => KernelTier::Dense,
         Some(_) => KernelTier::Packed,
         None => KernelTier::Spill,
