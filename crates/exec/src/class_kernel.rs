@@ -83,7 +83,6 @@ pub(crate) struct KernelScratch {
     sel: Vec<u32>,
     masks: Vec<u64>,
     sels: Vec<Vec<u32>>,
-    scratch: Vec<u32>,
 }
 
 impl ClassKernel {
@@ -213,7 +212,6 @@ impl ClassKernel {
                             &mut accs[m],
                             &mut ws.sel,
                             false,
-                            &mut ws.scratch,
                             cpu,
                         );
                     }
@@ -238,16 +236,8 @@ impl ClassKernel {
                     .extend(bm.iter_ones_in(base, end).map(|p| (p - base) as u32)),
                 None => ws.sel.extend(0..n as u32),
             }
-            st.pipeline.feed_batch(
-                st.mode,
-                st.skip_mask(),
-                batch,
-                acc,
-                &mut ws.sel,
-                true,
-                &mut ws.scratch,
-                cpu,
-            );
+            st.pipeline
+                .feed_batch(st.mode, st.skip_mask(), batch, acc, &mut ws.sel, true, cpu);
         }
     }
 }
@@ -295,8 +285,7 @@ fn feed_masks(
         }
     }
     for ((st, acc), sel) in states.iter().zip(accs).zip(&ws.sels) {
-        st.pipeline
-            .absorb_selected(st.mode, batch, sel, acc, &mut ws.scratch, cpu);
+        st.pipeline.absorb_selected(st.mode, batch, sel, acc, cpu);
     }
 }
 
@@ -339,16 +328,8 @@ impl ClassKernel {
         cpu: &mut CpuCounters,
     ) {
         for (st, acc) in states.iter().zip(accs.iter_mut()).take(self.n_hash) {
-            st.pipeline.feed_batch(
-                st.mode,
-                0,
-                batch,
-                acc,
-                &mut ws.sel,
-                false,
-                &mut ws.scratch,
-                cpu,
-            );
+            st.pipeline
+                .feed_batch(st.mode, 0, batch, acc, &mut ws.sel, false, cpu);
         }
         let mut keys = vec![0u32; n_dims];
         for r in 0..batch.len() {
@@ -356,14 +337,7 @@ impl ClassKernel {
                 *k = batch.key(d, r);
             }
             for (st, acc) in states.iter().zip(accs.iter_mut()).skip(self.n_hash) {
-                st.probe(
-                    batch.pos(r),
-                    &keys,
-                    batch.measure(r),
-                    acc,
-                    &mut ws.scratch,
-                    cpu,
-                );
+                st.probe(batch.pos(r), &keys, batch.measure(r), acc, cpu);
             }
         }
     }

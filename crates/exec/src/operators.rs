@@ -82,7 +82,6 @@ impl QueryState {
         keys: &[u32],
         measure: f64,
         acc: &mut GroupAcc,
-        scratch: &mut Vec<u32>,
         cpu: &mut CpuCounters,
     ) {
         cpu.bitmap_tests += 1;
@@ -92,7 +91,7 @@ impl QueryState {
         if self.pipeline.filter_skipping(keys, cpu, self.skip_mask()) {
             self.pipeline
                 .kernel()
-                .absorb(acc, self.mode, keys, measure, scratch, cpu);
+                .absorb(acc, self.mode, keys, measure, cpu);
         }
     }
 

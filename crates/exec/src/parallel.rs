@@ -150,7 +150,6 @@ struct WorkerScratch {
     batch: Option<ScanBatch>,
     kernel: KernelScratch,
     keys: Vec<u32>,
-    scratch: Vec<u32>,
 }
 
 /// Computes a prepared class's morsel boundaries at `pages` pages per
@@ -222,7 +221,6 @@ fn run_morsel(
         batch,
         kernel,
         keys,
-        scratch,
     } = ws;
     match &class.scan {
         ScanKind::Scan => {
@@ -249,7 +247,7 @@ fn run_morsel(
                 cpu.tuple_copies += 1;
                 cpu.hash_probes += class.kernel.probes_per_tuple();
                 for (st, acc) in class.states.iter().zip(&mut groups) {
-                    st.probe(pos, keys, measure, acc, scratch, &mut cpu);
+                    st.probe(pos, keys, measure, acc, &mut cpu);
                 }
             };
             match total {
