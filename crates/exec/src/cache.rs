@@ -18,12 +18,14 @@
 //! * a **subsumption hit** finds a cached *strictly finer* entry whose
 //!   predicates cover the probe (Gray et al.'s data-cube derivability:
 //!   a coarser group-by is re-aggregable from any finer one) and answers
-//!   by rolling the cached rows up through the existing [`DimPipeline`]
-//!   divisors. The rollup is charged honestly on the deterministic sim
-//!   clock: one predicate evaluation per compiled step per cached row
-//!   (short-circuit), one hash probe and one aggregate update per
-//!   surviving row, and one tuple copy per emitted group — CPU over the
-//!   cached rows instead of scan I/O over the base table.
+//!   by rolling the cached rows up through the probe's [`DimPipeline`].
+//!   A roll-up is an append patch of an empty result: the cached rows are
+//!   the partials, and both fold through the group-key codec
+//!   ([`starshare_olap::groupkey::fold`]). The rollup is charged honestly
+//!   on the deterministic sim clock: one predicate evaluation per compiled
+//!   step per cached row (short-circuit), one hash probe and one aggregate
+//!   update per surviving row, and one tuple copy per emitted group — CPU
+//!   over the cached rows instead of scan I/O over the base table.
 //!
 //! Eviction is **cost-based**, not LRU: each entry carries a *benefit* —
 //! the simulated time a hit saves, seeded with the production cost of the
@@ -36,8 +38,7 @@
 //! they reproduce direct evaluation bit for bit. AVG is not distributive
 //! and is answered only by exact hits.
 
-use std::collections::BTreeMap;
-
+use starshare_olap::groupkey::{fold, GroupKeyCodec};
 use starshare_olap::{Distributive, GroupBy, GroupByQuery, LevelRef, MemberPred, StarSchema};
 use starshare_storage::{CpuCounters, HardwareModel, SimTime};
 
@@ -77,14 +78,10 @@ impl CacheStats {
         self.exact_hits + self.subsumption_hits
     }
 
-    /// Hits over probes (1.0 when nothing was probed).
-    pub fn hit_ratio(&self) -> f64 {
+    /// Hits over probes (`None` when nothing was probed).
+    pub fn hit_ratio(&self) -> Option<f64> {
         let probes = self.hits() + self.misses;
-        if probes == 0 {
-            1.0
-        } else {
-            self.hits() as f64 / probes as f64
-        }
+        (probes > 0).then(|| self.hits() as f64 / probes as f64)
     }
 
     /// The activity between an `earlier` snapshot and this one (counters
@@ -113,20 +110,22 @@ impl CacheStats {
         o.field_u64("invalidations", self.invalidations);
         o.field_u64("patched", self.patched);
         o.field_u64("patch_drops", self.patch_drops);
-        o.field_f64("hit_ratio", self.hit_ratio());
+        o.field_opt_f64("hit_ratio", self.hit_ratio());
         o.finish()
     }
 }
 
 impl std::fmt::Display for CacheStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let hit = self
+            .hit_ratio()
+            .map_or_else(|| "n/a".to_string(), |r| format!("{:.0}%", r * 100.0));
         write!(
             f,
-            "{} exact / {} subsumption hits, {} misses ({:.0}% hit); {} inserted, {} evicted, {} invalidated, {} patched (+{} drops)",
+            "{} exact / {} subsumption hits, {} misses ({hit} hit); {} inserted, {} evicted, {} invalidated, {} patched (+{} drops)",
             self.exact_hits,
             self.subsumption_hits,
             self.misses,
-            self.hit_ratio() * 100.0,
             self.insertions,
             self.evictions,
             self.invalidations,
@@ -317,10 +316,9 @@ impl ResultCache {
         let finest = GroupBy::finest(schema.n_dims());
 
         let mut cpu = CpuCounters::default();
-        let leaf = LeafDelta::new(schema.n_dims(), rows);
-        // Leaf measure columns, aggregated once per cached aggregate and
-        // shared by every entry carrying it.
-        let mut measures: Vec<(Distributive, Vec<f64>)> = Vec::new();
+        // The leaf delta, folded once per cached aggregate and shared by
+        // every entry carrying it.
+        let mut deltas = Vec::new();
         let mut sel = Vec::new();
 
         let mut kept = Vec::with_capacity(self.entries.len());
@@ -343,18 +341,19 @@ impl ResultCache {
                 continue;
             };
             let agg = *agg;
-            let i = match measures.iter().position(|(a, _)| *a == agg) {
+            let i = match deltas.iter().position(|(a, _)| *a == agg) {
                 Some(i) => i,
                 None => {
-                    measures.push((agg, leaf.measures(agg, rows, &mut cpu)));
-                    measures.len() - 1
+                    deltas.push((agg, leaf_delta(schema, agg, rows, &mut cpu)));
+                    deltas.len() - 1
                 }
             };
+            let (cols, measures) = &deltas[i].1;
             patch_rows(
                 pipeline,
                 agg,
-                &leaf,
-                &measures[i].1,
+                cols,
+                measures,
                 &mut e.result.rows,
                 &mut sel,
                 &mut cpu,
@@ -495,96 +494,64 @@ impl ResultCache {
     }
 }
 
-/// An append's rows aggregated at the leaf: one column per dimension
-/// holding each distinct key, in key order — the columns every entry's
-/// predicate cascade runs over.
-#[derive(Debug)]
-struct LeafDelta {
-    cols: Vec<Vec<u32>>,
-    /// The distinct key (column index) each appended row folds into.
-    group_of: Vec<usize>,
+/// An append's `rows` folded at the leaf with `agg`, in row order: the
+/// distinct leaf keys, in key order, as one column per dimension — the
+/// columns every entry's predicate cascade runs over — and each key's
+/// partial. Charges one hash probe plus one aggregate update per row.
+fn leaf_delta(
+    schema: &StarSchema,
+    agg: Distributive,
+    rows: &[(Vec<u32>, f64)],
+    cpu: &mut CpuCounters,
+) -> (Vec<Vec<u32>>, Vec<f64>) {
+    let finest = GroupBy::finest(schema.n_dims());
+    let codec = GroupKeyCodec::rolling(schema, &finest, &finest, 0);
+    cpu.hash_probes += rows.len() as u64;
+    cpu.agg_updates += rows.len() as u64;
+    let delta = fold(
+        agg,
+        rows.iter()
+            .map(|(keys, m)| (codec.key(|d| keys[d]), agg.of_fact(*m))),
+    );
+    let mut cols = vec![Vec::with_capacity(delta.len()); schema.n_dims()];
+    let mut measures = Vec::with_capacity(delta.len());
+    let mut keys = vec![0u32; schema.n_dims()];
+    for (key, v) in delta {
+        codec.unpack_into(&key, &mut keys);
+        cols.iter_mut().zip(&keys).for_each(|(col, &k)| col.push(k));
+        measures.push(v);
+    }
+    (cols, measures)
 }
 
-impl LeafDelta {
-    fn new(n_dims: usize, rows: &[(Vec<u32>, f64)]) -> Self {
-        let mut order: Vec<usize> = (0..rows.len()).collect();
-        order.sort_by(|&a, &b| rows[a].0.cmp(&rows[b].0));
-        let mut cols = vec![Vec::new(); n_dims];
-        let mut group_of = vec![0; rows.len()];
-        let mut groups = 0;
-        for (j, &i) in order.iter().enumerate() {
-            if j == 0 || rows[order[j - 1]].0 != rows[i].0 {
-                for (col, &k) in cols.iter_mut().zip(&rows[i].0) {
-                    col.push(k);
-                }
-                groups += 1;
-            }
-            group_of[i] = groups - 1;
-        }
-        LeafDelta { cols, group_of }
-    }
-
-    /// Distinct leaf keys.
-    fn len(&self) -> usize {
-        self.cols.first().map_or(0, Vec::len)
-    }
-
-    /// Each distinct key's `agg` over its appended rows, folded in row
-    /// order; charges one hash probe plus one aggregate update per row.
-    fn measures(
-        &self,
-        agg: Distributive,
-        rows: &[(Vec<u32>, f64)],
-        cpu: &mut CpuCounters,
-    ) -> Vec<f64> {
-        let mut acc: Vec<Option<f64>> = vec![None; self.len()];
-        for ((_, m), &g) in rows.iter().zip(&self.group_of) {
-            cpu.hash_probes += 1;
-            cpu.agg_updates += 1;
-            let v = agg.of_fact(*m);
-            acc[g] = Some(acc[g].map_or(v, |a| agg.combine(a, v)));
-        }
-        acc.into_iter()
-            .map(|v| v.expect("every distinct key has a row"))
-            .collect()
-    }
-}
-
-/// Patches one entry's sorted `rows` with the leaf delta (`measures` is
-/// its column for the entry's aggregate): the entry's predicates cascade
-/// over the key columns, the survivors roll up to the entry's group-by,
-/// and the sorted patch merges into `rows` in one linear pass. Charges
-/// exactly what testing each delta key with the per-row short-circuit
-/// filter would: one predicate evaluation per key each predicate sees,
-/// one probe plus update per survivor, one tuple copy per patch group.
+/// Patches one entry's sorted `rows` with partials keyed by the
+/// dimension-indexed columns `cols` (`measures[i]` is row `i`'s partial):
+/// the entry's predicates cascade over the columns, the survivors fold
+/// through the pipeline's codec to the entry's group-by, and the sorted
+/// patch merges into `rows` in one linear pass. Charges exactly what
+/// testing each row with the per-row short-circuit filter would: one
+/// predicate evaluation per row each predicate sees, one probe plus update
+/// per survivor, one tuple copy per patch group.
 fn patch_rows(
     pipeline: &DimPipeline,
     agg: Distributive,
-    leaf: &LeafDelta,
+    cols: &[Vec<u32>],
     measures: &[f64],
     rows: &mut Vec<(Vec<u32>, f64)>,
     sel: &mut Vec<u32>,
     cpu: &mut CpuCounters,
 ) {
-    pipeline.select(|d| &leaf.cols[d], leaf.len(), 0, sel, false, cpu);
-    let mut patch: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
-    let mut full = vec![0u32; leaf.cols.len()];
-    let mut out_key = Vec::new();
-    for &i in sel.iter() {
-        let i = i as usize;
-        for (k, col) in full.iter_mut().zip(&leaf.cols) {
-            *k = col[i];
-        }
-        pipeline.agg_key_into(&full, &mut out_key);
-        cpu.hash_probes += 1;
-        cpu.agg_updates += 1;
-        match patch.get_mut(out_key.as_slice()) {
-            Some(acc) => *acc = agg.combine(*acc, measures[i]),
-            None => {
-                patch.insert(out_key.clone(), measures[i]);
-            }
-        }
-    }
+    pipeline.select(|d| &cols[d], measures.len(), 0, sel, false, cpu);
+    let codec = pipeline.kernel().codec();
+    cpu.hash_probes += sel.len() as u64;
+    cpu.agg_updates += sel.len() as u64;
+    let patch = fold(
+        agg,
+        sel.iter().map(|&i| {
+            let i = i as usize;
+            (codec.key(|d| cols[d][i]), measures[i])
+        }),
+    );
     if patch.is_empty() {
         return;
     }
@@ -593,7 +560,8 @@ fn patch_rows(
     cpu.tuple_copies += patch.len() as u64;
     let mut old = std::mem::take(rows).into_iter().peekable();
     rows.reserve(old.len() + patch.len());
-    for (k, dv) in patch {
+    for (key, dv) in patch {
+        let k = codec.unpack(&key);
         while let Some(r) = old.next_if(|(rk, _)| *rk < k) {
             rows.push(r);
         }
@@ -677,9 +645,10 @@ fn pred_covers(schema: &StarSchema, d: usize, cached: &MemberPred, probe: &Membe
     }
 }
 
-/// Rolls a cached finer result up to `probe`, charging the work on the
-/// simulated clock: the cached rows play the part of a (tiny) stored
-/// table whose "stored levels" are the cached query's group-by.
+/// Rolls a cached finer result up to `probe`: a patch of an empty result
+/// with the cached rows, which play the part of a (tiny) stored table whose
+/// "stored levels" are the cached query's group-by. The work is charged on
+/// the simulated clock as [`patch_rows`] charges it.
 fn roll_up(
     schema: &StarSchema,
     cached: &QueryResult,
@@ -691,39 +660,27 @@ fn roll_up(
     let pipeline = DimPipeline::compile(schema, stored, probe)?;
 
     // Cached row keys hold only the grouped dimensions (in dimension
-    // order); re-expand each to the full dimension-indexed width the
-    // pipeline addresses. All-aggregated dimensions stay 0 — derivability
+    // order); lay them out as the dimension-indexed columns the pipeline
+    // addresses. All-aggregated dimensions stay empty — derivability
     // guarantees the probe neither groups nor filters them.
-    let grouped: Vec<usize> = (0..schema.n_dims())
-        .filter(|&d| matches!(stored.level(d), LevelRef::Level(_)))
-        .collect();
+    let mut cols = vec![Vec::new(); schema.n_dims()];
+    let grouped = (0..schema.n_dims()).filter(|&d| stored.level(d) != LevelRef::All);
+    for (slot, d) in grouped.enumerate() {
+        cols[d] = cached.rows.iter().map(|(key, _)| key[slot]).collect();
+    }
+    let measures: Vec<f64> = cached.rows.iter().map(|&(_, m)| m).collect();
 
     let mut cpu = CpuCounters::default();
-    let mut groups: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
-    let mut full = vec![0u32; schema.n_dims()];
-    let mut out_key = Vec::new();
-    for (key, m) in &cached.rows {
-        debug_assert_eq!(key.len(), grouped.len());
-        for (slot, &d) in grouped.iter().enumerate() {
-            full[d] = key[slot];
-        }
-        if !pipeline.filter(&full, &mut cpu) {
-            continue;
-        }
-        pipeline.agg_key_into(&full, &mut out_key);
-        cpu.hash_probes += 1;
-        cpu.agg_updates += 1;
-        match groups.entry(out_key.clone()) {
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(*m);
-            }
-            std::collections::btree_map::Entry::Occupied(mut o) => {
-                let acc = o.get_mut();
-                *acc = agg.combine(*acc, *m);
-            }
-        }
-    }
-    cpu.tuple_copies += groups.len() as u64;
+    let mut rows = Vec::new();
+    patch_rows(
+        &pipeline,
+        agg,
+        &cols,
+        &measures,
+        &mut rows,
+        &mut Vec::new(),
+        &mut cpu,
+    );
     let sim = model.cpu_time(&cpu);
     let report = ExecReport {
         cpu,
@@ -731,14 +688,25 @@ fn roll_up(
         critical: sim,
         ..ExecReport::default()
     };
-    Ok((QueryResult::from_groups(probe.clone(), groups), report))
+    Ok((
+        QueryResult {
+            query: probe.clone(),
+            rows,
+        },
+        report,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::KernelTier;
     use crate::reference::reference_eval;
-    use starshare_olap::{lattice_nodes, paper_cube, AggFn, GroupBy, PaperCubeSpec};
+    use starshare_olap::{
+        append_facts, lattice_nodes, paper_cube, AggFn, CubeBuilder, Dimension, GroupBy,
+        PaperCubeSpec,
+    };
+    use std::collections::BTreeMap;
 
     fn cube() -> starshare_olap::Cube {
         paper_cube(PaperCubeSpec {
@@ -808,15 +776,43 @@ mod tests {
                 let hit = cache
                     .lookup(&cube.schema, &probe, &model())
                     .unwrap_or_else(|| panic!("derivable pair {fi}->{ci} missed"));
-                assert!(hit.is_subsumption());
+                let CacheHit::Subsumption { result, report } = hit else {
+                    panic!("derivable pair {fi}->{ci} hit exactly");
+                };
                 subsumption_hits += 1;
                 assert_eq!(
-                    rows_bits(&hit.into_result()),
+                    rows_bits(&result),
                     rows_bits(&results[ci]),
                     "rollup {} -> {} must be bit-identical to direct evaluation",
                     finer.display(&cube.schema),
                     coarser.display(&cube.schema),
                 );
+                // The charges are the row-at-a-time roll-up's, over the
+                // cached keys widened to every dimension (All ones read 0).
+                let wide: Vec<(Vec<u32>, f64)> = results[fi]
+                    .rows
+                    .iter()
+                    .map(|(key, m)| {
+                        let mut slots = key.iter();
+                        let full = (0..cube.schema.n_dims())
+                            .map(|d| match finer.level(d) {
+                                LevelRef::All => 0,
+                                LevelRef::Level(_) => *slots.next().unwrap(),
+                            })
+                            .collect();
+                        (full, *m)
+                    })
+                    .collect();
+                let pipeline = DimPipeline::compile(&cube.schema, finer, &probe).unwrap();
+                let (mut want, mut want_cpu) = (Vec::new(), CpuCounters::default());
+                merge_rowwise(
+                    &pipeline,
+                    Distributive::Sum,
+                    &wide,
+                    &mut want,
+                    &mut want_cpu,
+                );
+                assert_eq!(report.cpu, want_cpu, "rollup {fi} -> {ci}");
             }
         }
         assert!(
@@ -1294,8 +1290,7 @@ mod tests {
     }
 
     /// The per-row patch `apply_append` ran before the columnar cascade:
-    /// the leaf delta in a `BTreeMap`, the short-circuit filter on every
-    /// delta key, and a binary-search-and-insert merge. [`patch_rows`]
+    /// the leaf delta in a `BTreeMap`, then [`merge_rowwise`]. [`patch_rows`]
     /// must match it row for row and counter for counter.
     fn patch_rows_rowwise(
         pipeline: &DimPipeline,
@@ -1314,17 +1309,30 @@ mod tests {
                 .and_modify(|acc| *acc = agg.combine(*acc, v))
                 .or_insert(v);
         }
+        let delta: Vec<(Vec<u32>, f64)> = delta.into_iter().collect();
+        merge_rowwise(pipeline, agg, &delta, rows, cpu);
+    }
+
+    /// The row-at-a-time merge of dimension-indexed `partials` into sorted
+    /// `rows`: the short-circuit filter on every partial, its key rolled
+    /// through the codec into a `BTreeMap`, and a binary-search-and-insert
+    /// merge. On an empty `rows` it is the subsumption roll-up's oracle.
+    fn merge_rowwise(
+        pipeline: &DimPipeline,
+        agg: Distributive,
+        partials: &[(Vec<u32>, f64)],
+        rows: &mut Vec<(Vec<u32>, f64)>,
+        cpu: &mut CpuCounters,
+    ) {
         let mut patch: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
-        let mut out_key = Vec::new();
-        for (key, m) in &delta {
-            if !pipeline.filter(key, cpu) {
+        for (key, m) in partials {
+            if !pipeline.filter_skipping(key, cpu, 0) {
                 continue;
             }
-            pipeline.agg_key_into(key, &mut out_key);
             cpu.hash_probes += 1;
             cpu.agg_updates += 1;
             patch
-                .entry(out_key.clone())
+                .entry(pipeline.kernel().codec().rolled(|d| key[d]).collect())
                 .and_modify(|acc| *acc = agg.combine(*acc, *m))
                 .or_insert(*m);
         }
@@ -1399,12 +1407,11 @@ mod tests {
             let (mut want, mut want_cpu) = (entry.clone(), CpuCounters::default());
             patch_rows_rowwise(&pipeline, agg, &delta, &mut want, &mut want_cpu);
             let (mut got, mut got_cpu) = (entry.clone(), CpuCounters::default());
-            let leaf = LeafDelta::new(schema.n_dims(), &delta);
-            let measures = leaf.measures(agg, &delta, &mut got_cpu);
+            let (cols, measures) = leaf_delta(schema, agg, &delta, &mut got_cpu);
             patch_rows(
                 &pipeline,
                 agg,
-                &leaf,
+                &cols,
                 &measures,
                 &mut got,
                 &mut sel,
@@ -1418,12 +1425,143 @@ mod tests {
             assert_eq!(got_cpu, want_cpu, "case {case}: {query:?}");
             assert!(!from_base || want.len() == entry.len(), "case {case}");
             grew += usize::from(want.len() > entry.len());
-            filtered += usize::from(sel.len() < leaf.len());
+            filtered += usize::from(sel.len() < measures.len());
         }
         assert!(grew > 20, "brand-new groups exercised in {grew} cases");
         assert!(
             filtered > 100,
             "predicates rejected keys in {filtered} cases"
+        );
+    }
+
+    #[test]
+    fn hit_ratio_is_none_until_something_is_probed() {
+        let mut stats = CacheStats::default();
+        assert_eq!(stats.hit_ratio(), None);
+        assert!(stats.to_json().contains("\"hit_ratio\":null"));
+        assert!(stats.to_string().contains("(n/a hit)"), "{stats}");
+        stats.exact_hits = 1;
+        stats.misses = 1;
+        assert_eq!(stats.hit_ratio(), Some(0.5));
+        assert!(stats.to_string().contains("(50% hit)"), "{stats}");
+    }
+
+    /// The Spill tier end to end: on four dimensions of 2^16 leaves the
+    /// finest group-by's keys overflow `u64`, so the leaf delta, a roll-up
+    /// at the finest group-by and the patch all fold spilled keys. A cached
+    /// finest-level entry is rolled up (to the finest and to a packed
+    /// coarser group-by) and then patched: rows are bitwise those of direct
+    /// evaluation, and counters those of the row-at-a-time oracle.
+    #[test]
+    fn spilled_keys_roll_up_and_patch_like_the_oracle() {
+        let schema = StarSchema::new(
+            ["P", "Q", "R", "S"]
+                .map(|n| Dimension::uniform(n, 1 << 12, &[16]))
+                .to_vec(),
+            "m",
+        );
+        let mut cube = CubeBuilder::new(schema)
+            .rows(2_000)
+            .seed(6)
+            .base_name("base")
+            .build();
+        let schema = cube.schema.clone();
+        let base = cube.catalog.base_table().unwrap();
+        let finest = GroupBy::finest(4);
+        let coarse = GroupBy::new(vec![LevelRef::Level(1); 4]);
+        let top = |members: std::ops::Range<u32>| MemberPred::members_in(1, members.collect());
+        let all = MemberPred::All;
+        let cached_q = GroupByQuery::new(
+            finest.clone(),
+            vec![top(0..2048), all.clone(), all.clone(), all.clone()],
+        );
+        let probes = [
+            GroupByQuery::new(
+                finest.clone(),
+                vec![top(0..1024), top(1024..4096), all.clone(), all.clone()],
+            ),
+            GroupByQuery::new(coarse, vec![top(0..2048), all.clone(), all.clone(), all]),
+        ];
+        let tier = |q: &GroupByQuery| {
+            DimPipeline::compile(&schema, &finest, q)
+                .unwrap()
+                .kernel_tier()
+        };
+        assert_eq!(tier(&cached_q), KernelTier::Spill);
+        assert_eq!(tier(&probes[0]), KernelTier::Spill);
+        assert_eq!(tier(&probes[1]), KernelTier::Packed);
+
+        let cached = reference_eval(&cube, base, &cached_q).rows;
+        let mut cache = ResultCache::new(usize::MAX);
+        cache.insert(
+            cached_q.clone(),
+            QueryResult {
+                query: cached_q.clone(),
+                rows: cached.clone(),
+            },
+            SimTime::from_nanos(1_000_000),
+        );
+        for probe in &probes {
+            let Some(CacheHit::Subsumption { result, report }) =
+                cache.lookup(&schema, probe, &model())
+            else {
+                panic!("{probe:?} must roll up the finest entry");
+            };
+            let direct = reference_eval(&cube, base, probe);
+            assert!(direct.n_groups() > 100, "{}", direct.n_groups());
+            assert_eq!(rows_bits(&result), rows_bits(&direct));
+            let pipeline = DimPipeline::compile(&schema, &finest, probe).unwrap();
+            let (mut want, mut want_cpu) = (Vec::new(), CpuCounters::default());
+            merge_rowwise(
+                &pipeline,
+                Distributive::Sum,
+                &cached,
+                &mut want,
+                &mut want_cpu,
+            );
+            assert_eq!(report.cpu, want_cpu, "{probe:?}");
+        }
+
+        // Half the delta lands on groups the entry holds, half anywhere:
+        // some combine, some open new groups, some are filtered away.
+        let mut rng = starshare_prng::Prng::seed_from_u64(0x5b11);
+        let delta: Vec<(Vec<u32>, f64)> = (0..200)
+            .map(|i| {
+                let key = if i % 2 == 0 {
+                    cached[rng.gen_range(0..cached.len())].0.clone()
+                } else {
+                    (0..4).map(|_| rng.gen_range(0..1u32 << 16)).collect()
+                };
+                (key, rng.gen_range(0..400u32) as f64 * 0.25)
+            })
+            .collect();
+        append_facts(&mut cube, &delta).unwrap();
+        let report = cache.apply_append(&schema, cube.epoch, &delta, &model());
+        let pipeline = DimPipeline::compile(&schema, &finest, &cached_q).unwrap();
+        let (mut want, mut want_cpu) = (cached.clone(), CpuCounters::default());
+        patch_rows_rowwise(
+            &pipeline,
+            Distributive::Sum,
+            &delta,
+            &mut want,
+            &mut want_cpu,
+        );
+        assert_eq!(report.cpu, want_cpu);
+        assert!(want.len() > cached.len(), "new groups opened");
+        assert!(
+            delta.iter().any(|(k, _)| k[0] >= 2048 * 16),
+            "rows filtered"
+        );
+
+        let direct = reference_eval(&cube, base, &cached_q);
+        let hit = cache.lookup(&schema, &cached_q, &model()).expect("patched");
+        assert!(!hit.is_subsumption());
+        assert_eq!(rows_bits(&hit.into_result()), rows_bits(&direct));
+        let probe = &probes[0];
+        let hit = cache.lookup(&schema, probe, &model()).expect("rolls up");
+        assert_eq!(
+            rows_bits(&hit.into_result()),
+            rows_bits(&reference_eval(&cube, base, probe))
         );
     }
 }

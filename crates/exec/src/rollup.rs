@@ -245,14 +245,10 @@ impl DimPipeline {
         self.build_rows
     }
 
-    /// Evaluates all predicates on a stored-key tuple, charging one
-    /// predicate evaluation per step actually executed (short-circuit).
-    pub fn filter(&self, keys: &[u32], cpu: &mut CpuCounters) -> bool {
-        self.filter_skipping(keys, cpu, 0)
-    }
-
-    /// Like [`filter`](Self::filter) but skips predicates on dimensions in
-    /// `skip_mask` (those already guaranteed by a bitmap-index lookup).
+    /// Evaluates the predicates on a stored-key tuple, skipping those on
+    /// dimensions in `skip_mask` (already guaranteed by a bitmap-index
+    /// lookup) and charging one predicate evaluation per step actually
+    /// executed (short-circuit).
     pub fn filter_skipping(&self, keys: &[u32], cpu: &mut CpuCounters, skip_mask: u64) -> bool {
         for p in &self.preds {
             if skip_mask & (1 << p.dim) != 0 {
@@ -357,13 +353,6 @@ impl DimPipeline {
         )
     }
 
-    /// Extracts the aggregation key (rolled to the target levels) into
-    /// `out`.
-    pub fn agg_key_into(&self, keys: &[u32], out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(self.kernel.codec().rolled(|d| keys[d]));
-    }
-
     /// True if the query has any predicate not covered by `skip_mask`.
     pub fn has_residual_preds(&self, skip_mask: u64) -> bool {
         self.preds.iter().any(|p| skip_mask & (1 << p.dim) == 0)
@@ -379,6 +368,11 @@ impl DimPipeline {
 mod tests {
     use super::*;
     use starshare_olap::{Dimension, GroupBy, GroupByQuery, MemberPred};
+
+    /// A stored-key tuple's aggregation key, rolled to the target levels.
+    fn rolled(p: &DimPipeline, keys: &[u32]) -> Vec<u32> {
+        p.kernel().codec().rolled(|d| keys[d]).collect()
+    }
 
     fn schema() -> StarSchema {
         StarSchema::new(
@@ -435,9 +429,9 @@ mod tests {
         );
         let p = DimPipeline::compile(&s, &stored, &q).unwrap();
         let mut cpu = CpuCounters::default();
-        assert!(p.filter(&[0, 0], &mut cpu));
-        assert!(p.filter(&[19, 0], &mut cpu));
-        assert!(!p.filter(&[20, 0], &mut cpu));
+        assert!(p.filter_skipping(&[0, 0], &mut cpu, 0));
+        assert!(p.filter_skipping(&[19, 0], &mut cpu, 0));
+        assert!(!p.filter_skipping(&[20, 0], &mut cpu, 0));
         assert_eq!(cpu.predicate_evals, 3);
     }
 
@@ -452,7 +446,7 @@ mod tests {
         let p = DimPipeline::compile(&s, &stored, &q).unwrap();
         let mut cpu = CpuCounters::default();
         // First pred fails → second never evaluated.
-        assert!(!p.filter(&[59, 0], &mut cpu));
+        assert!(!p.filter_skipping(&[59, 0], &mut cpu, 0));
         assert_eq!(cpu.predicate_evals, 1);
     }
 
@@ -480,13 +474,10 @@ mod tests {
         let stored = GroupBy::finest(2);
         let q = GroupByQuery::unfiltered(GroupBy::parse(&s, "A''B*").unwrap());
         let p = DimPipeline::compile(&s, &stored, &q).unwrap();
-        let mut out = Vec::new();
-        p.agg_key_into(&[25, 3], &mut out);
-        assert_eq!(out, vec![1]); // leaf 25 → top 1; B aggregated away
+        assert_eq!(rolled(&p, &[25, 3]), vec![1]); // leaf 25 → top 1; B aggregated away
         let q2 = GroupByQuery::unfiltered(GroupBy::parse(&s, "AB'").unwrap());
         let p2 = DimPipeline::compile(&s, &stored, &q2).unwrap();
-        p2.agg_key_into(&[25, 33], &mut out);
-        assert_eq!(out, vec![25, 3]);
+        assert_eq!(rolled(&p2, &[25, 33]), vec![25, 3]);
     }
 
     #[test]
@@ -495,9 +486,7 @@ mod tests {
         let stored = GroupBy::new(vec![LevelRef::Level(1), LevelRef::All]);
         let q = GroupByQuery::unfiltered(GroupBy::new(vec![LevelRef::Level(2), LevelRef::All]));
         let p = DimPipeline::compile(&s, &stored, &q).unwrap();
-        let mut out = Vec::new();
-        p.agg_key_into(&[3, 0], &mut out);
-        assert_eq!(out, vec![1]); // A' 3 → A'' 1
+        assert_eq!(rolled(&p, &[3, 0]), vec![1]); // A' 3 → A'' 1
         assert_eq!(p.probe_mask(), 0b01);
     }
 }

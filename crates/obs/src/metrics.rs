@@ -265,14 +265,10 @@ impl MetricsSnapshot {
         (probes > 0).then(|| hits as f64 / probes as f64)
     }
 
-    /// Subsumption hits over all cache hits (0.0 when there were none).
-    pub fn cache_subsumption_ratio(&self) -> f64 {
+    /// Subsumption hits over all cache hits (`None` when there were none).
+    pub fn cache_subsumption_ratio(&self) -> Option<f64> {
         let hits = self.inner.cache_exact_hits + self.inner.cache_subsumption_hits;
-        if hits == 0 {
-            0.0
-        } else {
-            self.inner.cache_subsumption_hits as f64 / hits as f64
-        }
+        (hits > 0).then(|| self.inner.cache_subsumption_hits as f64 / hits as f64)
     }
 
     /// Entries patched over entries touched by appends (`None` when
@@ -318,7 +314,7 @@ impl MetricsSnapshot {
         o.field_u64("cache_patched", m.cache_patched);
         o.field_u64("cache_patch_drops", m.cache_patch_drops);
         o.field_opt_f64("cache_hit_ratio", self.cache_hit_ratio());
-        o.field_f64("cache_subsumption_ratio", self.cache_subsumption_ratio());
+        o.field_opt_f64("cache_subsumption_ratio", self.cache_subsumption_ratio());
         o.field_opt_f64("cache_patch_ratio", self.cache_patch_ratio());
         o.field_u64("appends", m.appends);
         o.field_u64("appended_rows", m.appended_rows);
@@ -384,10 +380,11 @@ mod tests {
     fn ratios_handle_empty_denominators() {
         let snap = MetricsRegistry::default().snapshot();
         assert_eq!(snap.cache_hit_ratio(), None);
-        assert_eq!(snap.cache_subsumption_ratio(), 0.0);
+        assert_eq!(snap.cache_subsumption_ratio(), None);
         assert_eq!(snap.cache_patch_ratio(), None);
         let json = snap.to_json();
         assert!(json.contains("\"cache_hit_ratio\":null"), "{json}");
+        assert!(json.contains("\"cache_subsumption_ratio\":null"), "{json}");
         assert!(json.contains("\"cache_patch_ratio\":null"), "{json}");
         assert_eq!(snap.bytes_scanned(), 0);
     }

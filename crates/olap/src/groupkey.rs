@@ -1,18 +1,20 @@
 //! One group-key codec for the cube lattice.
 //!
 //! Aggregation kernels, view materialization, a view's group-position
-//! index and an append's delta all roll stored keys up to a group-by and
-//! key a map by the result; a [`GroupKeyCodec`] is the one place that is
-//! done. Keys pack lexicographically (mixed radix, Horner's rule), so packed
-//! order is key order. DESIGN.md ("One group-key codec") has the tiers and
-//! each caller's cap.
+//! index, an append's delta and the result cache's patches and roll-ups
+//! all roll stored keys up to a group-by and key a map by the result; a
+//! [`GroupKeyCodec`] is the one place that is done, and [`fold`] the one
+//! place partial aggregates outside the scan kernel combine. Keys pack
+//! lexicographically (mixed radix, Horner's rule), so packed order is key
+//! order. DESIGN.md ("One group-key codec") has the tiers and each
+//! caller's cap.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use starshare_storage::ScanBatch;
 
-use crate::query::GroupBy;
+use crate::query::{Distributive, GroupBy};
 use crate::schema::StarSchema;
 
 /// Hasher for packed `u64` group keys: the SplitMix64 finalizer, applied to
@@ -215,6 +217,26 @@ impl GroupKeyCodec {
     }
 }
 
+/// Folds `(key, partial)` pairs with `agg`, combining each key's partials
+/// in pair order: one pair per distinct key, in key order. Keys come from
+/// one codec, so they share a variant. Counts nothing; callers charge the
+/// work.
+pub fn fold(
+    agg: Distributive,
+    pairs: impl IntoIterator<Item = (GroupKey, f64)>,
+) -> Vec<(GroupKey, f64)> {
+    let mut groups: GroupMap<f64> = GroupMap::default();
+    for (key, v) in pairs {
+        groups
+            .entry(key)
+            .and_modify(|acc| *acc = agg.combine(*acc, v))
+            .or_insert(v);
+    }
+    let mut out: Vec<(GroupKey, f64)> = groups.into_iter().collect();
+    out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,5 +324,73 @@ mod tests {
         let (ka, kb) = (codec.key(|d| a[d]), codec.key(|d| b[d]));
         assert!(ka < kb);
         assert_eq!(codec.unpack(&kb), b);
+    }
+
+    /// `fold` against a `BTreeMap` on the rolled keys: one pair per key, in
+    /// key order, every aggregate.
+    fn check_fold(codec: &GroupKeyCodec, keys: &[Vec<u32>], rng: &mut Prng) {
+        for agg in [
+            Distributive::Sum,
+            Distributive::Count,
+            Distributive::Min,
+            Distributive::Max,
+        ] {
+            let pairs: Vec<(Vec<u32>, f64)> = keys
+                .iter()
+                .map(|k| (k.clone(), rng.gen_range(0..400u32) as f64 * 0.25))
+                .collect();
+            let mut want = std::collections::BTreeMap::new();
+            for (k, v) in &pairs {
+                want.entry(k.clone())
+                    .and_modify(|acc| *acc = agg.combine(*acc, *v))
+                    .or_insert(*v);
+            }
+            let got: Vec<(Vec<u32>, f64)> =
+                fold(agg, pairs.iter().map(|(k, v)| (codec.key(|d| k[d]), *v)))
+                    .into_iter()
+                    .map(|(key, v)| (codec.unpack(&key), v))
+                    .collect();
+            assert_eq!(got, want.into_iter().collect::<Vec<_>>(), "{agg:?}");
+        }
+    }
+
+    #[test]
+    fn fold_returns_one_pair_per_key_in_key_order() {
+        let mut rng = Prng::seed_from_u64(0x6b03);
+        for _ in 0..100 {
+            let (cards, keys) = random_case(&mut rng, 6);
+            let codec = GroupKeyCodec::new(&identity(cards.len()), cards, 0);
+            check_fold(&codec, &keys, &mut rng);
+        }
+    }
+
+    #[test]
+    fn fold_combines_in_pair_order() {
+        // 1e16 + 1 rounds back to 1e16, so the sum's value tells the order.
+        let (k, other) = (GroupKey::Packed(3), GroupKey::Packed(1));
+        let pairs = [
+            (k.clone(), 1e16),
+            (other.clone(), 2.0),
+            (k.clone(), 1.0),
+            (k.clone(), 1.0),
+        ];
+        assert_eq!(
+            fold(Distributive::Sum, pairs),
+            vec![(other, 2.0), (k.clone(), 1e16)]
+        );
+        let pairs = [(k.clone(), 1.0), (k.clone(), 1.0), (k.clone(), 1e16)];
+        assert_eq!(fold(Distributive::Sum, pairs), vec![(k, 1e16 + 2.0)]);
+    }
+
+    #[test]
+    fn fold_orders_spilled_keys() {
+        let codec = GroupKeyCodec::new(&identity(4), vec![1 << 16; 4], 0);
+        assert_eq!(codec.tier(), KeyTier::Spill);
+        let mut rng = Prng::seed_from_u64(0x6b04);
+        // Few distinct values per digit, so keys repeat and share prefixes.
+        let keys: Vec<Vec<u32>> = (0..300)
+            .map(|_| (0..4).map(|_| rng.gen_range(0..3u32) << 15).collect())
+            .collect();
+        check_fold(&codec, &keys, &mut rng);
     }
 }

@@ -22,13 +22,11 @@
 //! append-only by design); a deleting workload would need either
 //! re-aggregation or the classic summary-delta method with counts.
 
-use std::collections::BTreeMap;
-
 use starshare_storage::{quarter_units, HeapFile, ScanBatch, MAX_FACT_ROWS, MEASURE_LIMIT_UNITS};
 
 use crate::catalog::{Cube, MeasureKind};
 use crate::error::OlapError;
-use crate::groupkey::{GroupKey, GroupKeyCodec, GroupMap, KeyTier};
+use crate::groupkey::{fold, GroupKey, GroupKeyCodec, GroupMap, KeyTier};
 use crate::query::GroupBy;
 use crate::schema::StarSchema;
 
@@ -196,14 +194,11 @@ pub fn append_facts(cube: &mut Cube, rows: &[(Vec<u32>, f64)]) -> Result<u64, Ol
         // Delta-aggregate the new rows to the view's group-by, in key
         // order, so new groups land at the same positions in every run.
         let codec = GroupKeyCodec::rolling(&schema, &GroupBy::finest(n_dims), view.group_by(), 0);
-        let mut delta: BTreeMap<GroupKey, f64> = BTreeMap::new();
-        for (keys, m) in rows {
-            let v = agg.of_fact(*m);
-            delta
-                .entry(codec.key(|d| keys[d]))
-                .and_modify(|acc| *acc = agg.combine(*acc, v))
-                .or_insert(v);
-        }
+        let delta = fold(
+            agg,
+            rows.iter()
+                .map(|(keys, m)| (codec.key(|d| keys[d]), agg.of_fact(*m))),
+        );
         // Merge: update existing groups in place (one reseal per touched
         // page) or append new ones.
         let (heap, positions) = view.heap_and_positions(&schema);

@@ -277,9 +277,13 @@ fn concurrent_appends_see_monotonic_snapshots_with_fresh_bits() {
             assert_eq!(out.appended, BATCH_ROWS as u64);
         }
     });
+    // Query until the appender is done, then once more: that last window
+    // opens after every batch was applied, however the threads were
+    // scheduled.
     let mut seen = Vec::new();
     let mut last_epoch = 0u64;
-    for _ in 0..500 {
+    loop {
+        let appends_done = appender_t.is_finished();
         let r = querier.mdx(Q_CHILDREN).unwrap();
         assert!(
             r.window.epoch >= last_epoch,
@@ -289,12 +293,15 @@ fn concurrent_appends_see_monotonic_snapshots_with_fresh_bits() {
         );
         last_epoch = r.window.epoch;
         seen.push(r);
-        if last_epoch == BATCHES {
+        if appends_done {
             break;
         }
     }
     appender_t.join().unwrap();
-    assert_eq!(last_epoch, BATCHES, "the querier never saw the last epoch");
+    assert_eq!(
+        last_epoch, BATCHES,
+        "the window after the last append must see it"
+    );
     // Every answer matches the from-scratch reference at the exact append
     // prefix its window reported — no stale reads, no torn snapshots.
     for r in &seen {
