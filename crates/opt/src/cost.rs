@@ -37,9 +37,11 @@
 //! members' methods, so each index-capable member takes the cheaper of its
 //! two terms; if all of them prefer the index, the scan still needs one
 //! hash member, the one that loses least. The only other shape is the
-//! index-only class (§3.2), open when every member can use an index. The search returns exactly what
-//! enumerating all `2^k` method vectors returns: the first minimum in bit
-//! order, with `Hash` as the 0 bit and later members as higher bits.
+//! index-only class (§3.2), open when every member can use an index. At
+//! every class size the search returns exactly what enumerating all `2^k`
+//! method vectors returns: the first minimum in bit order, with `Hash` as
+//! the 0 bit and later members as higher bits. A single query's standalone
+//! choice is the one-member case of the same search.
 
 use std::iter;
 
@@ -48,12 +50,6 @@ use starshare_olap::{Cube, GroupByQuery, LevelRef, MemberPred, TableId};
 use starshare_storage::{HardwareModel, SimTime, PAGE_SIZE};
 
 use crate::plan::JoinMethod;
-
-/// Classes with more index-capable members than this give each of them its
-/// cheaper *standalone* method instead of searching. The search is linear
-/// in the class size; the cap stays because lifting it changes the plans
-/// (and simulated costs) of large classes.
-const EXACT_SEARCH_MAX_FLEX: usize = 12;
 
 /// Prices query plans against one cube under a hardware model.
 #[derive(Debug, Clone, Copy)]
@@ -320,27 +316,16 @@ impl<'a> CostModel<'a> {
     }
 
     /// The cheapest join-method vector for `members` evaluated together
-    /// from `t`: writes it to `out` (cleared first) and returns its cost.
+    /// from `t`, at any class size: writes it to `out` (cleared first) and
+    /// returns its cost.
     fn search_methods<'i, I>(&self, t: TableId, members: I, out: &mut Vec<JoinMethod>) -> SimTime
     where
         I: Iterator<Item = &'i QInfo> + Clone,
     {
         use JoinMethod::{Hash, Index};
         out.clear();
-        let n_flex = members.clone().filter(|i| i.index_capable()).count();
         let cost_of =
             |methods: &[JoinMethod]| self.price(t, members.clone().zip(methods.iter().copied()));
-        if n_flex > EXACT_SEARCH_MAX_FLEX {
-            out.extend(members.clone().map(|i| {
-                let alone = |m| self.price(t, iter::once((i, m)));
-                if i.index_capable() && alone(Index) < alone(Hash) {
-                    Index
-                } else {
-                    Hash
-                }
-            }));
-            return cost_of(out);
-        }
         // With a scan, each member takes its cheaper term (ties keep Hash,
         // the lower bit).
         out.extend(members.clone().map(|i| {
@@ -369,7 +354,7 @@ impl<'a> CostModel<'a> {
             out[k] = Hash;
             c
         };
-        if n_flex > 0 && n_flex == out.len() {
+        if !out.is_empty() && members.clone().all(QInfo::index_capable) {
             // The index-only class skips the scan; it is the last vector in
             // bit order, so it must be strictly cheaper.
             let index_only = self.price(t, members.map(|i| (i, Index)));
@@ -382,22 +367,18 @@ impl<'a> CostModel<'a> {
     }
 
     /// The cheapest singleton class over `options` (table, member
-    /// quantities), trying hash then index per table; the first strict
-    /// minimum wins.
+    /// quantities): the one-member [`search_methods`](Self::search_methods)
+    /// per table, the first strict minimum winning.
     fn cheapest_standalone<'i>(
         &self,
         options: impl Iterator<Item = (TableId, &'i QInfo)>,
     ) -> Option<(TableId, JoinMethod, SimTime)> {
+        let mut method = Vec::with_capacity(1);
         let mut best: Option<(TableId, JoinMethod, SimTime)> = None;
         for (t, info) in options {
-            for m in [JoinMethod::Hash, JoinMethod::Index] {
-                if m == JoinMethod::Index && !info.index_capable() {
-                    continue;
-                }
-                let c = self.price(t, iter::once((info, m)));
-                if best.as_ref().is_none_or(|(_, _, bc)| c < *bc) {
-                    best = Some((t, m, c));
-                }
+            let c = self.search_methods(t, iter::once(info), &mut method);
+            if best.is_none_or(|(_, _, bc)| c < bc) {
+                best = Some((t, method[0], c));
             }
         }
         best
@@ -423,9 +404,8 @@ impl<'a> CostModel<'a> {
         self.class_cost(t, &[(q, m)])
     }
 
-    /// Best join method per query for a class on `t`, minimizing total class
-    /// cost over every method vector when at most 12 members can use an
-    /// index; larger classes fall back to per-query standalone preference.
+    /// Best join method per query for a class on `t`: the method vector
+    /// of least total class cost, at every class size.
     pub fn best_method_assignment(
         &self,
         t: TableId,
@@ -893,53 +873,35 @@ mod prop_tests {
         GroupByQuery::new(GroupBy::new(levels), preds)
     }
 
-    /// Reference search: enumerate every method vector
-    /// of the index-capable members (up to 2^12) and keep the first strict
-    /// minimum; beyond 12, each takes its cheaper standalone method.
+    /// Reference search: enumerate every method vector of the
+    /// index-capable members and keep the first strict minimum. Each
+    /// member's quantities are derived once, and every vector is priced by
+    /// the class formula itself.
     fn enumerated_assignment(
         cm: &CostModel<'_>,
         t: TableId,
         queries: &[&GroupByQuery],
     ) -> Option<(Vec<JoinMethod>, SimTime)> {
-        let flexible: Vec<bool> = queries.iter().map(|q| cm.index_applicable(q, t)).collect();
-        let n_flex = flexible.iter().filter(|&&f| f).count();
-        let plans_of = |methods: &[JoinMethod]| -> Vec<(&GroupByQuery, JoinMethod)> {
-            queries.iter().zip(methods).map(|(q, &m)| (*q, m)).collect()
-        };
-        if n_flex > EXACT_SEARCH_MAX_FLEX {
-            let methods: Vec<JoinMethod> = queries
-                .iter()
-                .zip(&flexible)
-                .map(|(q, &f)| {
-                    let h = cm.standalone(q, t, JoinMethod::Hash);
-                    let i = cm.standalone(q, t, JoinMethod::Index);
-                    match (h, i) {
-                        (Some(h), Some(i)) if f && i < h => JoinMethod::Index,
-                        _ => JoinMethod::Hash,
-                    }
-                })
-                .collect();
-            return cm.class_cost(t, &plans_of(&methods)).map(|c| (methods, c));
-        }
+        let infos = queries
+            .iter()
+            .map(|q| cm.qinfo(q, t))
+            .collect::<Option<Vec<QInfo>>>()?;
+        let flexible: Vec<usize> = (0..infos.len())
+            .filter(|&k| infos[k].index_capable())
+            .collect();
+        let mut methods = vec![JoinMethod::Hash; infos.len()];
         let mut best: Option<(Vec<JoinMethod>, SimTime)> = None;
-        for bits in 0u32..(1 << n_flex) {
-            let mut fi = 0;
-            let methods: Vec<JoinMethod> = flexible
-                .iter()
-                .map(|&f| {
-                    let index = f && bits & (1 << fi) != 0;
-                    fi += usize::from(f);
-                    if index {
-                        JoinMethod::Index
-                    } else {
-                        JoinMethod::Hash
-                    }
-                })
-                .collect();
-            if let Some(cost) = cm.class_cost(t, &plans_of(&methods)) {
-                if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-                    best = Some((methods, cost));
-                }
+        for bits in 0u32..(1 << flexible.len()) {
+            for (b, &k) in flexible.iter().enumerate() {
+                methods[k] = if bits & (1 << b) != 0 {
+                    JoinMethod::Index
+                } else {
+                    JoinMethod::Hash
+                };
+            }
+            let cost = cm.price(t, infos.iter().zip(methods.iter().copied()));
+            if best.as_ref().is_none_or(|(_, c)| cost < *c) {
+                best = Some((methods.clone(), cost));
             }
         }
         best
@@ -964,13 +926,14 @@ mod prop_tests {
     /// vector and cost, on random classes over every table. The classes
     /// reach every shape: index-only, mixed, a scan forced on members that
     /// all prefer their index (with exact ties from duplicate members),
-    /// and the over-12 fallback.
+    /// and classes of more than 12 index-capable members (over 4096
+    /// vectors to enumerate).
     #[test]
     fn method_search_matches_enumeration() {
         let cube = cube();
         let cm = CostModel::new(cube, HardwareModel::paper_1998());
         let mut rng = Prng::seed_from_u64(0xC0_0005);
-        let (mut index_only, mut mixed, mut forced, mut fallback) = (0, 0, 0, 0);
+        let (mut index_only, mut mixed, mut forced, mut wide) = (0, 0, 0, 0);
         for _ in 0..400 {
             let n = rng.gen_range(1usize..16);
             let kind = rng.gen_range(0u32..6);
@@ -1000,9 +963,10 @@ mod prop_tests {
                     let (hash, index) = cm.scan_terms(t, i);
                     i.index_capable() && index < hash
                 });
-                if infos.iter().filter(|i| i.index_capable()).count() > EXACT_SEARCH_MAX_FLEX {
-                    fallback += 1;
-                } else if methods.iter().all(|&m| m == JoinMethod::Index) {
+                if infos.iter().filter(|i| i.index_capable()).count() > 12 {
+                    wide += 1;
+                }
+                if methods.iter().all(|&m| m == JoinMethod::Index) {
                     index_only += 1;
                 } else if all_prefer_index && n > 1 {
                     forced += 1;
@@ -1012,8 +976,8 @@ mod prop_tests {
             }
         }
         assert!(
-            index_only > 0 && mixed > 0 && forced > 0 && fallback > 0,
-            "shapes: {index_only} index-only, {mixed} mixed, {forced} forced, {fallback} fallback"
+            index_only > 0 && mixed > 0 && forced > 0 && wide > 0,
+            "shapes: {index_only} index-only, {mixed} mixed, {forced} forced, {wide} wide"
         );
     }
 
