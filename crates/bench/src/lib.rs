@@ -2,12 +2,12 @@
 //!
 //! Every table and figure in §7 has a function here returning structured
 //! data and a binary that prints it (`table1`, `fig10`, `fig11`, `fig12`,
-//! `table2`); `ablations` and `scaling` go beyond the paper, and two
-//! dependency-free wall-clock benches (`benches/`) time the same code
-//! paths. EXPERIMENTS.md records the output of the full-scale runs next
-//! to the paper's numbers. The integration test `sim_baseline` pins these
-//! figures at a small scale against the committed `BENCH_sim.json`;
-//! `feature_gates` holds the acceptance gates of the engine's features.
+//! `table2`); `ablations` and `scaling` go beyond the paper. Host wall
+//! time is measured by the separate `perfbench` package. EXPERIMENTS.md
+//! records the output of the full-scale runs next to the paper's
+//! numbers. The integration test `sim_baseline` pins these figures at a
+//! small scale against the committed `BENCH_sim.json`; `feature_gates`
+//! holds the acceptance gates of the engine's features.
 //!
 //! Scale: the binaries run at the paper's full scale (2 M base rows) by
 //! default; set `STARSHARE_SCALE` (e.g. `0.05`) for quick runs. All

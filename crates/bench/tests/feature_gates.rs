@@ -80,13 +80,16 @@ fn cache_warm_dashboard_is_five_times_cheaper_and_bit_identical() {
 #[test]
 fn streaming_patched_rounds_are_twice_as_cheap_and_bit_identical() {
     let g = common::streaming_gate(SCALE);
-    assert!(g.differential_ok, "a cached leg drifted from the reference");
+    assert!(
+        g.differential_ok,
+        "the patched leg drifted from the reference"
+    );
     assert!(g.patched >= 1, "no entry was ever delta-patched");
-    assert!(g.drop_invalidations >= 1, "the drop leg never invalidated");
-    let speedup = g.drop_round_sim.as_secs_f64() / g.patched_round_sim.as_secs_f64().max(1e-12);
+    let speedup =
+        g.reference_round_sim.as_secs_f64() / g.patched_round_sim.as_secs_f64().max(1e-12);
     assert!(
         speedup >= 2.0,
-        "patched rounds only {speedup:.2}x cheaper than epoch-drop"
+        "patched rounds only {speedup:.2}x cheaper than recomputing"
     );
     assert!(
         g.patched_append_sim > SimTime::ZERO,

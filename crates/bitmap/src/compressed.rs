@@ -15,8 +15,8 @@
 //! `and`/`or`/`and_not`) match the plain [`Bitmap`] semantics bit for bit:
 //! `iter_ones_in` seeks straight to the containing word/element instead of
 //! scanning from zero, so morsel popcount balancing and probe-run
-//! coalescing behave identically on either format. [`or_into`]
-//! (CompressedBitmap::or_into) decompresses into a plain target and
+//! coalescing behave identically on either format.
+//! [`or_into`](CompressedBitmap::or_into) decompresses into a plain target and
 //! reports the same word charge as [`Bitmap::or_assign`], keeping the
 //! simulated CPU clock independent of the storage format.
 

@@ -2,7 +2,6 @@
 
 use std::time::Duration;
 
-use starshare_bitmap::IndexFormat;
 use starshare_exec::{
     execute_class, CacheStats, ClassSpec, ExecContext, ExecError, ExecReport, MetricsRegistry,
     MetricsSnapshot, QueryProfile, QueryResult, ResultCache, Telemetry, TelemetryConfig,
@@ -145,21 +144,20 @@ impl Outcome {
 }
 
 /// What one [`Engine::append_facts`] call did: the rows landed, the data
-/// epoch the cube moved to, and what the result cache did to stay fresh —
-/// either delta-patching its entries ([`EngineConfig::cache_patching`], the
-/// default) or dropping them wholesale.
+/// epoch the cube moved to, and how the result cache delta-patched its
+/// entries to stay fresh.
 #[derive(Debug)]
 pub struct AppendOutcome {
     /// Fact rows appended (all views, indexes, and stats maintained).
     pub appended: u64,
     /// The cube's data epoch after the append.
     pub epoch: u64,
-    /// What the cache did for this append: `patched`/`patch_drops` under
-    /// delta patching, `invalidations` under epoch-drop (all zero when the
-    /// cache is disabled).
+    /// What the cache did for this append: entries `patched`, and
+    /// `patch_drops` for those it could not patch (all zero when the cache
+    /// is disabled).
     pub cache: CacheStats,
     /// The patch work, charged as pure CPU on the simulated clock (empty
-    /// under epoch-drop — dropping is free; recomputation pays later).
+    /// when the cache is disabled).
     pub report: ExecReport,
 }
 
@@ -184,9 +182,9 @@ pub struct DegradedExecution {
 
 /// How plan execution carves a class into morsels. The executor
 /// ([`execute_class`]) takes a bare page count; this one-variant enum
-/// stays only as the type of [`EngineConfig::strategy`] and of
+/// wraps it only as the type of [`EngineConfig::strategy`] and of
 /// [`Engine::execute_plan_degraded_with`]'s parameter, which the
-/// benchmark's traced replay (`perfbench/src/replay.rs`) builds.
+/// benchmark's traced replay (`perfbench/src/replay.rs`) builds and reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecStrategy {
     /// Morsel-driven work-stealing execution with a deterministic tree
@@ -213,8 +211,8 @@ impl MorselSpec {
 }
 
 /// How a serving layer batches submissions into optimization windows and
-/// guards its own capacity (`starshare-serve`; carried by
-/// [`EngineConfig::window`]).
+/// guards its own capacity (`starshare-serve`, which takes it at server
+/// start; the engine never reads it).
 ///
 /// A window *closes* — freezing the submissions that will be planned and
 /// executed together — as soon as any of the three close conditions
@@ -294,8 +292,11 @@ impl WindowConfig {
 }
 
 /// Everything configurable about an [`Engine`], as one plain, clonable
-/// value — optimizer, result cache, worker threads, morsel size, and the
-/// serving-window knobs ([`WindowConfig`]).
+/// value — optimizer, result cache, worker threads, morsel size, and
+/// telemetry. Each setting has one route: a cube's storage layout is
+/// chosen where the cube is built ([`CubeBuilder`](starshare_olap::CubeBuilder)),
+/// and a server's window policy where the server starts
+/// (`starshare_serve::Server::start_with`).
 ///
 /// Build one, then apply it to a cube with [`build`](EngineConfig::build)
 /// or [`build_paper`](EngineConfig::build_paper).
@@ -320,21 +321,14 @@ pub struct EngineConfig {
     /// an identical query is free, and a coarser query covered by a cached
     /// finer result is answered by rolling that result up (charged as CPU
     /// over the cached rows on the simulated clock). Invalidated by the
-    /// cube epoch [`Engine::append_facts`] bumps. Off by default — the
-    /// experiment harness must re-execute.
+    /// cube epoch [`Engine::append_facts`] bumps, across which cached
+    /// results are delta-patched with the appended rows. Off by default —
+    /// the experiment harness must re-execute.
     pub result_cache: bool,
     /// Byte budget for the result cache's payloads
     /// ([`cache_bytes`](EngineConfig::cache_bytes)); beyond it the entry
     /// with the lowest saved-sim-time-per-byte is evicted.
     pub cache_bytes: usize,
-    /// Whether [`Engine::append_facts`] carries cached results across the
-    /// epoch bump by **delta patching** them with the appended rows
-    /// (`true`, the default) instead of dropping every entry and paying
-    /// full recomputation on the next probe (`false` — the epoch-drop
-    /// baseline the streaming bench compares against). Patching is sound
-    /// for SUM/COUNT always and MIN/MAX under the engine's insert-only
-    /// append model; AVG entries are dropped either way.
-    pub cache_patching: bool,
     /// Worker threads for plan execution: a pure wall-clock resource
     /// knob. Every class runs on the one morsel executor at any thread
     /// count, so results, simulated times, I/O counters, the pool
@@ -342,29 +336,15 @@ pub struct EngineConfig {
     /// identical at any value; only wall time changes.
     pub threads: usize,
     /// How the executor carves a class into morsels (set through
-    /// [`morsel_pages`](EngineConfig::morsel_pages)).
+    /// [`morsel_pages`](EngineConfig::morsel_pages)): a page count, kept
+    /// in its [`ExecStrategy`] wrapper because the benchmark's traced
+    /// replay reads this field as one.
     pub strategy: ExecStrategy,
-    /// Serving-window behavior (used by `starshare-serve`).
-    pub window: WindowConfig,
     /// Deterministic telemetry (structured tracing, the unified metrics
     /// registry, and per-query profiles). Off by default: every hook is
     /// an inlined no-op, and results, `IoStats`, and the simulated clock
     /// are bit-identical whether telemetry is armed or not.
     pub telemetry: TelemetryConfig,
-    /// Storage format for every bitmap join index
-    /// ([`build`](EngineConfig::build) relays out existing indexes whose
-    /// format differs). `Compressed` stores roaring/RLE containers and
-    /// charges index I/O by compressed page count; results are
-    /// bit-identical either way. Default: `Plain` — the escape hatch back
-    /// to uncompressed indexes.
-    pub index_format: IndexFormat,
-    /// Whether heap pages are stored compressed (bit-packed keys,
-    /// quantized measures, per-zone min/max maps enabling partition
-    /// pruning). Applied to every table heap at
-    /// [`build`](EngineConfig::build) time. Results are bit-identical;
-    /// scans charge fewer I/O bytes plus a decompression CPU term.
-    /// Default: `false` — the uncompressed escape hatch.
-    pub compression: bool,
 }
 
 impl Default for EngineConfig {
@@ -385,13 +365,9 @@ impl EngineConfig {
             optimizer: OptimizerKind::Gg,
             result_cache: false,
             cache_bytes: Self::DEFAULT_CACHE_BYTES,
-            cache_patching: true,
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             strategy: ExecStrategy::Morsel(MorselSpec::with_pages(DEFAULT_MORSEL_PAGES)),
-            window: WindowConfig::default(),
             telemetry: TelemetryConfig::default(),
-            index_format: IndexFormat::Plain,
-            compression: false,
         }
     }
 
@@ -428,14 +404,6 @@ impl EngineConfig {
         self
     }
 
-    /// Selects how [`Engine::append_facts`] keeps the result cache fresh:
-    /// delta patching (`true`, default) or wholesale epoch-drop (`false`).
-    /// See [`cache_patching`](EngineConfig::cache_patching).
-    pub fn cache_patching(mut self, on: bool) -> Self {
-        self.cache_patching = on;
-        self
-    }
-
     /// Sets the worker-thread count for plan execution (clamped to ≥ 1).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
@@ -452,12 +420,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the serving-window knobs.
-    pub fn window(mut self, window: WindowConfig) -> Self {
-        self.window = window;
-        self
-    }
-
     /// Arms (or disarms) the deterministic telemetry layer — structured
     /// tracing, the unified metrics registry, and per-query profiles
     /// (see [`Engine::telemetry`], [`Engine::metrics`],
@@ -470,51 +432,10 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the storage format for every bitmap join index (default:
-    /// [`IndexFormat::Plain`]). See
-    /// [`index_format`](EngineConfig::index_format).
-    pub fn index_format(mut self, format: IndexFormat) -> Self {
-        self.index_format = format;
-        self
-    }
-
-    /// Turns compressed heap storage on or off (default: off). See
-    /// [`compression`](EngineConfig::compression).
-    pub fn compression(mut self, on: bool) -> Self {
-        self.compression = on;
-        self
-    }
-
-    /// Builds an engine over an existing cube and hardware model.
-    pub fn build(self, mut cube: Cube, model: HardwareModel) -> Engine {
-        if self.compression || self.index_format != IndexFormat::Plain {
-            let schema = cube.schema.clone();
-            let ids: Vec<_> = cube.catalog.iter().map(|(id, _)| id).collect();
-            for id in ids {
-                if self.compression {
-                    cube.catalog.table_mut(id).heap_mut().compress();
-                }
-                // Relay out only the indexes whose stored format differs —
-                // rebuilding from the heap is deterministic, so a matching
-                // format is already byte-identical.
-                let relayouts: Vec<_> = (0..schema.n_dims())
-                    .filter_map(|d| {
-                        let ix = cube.catalog.table(id).index(d)?;
-                        (ix.index.format() != self.index_format)
-                            .then(|| (d, ix.level, ix.index.file_id()))
-                    })
-                    .collect();
-                for (d, level, file) in relayouts {
-                    cube.catalog.table_mut(id).build_index_with_format(
-                        &schema,
-                        d,
-                        level,
-                        self.index_format,
-                        file,
-                    );
-                }
-            }
-        }
+    /// Builds an engine over an existing cube and hardware model. The
+    /// cube's storage layout (index formats, heap compression) is the one
+    /// it was built with.
+    pub fn build(self, cube: Cube, model: HardwareModel) -> Engine {
         let mut cache = self
             .result_cache
             .then(|| ResultCache::new(self.cache_bytes));
@@ -666,8 +587,8 @@ impl Engine {
     /// The result cache is carried across the epoch bump by delta-patching
     /// its entries with the appended rows (the returned
     /// [`AppendOutcome::report`] charges the patch CPU on the simulated
-    /// clock), unless [`EngineConfig::cache_patching`] is off — then every
-    /// stale entry is dropped and recomputation pays on the next probe. A
+    /// clock). Patching is sound for SUM/COUNT always and MIN/MAX under
+    /// the engine's insert-only append model; AVG entries are dropped. A
     /// failed append (bad arity, out-of-range key) mutates nothing: not
     /// the cube, not the cache, not the epoch.
     pub fn append_facts(&mut self, rows: &[(Vec<u32>, f64)]) -> Result<AppendOutcome> {
@@ -676,14 +597,9 @@ impl Engine {
         tele.trace(|t| t.start("engine.append", vec![("rows", appended.into())]));
         self.ctx.flush();
         let stats_before = self.cache_stats();
-        let mut report = ExecReport::default();
-        if let Some(c) = &mut self.cache {
-            if self.config.cache_patching {
-                report = c.apply_append(&self.cube.schema, self.cube.epoch, rows, &self.ctx.model);
-            } else {
-                c.advance_epoch(self.cube.epoch);
-            }
-        }
+        let report = self.cache.as_mut().map_or_else(ExecReport::default, |c| {
+            c.apply_append(&self.cube.schema, self.cube.epoch, rows, &self.ctx.model)
+        });
         let cache = self.cache_stats().since(stats_before);
         tele.metrics(|m| {
             m.observe_append(appended);
@@ -995,8 +911,10 @@ pub(crate) fn observe_cache(m: &mut MetricsRegistry, c: &CacheStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use starshare_bitmap::IndexFormat;
     use starshare_exec::reference_eval;
     use starshare_mdx::paper_queries::{bind_paper_query, bind_paper_test};
+    use starshare_olap::paper_cube_builder;
 
     fn engine() -> Engine {
         Engine::paper(PaperCubeSpec {
@@ -1233,10 +1151,13 @@ mod tests {
             with_indexes: true,
         };
         let mut plain = Engine::paper(spec);
-        let mut comp = EngineConfig::paper()
-            .compression(true)
-            .index_format(IndexFormat::Compressed)
-            .build_paper(spec);
+        let mut comp = EngineConfig::paper().build(
+            paper_cube_builder(spec)
+                .compress()
+                .index_format(IndexFormat::Compressed)
+                .build(),
+            HardwareModel::paper_1998(),
+        );
         let queries = bind_paper_test(&plain.cube().schema, 4).unwrap();
         let plan_a = plain.optimize(&queries, OptimizerKind::Gg).unwrap();
         let plan_b = comp.optimize(&queries, OptimizerKind::Gg).unwrap();
@@ -1379,30 +1300,6 @@ mod cache_tests {
             "{} vs {}",
             after.result(0).grand_total(),
             before.result(0).grand_total()
-        );
-    }
-
-    #[test]
-    fn append_drops_the_cache_when_patching_is_off() {
-        let mut e = EngineConfig::paper()
-            .result_cache(true)
-            .cache_patching(false)
-            .build_paper(starshare_olap::PaperCubeSpec {
-                base_rows: 2_000,
-                d_leaf: 24,
-                seed: 50,
-                with_indexes: true,
-            });
-        let before = e.mdx(paper_query_text(1)).unwrap();
-        let out = e.append_facts(&[(vec![0, 0, 0, 0], 1000.0)]).unwrap();
-        assert_eq!(out.cache.invalidations, 1);
-        assert_eq!(out.cache.patched, 0);
-        assert_eq!(out.report.sim, SimTime::ZERO, "dropping is free");
-        assert_eq!(e.cached_results(), 0);
-        let after = e.mdx(paper_query_text(1)).unwrap();
-        assert!(after.report.sim > SimTime::ZERO, "must re-execute");
-        assert!(
-            (after.result(0).grand_total() - before.result(0).grand_total() - 1000.0).abs() < 1e-6
         );
     }
 

@@ -50,10 +50,10 @@ pub use starshare_mdx::{
 };
 pub use starshare_olap::{
     append_facts, combine_mode, estimate, lattice_nodes, load_cube, materialize, materialize_agg,
-    paper_cube, paper_schema, recommend_views, save_cube, AdvisorConfig, AggFn, AggState, Catalog,
-    CombineMode, Cube, CubeBuilder, DimId, Dimension, GroupBy, GroupByQuery, LevelDef, LevelRef,
-    MeasureKind, MemberPred, OlapError, PaperCubeSpec, Recommendation, StarSchema, StoredTable,
-    TableId,
+    paper_cube, paper_cube_builder, paper_schema, recommend_views, save_cube, AdvisorConfig, AggFn,
+    AggState, Catalog, CombineMode, Cube, CubeBuilder, DimId, Dimension, GroupBy, GroupByQuery,
+    LevelDef, LevelRef, MeasureKind, MemberPred, OlapError, PaperCubeSpec, Recommendation,
+    StarSchema, StoredTable, TableId,
 };
 pub use starshare_opt::{
     etplg, explain_tree, explain_tree_with_costs, gg, ggi, ggi_with_passes, optimal, plan_window,

@@ -5,10 +5,10 @@
 //! **deterministically from data** before any thread runs:
 //!
 //! * scan classes carve the heap into fixed-size page chunks
-//!   ([`scan_morsels`]);
+//!   (`scan_morsels`);
 //! * probe classes balance by *candidate count* instead — a greedy
 //!   page-walk over the OR'd candidate bitmap closes a morsel whenever it
-//!   has accumulated its fair share of set bits ([`probe_morsels`]) — so a
+//!   has accumulated its fair share of set bits (`probe_morsels`) — so a
 //!   skewed bitmap no longer leaves one range with all the probes;
 //! * page alignment keeps morsels on disjoint pages, so charging them one
 //!   after another makes exactly the page accesses of one sequential pass,

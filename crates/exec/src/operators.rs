@@ -3,7 +3,7 @@
 //! All five of the paper's evaluation strategies are entry points here,
 //! and all five are one class run by the morsel executor
 //! ([`crate::parallel::execute_class`]) as a single whole-table pass. They
-//! share one inner machine: a set of per-query [`QueryState`]s absorbing
+//! share one inner machine: a set of per-query `QueryState`s absorbing
 //! tuples into hash aggregations, fed either by a sequential scan of the
 //! source table (hash-based plans, §3.1/3.3) or by a bitmap-directed probe
 //! of it (index-based plans, §3.2).

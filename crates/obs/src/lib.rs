@@ -27,42 +27,26 @@ pub use profile::{Provenance, QueryProfile};
 pub use trace::{Kind, TraceEvent, Tracer, Value};
 
 /// Configuration for the telemetry layer (off by default).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
     /// Master switch. Off ⇒ the handle holds no state at all.
     pub enabled: bool,
     /// Per-run seed for span-ID derivation.
     pub seed: u64,
-    /// Trace ring capacity, in records (oldest drop first).
-    pub trace_capacity: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            enabled: false,
-            seed: 0,
-            trace_capacity: 65_536,
-        }
-    }
 }
 
 impl TelemetryConfig {
-    /// Enabled with the given seed and the default ring capacity.
+    /// Enabled with the given seed.
     pub fn enabled(seed: u64) -> Self {
         TelemetryConfig {
             enabled: true,
             seed,
-            ..TelemetryConfig::default()
         }
     }
-
-    /// Sets the trace ring capacity.
-    pub fn trace_capacity(mut self, records: usize) -> Self {
-        self.trace_capacity = records;
-        self
-    }
 }
+
+/// Trace ring capacity, in records (oldest drop first).
+const TRACE_CAPACITY: usize = 65_536;
 
 #[derive(Debug)]
 struct Inner {
@@ -96,7 +80,7 @@ impl Telemetry {
         }
         Telemetry {
             inner: Some(Arc::new(Mutex::new(Inner {
-                tracer: Tracer::new(cfg.seed, cfg.trace_capacity),
+                tracer: Tracer::new(cfg.seed, TRACE_CAPACITY),
                 metrics: MetricsRegistry::default(),
                 profiles: Vec::new(),
             }))),

@@ -1,6 +1,6 @@
 //! Materialized-view selection: the Harinarayan–Rajaraman–Ullman greedy
 //! algorithm ("Implementing Data Cubes Efficiently", SIGMOD 1996 — cited
-//! by the paper as [HRU96]).
+//! by the paper as \[HRU96\]).
 //!
 //! The paper *assumes* a set of precomputed group-bys and optimizes query
 //! sets against it; this module answers the upstream question of **which

@@ -546,7 +546,7 @@ impl AggState {
 /// chooses among), so it reads the source's page batches unaccounted and
 /// groups them through the [`GroupKeyCodec`] rolling source to target.
 ///
-/// Output rows are stored in *deterministic hash order* ([`hash_order`] of
+/// Output rows are stored in *deterministic hash order* (`hash_order` of
 /// the group key, ties by key): the order a hash-aggregation operator of
 /// the paper's era would emit them, effectively random with respect to the
 /// key. This matters for fidelity: it leaves views unclustered, so

@@ -115,6 +115,13 @@ fn zipf_cdf(card: u32, theta: f64) -> Vec<f64> {
 
 /// Builds the paper's cube per `spec`.
 pub fn paper_cube(spec: PaperCubeSpec) -> Cube {
+    paper_cube_builder(spec).build()
+}
+
+/// The builder behind [`paper_cube`], for a paper cube with another
+/// storage layout: e.g. `.compress()` or `.index_format(..)` before
+/// [`build`](CubeBuilder::build).
+pub fn paper_cube_builder(spec: PaperCubeSpec) -> CubeBuilder {
     let schema = paper_schema(spec.d_leaf);
     let mut builder = CubeBuilder::new(schema)
         .rows(spec.base_rows)
@@ -134,7 +141,7 @@ pub fn paper_cube(spec: PaperCubeSpec) -> Cube {
             }
         }
     }
-    builder.build()
+    builder
 }
 
 /// Builds cubes: generates a uniform base table, materializes views, builds

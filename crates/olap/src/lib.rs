@@ -33,7 +33,7 @@ pub use catalog::{
     combine_mode, materialize, materialize_agg, AggState, Catalog, CombineMode, Cube, DimIndex,
     MeasureKind, StoredTable, TableId,
 };
-pub use datagen::{paper_cube, paper_schema, CubeBuilder, PaperCubeSpec};
+pub use datagen::{paper_cube, paper_cube_builder, paper_schema, CubeBuilder, PaperCubeSpec};
 pub use error::OlapError;
 pub use maintain::append_facts;
 pub use persist::{load_cube, save_cube};

@@ -341,12 +341,24 @@ impl<'a> CostModel<'a> {
         } else {
             // Every member prefers its index, yet a scan needs a hash
             // member: the one that loses least, last member first on ties.
+            // A member's loss is its own terms' difference, the rest of the
+            // class being unchanged. Prices round to whole nanoseconds, so a
+            // member more than 2 ns behind the least loss cannot tie the
+            // cheapest class; only the others are priced.
+            let loss = |i: &QInfo| {
+                let (hash, index) = self.scan_terms(t, i);
+                hash - index
+            };
+            let least = members.clone().map(loss).fold(f64::INFINITY, f64::min);
             let mut best: Option<(usize, SimTime)> = None;
-            for k in (0..out.len()).rev() {
+            for (k, i) in members.clone().enumerate() {
+                if loss(i) > least + 2.0 {
+                    continue;
+                }
                 out[k] = Hash;
                 let c = cost_of(out);
                 out[k] = Index;
-                if best.is_none_or(|(_, b)| c < b) {
+                if best.is_none_or(|(_, b)| c <= b) {
                     best = Some((k, c));
                 }
             }

@@ -299,6 +299,58 @@ mod tests {
         }
     }
 
+    /// A workload on which GGI's move step pays: GG (like ETPLG) gives
+    /// `A'B'C'D'` its own scan of `A'B'C'D` beside the other three's `ABCD`
+    /// class, and GGI moves it into that class as a bitmap-filter member,
+    /// which is the optimum.
+    #[test]
+    fn ggi_beats_gg_by_moving_a_query_into_a_shared_scan() {
+        let cube = paper_cube(PaperCubeSpec::scaled(0.02));
+        let cm = CostModel::new(&cube, HardwareModel::paper_1998());
+        // `(dimension, level, member names)` per predicated dimension.
+        let query = |gb: &str, preds: &[(usize, u8, &[&str])]| {
+            let mut all = vec![MemberPred::All; cube.schema.n_dims()];
+            for &(d, level, names) in preds {
+                let dim = cube.schema.dim(d);
+                let ids = names.iter().map(|n| dim.member_by_name(level, n).unwrap());
+                all[d] = MemberPred::members_in(level, ids.collect());
+            }
+            q(&cube, gb, all)
+        };
+        let ws = vec![
+            query(
+                "A''B'CD''",
+                &[(0, 2, &["A2"]), (1, 1, &["BB5"]), (3, 2, &["D3"])],
+            ),
+            query("A'B''C''D''", &[(0, 1, &["AA3", "AA5"]), (1, 2, &["B3"])]),
+            query(
+                "A''B''CD",
+                &[
+                    (0, 1, &["AA1", "AA4"]),
+                    (1, 2, &["B2"]),
+                    (2, 1, &["CC3"]),
+                    (3, 1, &["DD18"]),
+                ],
+            ),
+            query(
+                "A'B'C'D'",
+                &[(0, 1, &["AA2", "AA3"]), (1, 1, &["BB2", "BB5"])],
+            ),
+        ];
+        let g = OptimizerKind::Gg.run(&cm, &ws).unwrap();
+        let i = ggi(&cm, &ws).unwrap();
+        let o = optimal(&cm, &ws).unwrap();
+        assert_eq!(g.classes.len(), 2, "GG keeps two scans");
+        assert_eq!(i.classes.len(), 1, "GGI shares one scan");
+        assert!(
+            i.estimated_cost < g.estimated_cost,
+            "GGI {} vs GG {}",
+            i.estimated_cost,
+            g.estimated_cost
+        );
+        assert_eq!(i.estimated_cost, o.estimated_cost);
+    }
+
     #[test]
     fn ggi_plans_are_valid() {
         let cube = cube();

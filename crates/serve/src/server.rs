@@ -263,16 +263,13 @@ pub struct Server {
 
 impl Server {
     /// Starts a server around `engine`, batching submissions by the
-    /// engine's own [`EngineConfig::window`] policy.
-    ///
-    /// [`EngineConfig::window`]: starshare_core::EngineConfig::window
+    /// default window policy ([`WindowConfig::default`]).
     pub fn start(engine: Engine) -> Server {
-        let cfg = engine.config().window.clone();
-        Server::start_with(engine, cfg)
+        Server::start_with(engine, WindowConfig::default())
     }
 
-    /// Starts a server with an explicit window policy, overriding the
-    /// engine's configured one.
+    /// Starts a server with an explicit window policy — the one place a
+    /// window policy is chosen.
     pub fn start_with(engine: Engine, cfg: WindowConfig) -> Server {
         let shared = Arc::new(Shared::new(cfg.clone()));
         let (tx, rx) = std::sync::mpsc::sync_channel(cfg.queue_depth);
@@ -345,7 +342,8 @@ impl Drop for Server {
 }
 
 /// Anything that can be served. Implemented for [`Engine`], so
-/// `engine.serve()` is the one-call entry into multi-session serving.
+/// `engine.serve()` is the one-call entry into multi-session serving,
+/// under the default window policy ([`Server::start`]).
 pub trait Serve {
     /// Starts a multi-session server around `self`.
     fn serve(self) -> Server;

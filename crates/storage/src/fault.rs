@@ -6,7 +6,7 @@
 //! *poisoned* page — latent sector error, torn write). This module models
 //! both, **deterministically**: a [`FaultPlan`] is a seed plus two
 //! probabilities, and an armed [`FaultInjector`] draws from its own
-//! [`Prng`](starshare_prng::Prng) stream once per *checked* page access, so
+//! [`Prng`] stream once per *checked* page access, so
 //! the same plan against the same access sequence injects exactly the same
 //! faults, run after run. That is what makes failures from the fuzzing
 //! harness (`starshare-testkit`) replayable and shrinkable.

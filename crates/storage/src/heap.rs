@@ -2,8 +2,9 @@
 //!
 //! A [`HeapFile`] owns its page data. Reads come in two flavours:
 //!
-//! * *accounted* ([`HeapFile::fetch`], [`HeapFile::scan`]) — go through a
-//!   [`BufferPool`] so faults are counted and priced; operators use these;
+//! * *accounted* ([`HeapFile::scan`], [`HeapFile::scan_batches`]) — go
+//!   through a [`BufferPool`] so faults are counted and priced; operators
+//!   use these;
 //! * *raw* ([`HeapFile::read_at`]) — bypass accounting; loaders and tests
 //!   use these.
 //!

@@ -189,7 +189,8 @@ impl HardwareModel {
 
     /// Simulated time for sequentially reading `bytes` from disk, priced at
     /// the per-page rate pro-rated by actual bytes transferred. Equals
-    /// [`Self::seq_read`] when every page is a full [`PAGE_SIZE`]; compressed
+    /// [`Self::seq_read`] when every page is a full
+    /// [`PAGE_SIZE`](crate::page::PAGE_SIZE); compressed
     /// pages transfer fewer bytes and cost proportionally less.
     pub fn seq_read_bytes(&self, bytes: u64) -> SimTime {
         let nanos = bytes as u128 * self.seq_page_read_ns as u128 / crate::page::PAGE_SIZE as u128;

@@ -73,9 +73,7 @@ pub struct CacheCheck {
 /// `BitmapJoinIndex::extend` — on compressed layouts) are swept across the
 /// storage axis too.
 fn engine(spec: PaperCubeSpec, cached: bool, seed: u64) -> starshare_core::Engine {
-    StorageProfile::from_seed(seed)
-        .apply(EngineConfig::paper().result_cache(cached))
-        .build_paper(spec)
+    StorageProfile::from_seed(seed).build_paper(EngineConfig::paper().result_cache(cached), spec)
 }
 
 pub(crate) fn run(

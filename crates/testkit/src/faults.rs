@@ -118,9 +118,7 @@ impl FaultHarness {
             spec,
             optimizer,
             storage,
-            baseline: storage
-                .apply(EngineConfig::paper().optimizer(optimizer))
-                .build_paper(spec),
+            baseline: storage.build_paper(EngineConfig::paper().optimizer(optimizer), spec),
         }
     }
 
@@ -195,14 +193,12 @@ impl FaultHarness {
         threads: usize,
     ) -> FaultedComparison {
         let baseline = self.baseline_rows(session);
-        let mut engine = self
-            .storage
-            .apply(
-                EngineConfig::paper()
-                    .optimizer(self.optimizer)
-                    .threads(threads),
-            )
-            .build_paper(self.spec);
+        let mut engine = self.storage.build_paper(
+            EngineConfig::paper()
+                .optimizer(self.optimizer)
+                .threads(threads),
+            self.spec,
+        );
         engine.inject_faults(fault);
         let mut queries = Vec::new();
         let mut violations = Vec::new();

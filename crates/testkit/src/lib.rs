@@ -19,7 +19,7 @@
 //!   surfaced as a per-query typed error, with all surviving queries
 //!   bit-identical to the fault-free twin run and both thread counts
 //!   drawing the same faults.
-//! * [`shrink`] — reduces a failing case to a minimal
+//! * [`shrink`](mod@shrink) — reduces a failing case to a minimal
 //!   `(seed, session, fault schedule)` triple.
 //! * [`repro`] — the one-file text format a shrunk case round-trips
 //!   through.

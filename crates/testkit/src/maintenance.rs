@@ -141,14 +141,13 @@ fn run_maintenance_core(case: &Case) -> Result<MaintenanceCheck, String> {
     // the bit.
     let storage = StorageProfile::from_seed(seed);
     let build = |cached: bool| {
-        storage
-            .apply(
-                EngineConfig::paper()
-                    .optimizer(case.optimizer)
-                    .threads(case.threads)
-                    .result_cache(cached),
-            )
-            .build_paper(case.spec)
+        storage.build_paper(
+            EngineConfig::paper()
+                .optimizer(case.optimizer)
+                .threads(case.threads)
+                .result_cache(cached),
+            case.spec,
+        )
     };
 
     let mut live = build(true);

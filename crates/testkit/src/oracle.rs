@@ -136,9 +136,7 @@ impl Oracle {
         ]
         .into_iter()
         .map(|(profile, threads)| {
-            let e = profile
-                .apply(EngineConfig::paper().threads(threads))
-                .build_paper(spec);
+            let e = profile.build_paper(EngineConfig::paper().threads(threads), spec);
             (profile, e)
         })
         .collect();

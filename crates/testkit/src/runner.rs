@@ -27,13 +27,12 @@ pub fn run_case(case: &Case) -> Result<(), String> {
     // The case's storage profile is a function of its seed (the same
     // rotation every sweep uses), so a shrunk repro replays on the same
     // layout it failed under — shrinking keeps the seed.
-    let mut engine = StorageProfile::from_seed(case.seed)
-        .apply(
-            EngineConfig::paper()
-                .optimizer(case.optimizer)
-                .threads(case.threads),
-        )
-        .build_paper(case.spec);
+    let mut engine = StorageProfile::from_seed(case.seed).build_paper(
+        EngineConfig::paper()
+            .optimizer(case.optimizer)
+            .threads(case.threads),
+        case.spec,
+    );
 
     // Expected answers, from the row-at-a-time reference.
     let mut expected: Vec<Vec<QueryResult>> = Vec::new();

@@ -10,7 +10,10 @@
 //! so a sweep of N seeds covers all profiles and every repro names its
 //! profile implicitly through the seed.
 
-use starshare_core::{EngineConfig, IndexFormat};
+use starshare_core::{
+    paper_cube_builder, CubeBuilder, Engine, EngineConfig, HardwareModel, IndexFormat,
+    PaperCubeSpec,
+};
 
 /// One point on the storage axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,16 +44,21 @@ impl StorageProfile {
         Self::ALL[(seed % Self::ALL.len() as u64) as usize]
     }
 
-    /// Applies the profile to an engine configuration.
-    pub fn apply(self, cfg: EngineConfig) -> EngineConfig {
+    /// Applies the profile to a cube builder.
+    fn apply(self, builder: CubeBuilder) -> CubeBuilder {
         match self {
-            StorageProfile::Plain => cfg,
-            StorageProfile::CompressedIndex => cfg.index_format(IndexFormat::Compressed),
-            StorageProfile::CompressedHeap => cfg.compression(true),
-            StorageProfile::Compressed => {
-                cfg.index_format(IndexFormat::Compressed).compression(true)
-            }
+            StorageProfile::Plain => builder,
+            StorageProfile::CompressedIndex => builder.index_format(IndexFormat::Compressed),
+            StorageProfile::CompressedHeap => builder.compress(),
+            StorageProfile::Compressed => builder.index_format(IndexFormat::Compressed).compress(),
         }
+    }
+
+    /// Builds `cfg`'s engine over the paper cube of `spec`, laid out per
+    /// this profile, under the 1998 hardware model.
+    pub fn build_paper(self, cfg: EngineConfig, spec: PaperCubeSpec) -> Engine {
+        let cube = self.apply(paper_cube_builder(spec)).build();
+        cfg.build(cube, HardwareModel::paper_1998())
     }
 }
 
@@ -67,12 +75,25 @@ mod tests {
     }
 
     #[test]
-    fn apply_sets_the_expected_knobs() {
-        let cfg = StorageProfile::Compressed.apply(EngineConfig::paper());
-        assert!(cfg.compression);
-        assert_eq!(cfg.index_format, IndexFormat::Compressed);
-        let cfg = StorageProfile::Plain.apply(EngineConfig::paper());
-        assert!(!cfg.compression);
-        assert_eq!(cfg.index_format, IndexFormat::Plain);
+    fn build_paper_lays_out_the_cube_per_profile() {
+        let spec = PaperCubeSpec::scaled(0.002);
+        for profile in StorageProfile::ALL {
+            let e = profile.build_paper(EngineConfig::paper(), spec);
+            let (compressed_heap, index_format) = match profile {
+                StorageProfile::Plain => (false, IndexFormat::Plain),
+                StorageProfile::CompressedIndex => (false, IndexFormat::Compressed),
+                StorageProfile::CompressedHeap => (true, IndexFormat::Plain),
+                StorageProfile::Compressed => (true, IndexFormat::Compressed),
+            };
+            let mut indexes = 0;
+            for (_, table) in e.cube().catalog.iter() {
+                assert_eq!(table.heap().is_compressed(), compressed_heap, "{profile:?}");
+                for ix in (0..e.cube().schema.n_dims()).filter_map(|d| table.index(d)) {
+                    assert_eq!(ix.index.format(), index_format, "{profile:?}");
+                    indexes += 1;
+                }
+            }
+            assert!(indexes > 0, "the paper cube carries indexes");
+        }
     }
 }

@@ -53,9 +53,7 @@ pub struct WindowCheck {
 /// bit-identity and fault-isolation contracts are swept across compressed
 /// indexes and compressed, zone-pruned heaps too.
 fn engine(spec: PaperCubeSpec, seed: u64, threads: usize) -> starshare_core::Engine {
-    StorageProfile::from_seed(seed)
-        .apply(EngineConfig::new().threads(threads))
-        .build_paper(spec)
+    StorageProfile::from_seed(seed).build_paper(EngineConfig::new().threads(threads), spec)
 }
 
 /// Generates the window composition for `seed`: 2–4 sessions, each from
