@@ -84,16 +84,6 @@ impl ExecReport {
         self.busy += other.busy;
     }
 
-    /// Simulated I/O portion.
-    pub fn sim_io(&self, model: &HardwareModel) -> SimTime {
-        self.io.io_time(model)
-    }
-
-    /// Simulated CPU portion.
-    pub fn sim_cpu(&self, model: &HardwareModel) -> SimTime {
-        model.cpu_time(&self.cpu)
-    }
-
     /// JSON object with stable key order. Host wall/busy times are
     /// reported in microseconds and are the only non-deterministic
     /// fields; everything else is counter-derived.
@@ -173,27 +163,5 @@ mod tests {
         assert_eq!(a.critical.as_nanos(), 600, "sequential criticals add");
         assert_eq!(a.wall, Duration::from_micros(2));
         assert_eq!(a.busy, Duration::from_micros(4));
-    }
-
-    #[test]
-    fn sim_splits_into_io_and_cpu() {
-        let model = HardwareModel::paper_1998();
-        let r = ExecReport {
-            io: IoStats {
-                seq_faults: 1000,
-                seq_bytes: 1000 * starshare_storage::PAGE_SIZE as u64,
-                ..Default::default()
-            },
-            cpu: CpuCounters {
-                hash_probes: 1_000_000,
-                ..Default::default()
-            },
-            sim: SimTime::ZERO,
-            critical: SimTime::ZERO,
-            wall: Duration::ZERO,
-            busy: Duration::ZERO,
-        };
-        assert_eq!(r.sim_io(&model).as_secs_f64(), 1.0);
-        assert_eq!(r.sim_cpu(&model).as_secs_f64(), 2.0);
     }
 }

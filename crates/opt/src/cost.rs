@@ -1,23 +1,30 @@
 //! The §5.1 cost model.
 //!
 //! Prices a [`PlanClass`](crate::plan::PlanClass) — a set of queries
-//! evaluated together from one base table — by mirroring, term for term,
-//! the work the executor counts, but over *estimated* quantities:
+//! evaluated together from one base table — by estimating, counter for
+//! counter, the work the executor counts: a [`Work`] vector of hash builds
+//! and probes, aggregate updates, tuple copies, predicate evaluations,
+//! bitmap words and bit tests, index lookups, and sequential and random
+//! page reads. [`HardwareModel::price`] prices it with the same function
+//! that prices the executor's measured counters; this module reads no
+//! weight. The counts come from *estimated* quantities:
 //!
 //! * predicate selectivities — uniformity + independence, or
 //!   histogram-exact marginals when the cube carries statistics
 //!   (`CubeStats`);
 //! * qualifying rows and output groups — Cardenas;
-//! * pages touched by bitmap-directed probes — one random page read per
-//!   candidate tuple, the conservative 1998-era estimate (no clustering, no
-//!   buffer-pool reuse assumed). Actual execution of index plans on sorted
-//!   views runs much faster than this estimate — candidates cluster and the
-//!   pool dedups pages — reproducing the paper's own estimate/measurement
-//!   gap (its Test 2 discussion);
+//! * bitmap reads — each index member's bitmaps, read sequentially in
+//!   full (members × bitmap pages);
+//! * pages touched by an index-only class's probe — one random page read
+//!   per candidate tuple, the conservative 1998-era estimate (no
+//!   clustering, no buffer-pool reuse assumed). Actual execution of index
+//!   plans on sorted views runs much faster than this estimate — candidates
+//!   cluster and the pool dedups pages — reproducing the paper's own
+//!   estimate/measurement gap (its Test 2 discussion);
 //! * shared vs. non-shared split — scans, dimension hash tables and their
 //!   probes are charged once per class (the §3 sharing); predicate
-//!   evaluation, bitmap tests, aggregation and result copies are charged
-//!   per query.
+//!   evaluation, bitmap work, aggregation and result copies are charged
+//!   per query, by one per-member helper.
 //!
 //! The paper's `CostOfUsing` / `CostOfAdd` quantities fall out as
 //! differences of [`CostModel::class_cost`] between a class with and
@@ -47,7 +54,7 @@ use std::iter;
 
 use starshare_olap::estimate::cardenas_distinct;
 use starshare_olap::{Cube, GroupByQuery, LevelRef, MemberPred, TableId};
-use starshare_storage::{HardwareModel, SimTime, PAGE_SIZE};
+use starshare_storage::{HardwareModel, SimTime, Work, PAGE_SIZE};
 
 use crate::plan::JoinMethod;
 
@@ -62,6 +69,9 @@ pub struct CostModel<'a> {
 /// formula reads about one member.
 #[derive(Debug, Clone, Copy)]
 struct QInfo {
+    /// The table's rows, and the 64-bit words of one bitmap over them.
+    rows: f64,
+    words: f64,
     /// N × full selectivity.
     qual: f64,
     /// Estimated output groups.
@@ -88,6 +98,37 @@ impl QInfo {
     /// True if an index plan is possible: some predicate is index-served.
     fn index_capable(&self) -> bool {
         self.covered_mask != 0
+    }
+
+    /// The member's own terms in a class that reads `scanned` tuples (the
+    /// whole table, or an index-only class's candidates) with method `m`.
+    /// [`CostModel::price`] charges exactly these per member.
+    fn terms(&self, m: JoinMethod, scanned: f64) -> Work {
+        // Aggregation: probe, update and copy per qualifying tuple, one
+        // build per output group.
+        let mut work = Work {
+            hash_builds: self.groups,
+            hash_probes: self.qual,
+            agg_updates: self.qual,
+            tuple_copies: self.qual,
+            ..Work::default()
+        };
+        match m {
+            JoinMethod::Hash => work.predicate_evals = self.rows * self.evals_all,
+            JoinMethod::Index => {
+                // Read the member bitmaps, OR them per dimension and AND
+                // the dimensions.
+                work.index_lookups = self.idx_members;
+                work.bitmap_words =
+                    (self.idx_members + self.idx_dims.saturating_sub(1) as f64) * self.words;
+                work.seq_pages = self.idx_pages;
+                // Bitmap test per scanned tuple, residual preds on
+                // candidates only.
+                work.bitmap_tests = scanned;
+                work.predicate_evals = self.rows * self.covered_sel * self.evals_residual;
+            }
+        }
+        work
     }
 }
 
@@ -135,7 +176,8 @@ impl<'a> CostModel<'a> {
         // reached by the tuples every earlier one passed.
         let (mut evals_all, mut reach_all) = (0.0, 1.0);
         let (mut evals_residual, mut reach_residual) = (0.0, 1.0);
-        let bitmap_pages = ((table.n_rows().div_ceil(64) * 8).div_ceil(PAGE_SIZE as u64)).max(1);
+        let words = table.n_rows().div_ceil(64);
+        let bitmap_pages = ((words * 8).div_ceil(PAGE_SIZE as u64)).max(1);
 
         for d in 0..schema.n_dims() {
             let pred = &q.preds[d];
@@ -182,6 +224,8 @@ impl<'a> CostModel<'a> {
         }
         let qual = n * total_sel;
         Some(QInfo {
+            rows: n,
+            words: words as f64,
             qual,
             groups: cardenas_distinct(qual, combos.max(1.0)),
             probe_mask,
@@ -209,8 +253,9 @@ impl<'a> CostModel<'a> {
         rows
     }
 
-    /// The class formula over derived member quantities. Every `Index`
-    /// member must be [index-capable](QInfo::index_capable).
+    /// The class formula over derived member quantities: the class's
+    /// estimated [`Work`], priced once. Every `Index` member must be
+    /// [index-capable](QInfo::index_capable).
     fn price<'i, I>(&self, t: TableId, members: I) -> SimTime
     where
         I: Iterator<Item = (&'i QInfo, JoinMethod)> + Clone,
@@ -218,61 +263,23 @@ impl<'a> CostModel<'a> {
         if members.clone().next().is_none() {
             return SimTime::ZERO;
         }
-        let hw = &self.hw;
         let table = self.cube.catalog.table(t);
         let n = table.n_rows() as f64;
-        let pages = table.pages() as f64;
-        let words = (table.n_rows().div_ceil(64)) as f64;
-
-        let any_hash = members.clone().any(|(_, m)| m == JoinMethod::Hash);
         let union_mask = members.clone().fold(0u64, |m, (i, _)| m | i.probe_mask);
-        let union_probes = union_mask.count_ones() as f64;
-
-        let mut cpu = 0.0f64; // nanoseconds
-        let mut io = 0.0f64;
 
         // Shared dimension hash tables.
-        cpu += self.build_rows(t, union_mask) * hw.hash_build_ns as f64;
-
-        // Index phase: per index query, read + combine member bitmaps.
-        let mut n_bitmaps = 0u32;
-        for (info, m) in members.clone() {
-            if m != JoinMethod::Index {
-                continue;
-            }
-            n_bitmaps += 1;
-            cpu += info.idx_members * hw.index_lookup_ns as f64;
-            cpu += info.idx_members * words * hw.bitmap_word_ns as f64; // ORs
-            cpu += (info.idx_dims.saturating_sub(1)) as f64 * words * hw.bitmap_word_ns as f64; // ANDs
-            io += info.idx_pages * hw.seq_page_read_ns as f64;
-        }
-
-        if any_hash {
+        let mut work = Work {
+            hash_builds: self.build_rows(t, union_mask),
+            ..Work::default()
+        };
+        let scanned = if members.clone().any(|(_, m)| m == JoinMethod::Hash) {
             // One shared sequential scan feeds everything (§3.1/3.3).
-            io += pages * hw.seq_page_read_ns as f64;
-            cpu += n * hw.tuple_copy_ns as f64;
-            cpu += n * union_probes * hw.hash_probe_ns as f64;
-            for (info, m) in members {
-                match m {
-                    JoinMethod::Hash => {
-                        cpu += n * info.evals_all * hw.predicate_eval_ns as f64;
-                    }
-                    JoinMethod::Index => {
-                        // Bitmap test per scanned tuple, residual preds on
-                        // candidates only.
-                        cpu += n * hw.bitmap_test_ns as f64;
-                        cpu += n
-                            * info.covered_sel
-                            * info.evals_residual
-                            * hw.predicate_eval_ns as f64;
-                    }
-                }
-                cpu += info.qual * (hw.hash_probe_ns + hw.agg_update_ns + hw.tuple_copy_ns) as f64;
-                cpu += info.groups * hw.hash_build_ns as f64;
-            }
+            work.seq_pages = table.pages() as f64;
+            n
         } else {
             // Index-only class (§3.2): OR the query bitmaps, probe once.
-            cpu += (n_bitmaps.saturating_sub(1)) as f64 * words * hw.bitmap_word_ns as f64;
+            let n_bitmaps = members.clone().count() as f64;
+            work.bitmap_words = (n_bitmaps - 1.0) * table.n_rows().div_ceil(64) as f64;
             let union_cand = n
                 * (1.0
                     - members
@@ -281,38 +288,22 @@ impl<'a> CostModel<'a> {
                         .product::<f64>());
             // Conservative: one random read per candidate, capped at re-
             // reading the whole table page set once per candidate round.
-            io += union_cand.min(n) * hw.random_page_read_ns as f64;
-            cpu += union_cand * hw.tuple_copy_ns as f64;
-            cpu += union_cand * union_probes * hw.hash_probe_ns as f64;
-            for (info, _) in members {
-                cpu += union_cand * hw.bitmap_test_ns as f64;
-                let own_cand = n * info.covered_sel;
-                cpu += own_cand * info.evals_residual * hw.predicate_eval_ns as f64;
-                cpu += info.qual * (hw.hash_probe_ns + hw.agg_update_ns + hw.tuple_copy_ns) as f64;
-                cpu += info.groups * hw.hash_build_ns as f64;
-            }
+            work.random_pages = union_cand.min(n);
+            union_cand
+        };
+        work.tuple_copies = scanned;
+        work.hash_probes = scanned * union_mask.count_ones() as f64;
+        for (info, m) in members {
+            work += info.terms(m, scanned);
         }
-
-        SimTime::from_nanos((cpu + io).round() as u64)
+        self.hw.price(&work)
     }
 
-    /// A member's own terms in a class that scans `t`, as `(hash, index)`:
-    /// the rest of such a class's cost does not depend on which it takes.
-    /// These must be the member terms [`price`](Self::price) charges; the
-    /// enumeration property test holds them to it.
-    fn scan_terms(&self, t: TableId, info: &QInfo) -> (f64, f64) {
-        let hw = &self.hw;
-        let table = self.cube.catalog.table(t);
-        let n = table.n_rows() as f64;
-        let words = (table.n_rows().div_ceil(64)) as f64;
-        let hash = n * info.evals_all * hw.predicate_eval_ns as f64;
-        let index = info.idx_members * hw.index_lookup_ns as f64
-            + info.idx_members * words * hw.bitmap_word_ns as f64
-            + (info.idx_dims.saturating_sub(1)) as f64 * words * hw.bitmap_word_ns as f64
-            + info.idx_pages * hw.seq_page_read_ns as f64
-            + n * hw.bitmap_test_ns as f64
-            + n * info.covered_sel * info.evals_residual * hw.predicate_eval_ns as f64;
-        (hash, index)
+    /// A member's own terms in a class that scans its table, priced
+    /// unrounded: the rest of such a class's cost does not depend on the
+    /// member's method.
+    fn scan_member_ns(&self, info: &QInfo, m: JoinMethod) -> f64 {
+        self.hw.nanos(&info.terms(m, info.rows))
     }
 
     /// The cheapest join-method vector for `members` evaluated together
@@ -329,8 +320,7 @@ impl<'a> CostModel<'a> {
         // With a scan, each member takes its cheaper term (ties keep Hash,
         // the lower bit).
         out.extend(members.clone().map(|i| {
-            let (hash, index) = self.scan_terms(t, i);
-            if i.index_capable() && index < hash {
+            if i.index_capable() && self.scan_member_ns(i, Index) < self.scan_member_ns(i, Hash) {
                 Index
             } else {
                 Hash
@@ -345,10 +335,7 @@ impl<'a> CostModel<'a> {
             // class being unchanged. Prices round to whole nanoseconds, so a
             // member more than 2 ns behind the least loss cannot tie the
             // cheapest class; only the others are priced.
-            let loss = |i: &QInfo| {
-                let (hash, index) = self.scan_terms(t, i);
-                hash - index
-            };
+            let loss = |i: &QInfo| self.scan_member_ns(i, Hash) - self.scan_member_ns(i, Index);
             let least = members.clone().map(loss).fold(f64::INFINITY, f64::min);
             let mut best: Option<(usize, SimTime)> = None;
             for (k, i) in members.clone().enumerate() {
@@ -414,22 +401,6 @@ impl<'a> CostModel<'a> {
     /// class).
     pub fn standalone(&self, q: &GroupByQuery, t: TableId, m: JoinMethod) -> Option<SimTime> {
         self.class_cost(t, &[(q, m)])
-    }
-
-    /// Best join method per query for a class on `t`: the method vector
-    /// of least total class cost, at every class size.
-    pub fn best_method_assignment(
-        &self,
-        t: TableId,
-        queries: &[&GroupByQuery],
-    ) -> Option<(Vec<JoinMethod>, SimTime)> {
-        let infos = queries
-            .iter()
-            .map(|q| self.qinfo(q, t))
-            .collect::<Option<Vec<QInfo>>>()?;
-        let mut methods = Vec::with_capacity(infos.len());
-        let cost = self.search_methods(t, infos.iter(), &mut methods);
-        Some((methods, cost))
     }
 
     /// The best local plan for a single query: cheapest (table, method) over
@@ -530,8 +501,8 @@ impl<'c, 'q> Pricer<'c, 'q> {
     }
 
     /// The cheapest method vector for `members` evaluated together from
-    /// `t`, written to `out`: [`CostModel::best_method_assignment`] over the
-    /// price table. `None` if `t` cannot answer every member.
+    /// `t`, written to `out`: [`CostModel::search_methods`] over the price
+    /// table. `None` if `t` cannot answer every member.
     pub(crate) fn best_methods<I>(
         &self,
         t: TableId,
@@ -699,23 +670,28 @@ mod tests {
     }
 
     #[test]
-    fn best_method_assignment_beats_all_hash_when_index_helps() {
+    fn method_search_beats_all_hash_when_index_helps() {
         let cube = cube();
         let cm = CostModel::new(&cube, HardwareModel::paper_1998());
         let t = cube.catalog.find_by_name("A'B'C'D").unwrap();
-        let q1 = selective_query(&cube);
-        let q2 = GroupByQuery::new(
-            cube.groupby("A'B'C'D"),
-            vec![
-                MemberPred::eq(1, 3),
-                MemberPred::eq(1, 5),
-                MemberPred::eq(1, 0),
-                MemberPred::eq(1, 1),
-            ],
-        );
-        let (methods, cost) = cm.best_method_assignment(t, &[&q1, &q2]).unwrap();
+        let qs = [
+            selective_query(&cube),
+            GroupByQuery::new(
+                cube.groupby("A'B'C'D"),
+                vec![
+                    MemberPred::eq(1, 3),
+                    MemberPred::eq(1, 5),
+                    MemberPred::eq(1, 0),
+                    MemberPred::eq(1, 1),
+                ],
+            ),
+        ];
+        let mut methods = Vec::new();
+        let cost = Pricer::new(&cm, &qs)
+            .best_methods(t, 0..2, &mut methods)
+            .unwrap();
         let all_hash = cm
-            .class_cost(t, &[(&q1, JoinMethod::Hash), (&q2, JoinMethod::Hash)])
+            .class_cost(t, &[(&qs[0], JoinMethod::Hash), (&qs[1], JoinMethod::Hash)])
             .unwrap();
         assert!(cost <= all_hash);
         assert_eq!(methods, vec![JoinMethod::Index, JoinMethod::Index]);
@@ -885,6 +861,22 @@ mod prop_tests {
         GroupByQuery::new(GroupBy::new(levels), preds)
     }
 
+    /// The method search over `queries`' quantities on `t`; `None` if `t`
+    /// cannot answer every query.
+    fn searched_assignment(
+        cm: &CostModel<'_>,
+        t: TableId,
+        queries: &[&GroupByQuery],
+    ) -> Option<(Vec<JoinMethod>, SimTime)> {
+        let infos = queries
+            .iter()
+            .map(|q| cm.qinfo(q, t))
+            .collect::<Option<Vec<QInfo>>>()?;
+        let mut methods = Vec::new();
+        let cost = cm.search_methods(t, infos.iter(), &mut methods);
+        Some((methods, cost))
+    }
+
     /// Reference search: enumerate every method vector of the
     /// index-capable members and keep the first strict minimum. Each
     /// member's quantities are derived once, and every vector is priced by
@@ -967,13 +959,14 @@ mod prop_tests {
             let refs: Vec<&GroupByQuery> = qs.iter().collect();
             for (t, _) in cube.catalog.iter() {
                 let want = enumerated_assignment(&cm, t, &refs);
-                let got = cm.best_method_assignment(t, &refs);
+                let got = searched_assignment(&cm, t, &refs);
                 assert_eq!(got, want, "table {t:?}, {n} queries");
                 let Some((methods, _)) = got else { continue };
                 let infos: Vec<QInfo> = refs.iter().map(|q| cm.qinfo(q, t).unwrap()).collect();
                 let all_prefer_index = infos.iter().all(|i| {
-                    let (hash, index) = cm.scan_terms(t, i);
-                    i.index_capable() && index < hash
+                    i.index_capable()
+                        && cm.scan_member_ns(i, JoinMethod::Index)
+                            < cm.scan_member_ns(i, JoinMethod::Hash)
                 });
                 if infos.iter().filter(|i| i.index_capable()).count() > 12 {
                     wide += 1;
@@ -1019,7 +1012,7 @@ mod prop_tests {
             for window in (0..qs.len()).collect::<Vec<_>>().windows(5) {
                 let refs: Vec<&GroupByQuery> = window.iter().map(|&qi| &qs[qi]).collect();
                 let got = pr.best_methods(t, window.iter().copied(), &mut methods);
-                let want = cm.best_method_assignment(t, &refs);
+                let want = searched_assignment(&cm, t, &refs);
                 assert_eq!(got.map(|c| (methods.clone(), c)), want);
                 for m in [JoinMethod::Hash, JoinMethod::Index] {
                     let plans: Vec<(&GroupByQuery, JoinMethod)> =

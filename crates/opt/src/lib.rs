@@ -23,10 +23,11 @@
 //!
 //! All four produce a [`GlobalPlan`]: a set of [`PlanClass`]es, each naming
 //! a base table and the member queries with their join methods. The
-//! [`CostModel`] prices plans with the §5.1 formulas, using the same
-//! per-operation constants the executor's simulated clock charges, over
-//! *estimated* cardinalities (Cardenas/Yao) — so estimates track
-//! measurements exactly as far as the estimates are right.
+//! [`CostModel`] estimates each class's work with the §5.1 formulas, as a
+//! vector of the counters the executor measures, over *estimated*
+//! cardinalities (Cardenas); one hardware-model function prices estimates
+//! and measurements alike — so estimates track measurements exactly as far
+//! as the estimates are right.
 
 pub mod algorithms;
 pub mod cost;

@@ -35,6 +35,6 @@ pub use buffer::{AccessKind, BufferPool, IoStats};
 pub use fault::{FaultError, FaultInjector, FaultKind, FaultPlan, FaultStats};
 pub use heap::{BatchCursor, HeapFile, ScanCursor, ZONE_PAGES};
 pub use measure::{quarter_units, MAX_FACT_ROWS, MEASURE_LIMIT_UNITS, PARTIAL_LIMIT_UNITS};
-pub use model::{CpuCounters, HardwareModel, SimTime};
+pub use model::{CpuCounters, HardwareModel, SimTime, Work};
 pub use page::{FileId, PageId, PAGE_SIZE};
 pub use tuple::TupleLayout;

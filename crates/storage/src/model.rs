@@ -6,12 +6,15 @@
 //! *counted work* — hash probes performed, tuples aggregated, bitmap words
 //! combined — and the model converts counters into [`SimTime`].
 //!
-//! The same constants drive both the optimizer's cost *estimates* (from
-//! cardinality formulas, in `starshare-opt`) and the executor's *measured*
-//! simulated time (from actual counted work). Estimates and measurements
-//! therefore agree exactly when cardinality estimates are exact, and diverge
-//! when they are not — the same relationship a real optimizer has with its
-//! runtime.
+//! The weights are read here and nowhere else. Work is priced as a
+//! [`Work`] vector — one count per [`CpuCounters`] field plus sequential
+//! and random page reads — by [`HardwareModel::price`]. The optimizer's
+//! cost model (in `starshare-opt`) estimates such a vector per plan class
+//! from cardinality formulas; the executor's measured counters convert
+//! into one exactly ([`HardwareModel::cpu_time`]). Estimates and
+//! measurements therefore agree exactly when cardinality estimates are
+//! exact, diverge when they are not — the same relationship a real
+//! optimizer has with its runtime — and can be compared counter by counter.
 
 use std::ops::{Add, AddAssign};
 
@@ -28,13 +31,6 @@ impl SimTime {
     /// Constructs from nanoseconds.
     pub fn from_nanos(nanos: u64) -> Self {
         SimTime { nanos }
-    }
-
-    /// Constructs from (fractional) milliseconds.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        SimTime {
-            nanos: (ms * 1e6).round() as u64,
-        }
     }
 
     /// Raw nanoseconds.
@@ -149,34 +145,6 @@ impl HardwareModel {
         }
     }
 
-    /// A model with free I/O — useful in tests to isolate CPU effects.
-    pub fn free_io() -> Self {
-        HardwareModel {
-            seq_page_read_ns: 0,
-            random_page_read_ns: 0,
-            decompress_byte_ns: 0,
-            ..Self::paper_1998()
-        }
-    }
-
-    /// A model with free CPU — useful in tests to isolate I/O effects.
-    pub fn free_cpu() -> Self {
-        HardwareModel {
-            seq_page_read_ns: 1_000_000,
-            random_page_read_ns: 10_000_000,
-            hash_build_ns: 0,
-            hash_probe_ns: 0,
-            agg_update_ns: 0,
-            tuple_copy_ns: 0,
-            predicate_eval_ns: 0,
-            bitmap_word_ns: 0,
-            bitmap_test_ns: 0,
-            index_lookup_ns: 0,
-            decompress_byte_ns: 20,
-            buffer_pool_pages: 2048,
-        }
-    }
-
     /// Simulated time for `n` sequential page reads.
     pub fn seq_read(&self, n: u64) -> SimTime {
         SimTime::from_nanos(n * self.seq_page_read_ns)
@@ -202,17 +170,34 @@ impl HardwareModel {
         SimTime::from_nanos(bytes * self.decompress_byte_ns)
     }
 
-    /// Converts accumulated CPU counters into simulated time.
+    /// `w` priced in nanoseconds, unrounded: each count times its weight,
+    /// CPU terms first, then page reads.
+    pub fn nanos(&self, w: &Work) -> f64 {
+        w.hash_builds * self.hash_build_ns as f64
+            + w.hash_probes * self.hash_probe_ns as f64
+            + w.agg_updates * self.agg_update_ns as f64
+            + w.tuple_copies * self.tuple_copy_ns as f64
+            + w.predicate_evals * self.predicate_eval_ns as f64
+            + w.bitmap_words * self.bitmap_word_ns as f64
+            + w.bitmap_tests * self.bitmap_test_ns as f64
+            + w.index_lookups * self.index_lookup_ns as f64
+            + w.seq_pages * self.seq_page_read_ns as f64
+            + w.random_pages * self.random_page_read_ns as f64
+    }
+
+    /// Simulated time for `w`: [`nanos`](Self::nanos) rounded once to whole
+    /// nanoseconds.
+    pub fn price(&self, w: &Work) -> SimTime {
+        SimTime::from_nanos(self.nanos(w).round() as u64)
+    }
+
+    /// Converts accumulated CPU counters into simulated time: the
+    /// [`price`](Self::price) of their counts. Exact — equal to the integer
+    /// sum of count × weight — while that total stays below 2^53 ns (about
+    /// 104 simulated days): every count, product and partial sum is then an
+    /// integer an `f64` holds exactly.
     pub fn cpu_time(&self, c: &CpuCounters) -> SimTime {
-        let nanos = c.hash_builds * self.hash_build_ns
-            + c.hash_probes * self.hash_probe_ns
-            + c.agg_updates * self.agg_update_ns
-            + c.tuple_copies * self.tuple_copy_ns
-            + c.predicate_evals * self.predicate_eval_ns
-            + c.bitmap_words * self.bitmap_word_ns
-            + c.bitmap_tests * self.bitmap_test_ns
-            + c.index_lookups * self.index_lookup_ns;
-        SimTime::from_nanos(nanos)
+        self.price(&Work::from(c))
     }
 }
 
@@ -279,6 +264,67 @@ impl CpuCounters {
     }
 }
 
+/// Work to be priced: one count per [`CpuCounters`] field plus page reads.
+///
+/// Counts are `f64` so an estimate can hold expected, fractional counts;
+/// measured counters convert exactly (`Work::from(&counters)`).
+/// [`HardwareModel::price`] prices either.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Work {
+    /// Tuples inserted into hash tables.
+    pub hash_builds: f64,
+    /// Hash table probes (join + aggregation).
+    pub hash_probes: f64,
+    /// Aggregate cell updates.
+    pub agg_updates: f64,
+    /// Tuples copied between operators.
+    pub tuple_copies: f64,
+    /// Predicate evaluations.
+    pub predicate_evals: f64,
+    /// 64-bit bitmap words combined.
+    pub bitmap_words: f64,
+    /// Single-bit bitmap tests.
+    pub bitmap_tests: f64,
+    /// Index metadata lookups.
+    pub index_lookups: f64,
+    /// Pages faulted in by sequential reads.
+    pub seq_pages: f64,
+    /// Pages faulted in by random reads.
+    pub random_pages: f64,
+}
+
+impl AddAssign for Work {
+    fn add_assign(&mut self, rhs: Work) {
+        self.hash_builds += rhs.hash_builds;
+        self.hash_probes += rhs.hash_probes;
+        self.agg_updates += rhs.agg_updates;
+        self.tuple_copies += rhs.tuple_copies;
+        self.predicate_evals += rhs.predicate_evals;
+        self.bitmap_words += rhs.bitmap_words;
+        self.bitmap_tests += rhs.bitmap_tests;
+        self.index_lookups += rhs.index_lookups;
+        self.seq_pages += rhs.seq_pages;
+        self.random_pages += rhs.random_pages;
+    }
+}
+
+impl From<&CpuCounters> for Work {
+    fn from(c: &CpuCounters) -> Work {
+        Work {
+            hash_builds: c.hash_builds as f64,
+            hash_probes: c.hash_probes as f64,
+            agg_updates: c.agg_updates as f64,
+            tuple_copies: c.tuple_copies as f64,
+            predicate_evals: c.predicate_evals as f64,
+            bitmap_words: c.bitmap_words as f64,
+            bitmap_tests: c.bitmap_tests as f64,
+            index_lookups: c.index_lookups as f64,
+            seq_pages: 0.0,
+            random_pages: 0.0,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,11 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn from_millis() {
-        assert_eq!(SimTime::from_millis_f64(1.5).as_nanos(), 1_500_000);
-    }
-
-    #[test]
     fn model_prices_io() {
         let m = HardwareModel::paper_1998();
         assert_eq!(m.seq_read(1000).as_secs_f64(), 1.0);
@@ -338,12 +379,8 @@ mod tests {
                 .as_secs_f64(),
             0.5
         );
-        // Decompression is priced per byte and zero under free I/O.
+        // Decompression is priced per byte.
         assert_eq!(m.decompress(1_000_000).as_secs_f64(), 0.02);
-        assert_eq!(
-            HardwareModel::free_io().decompress(1_000_000),
-            SimTime::ZERO
-        );
     }
 
     #[test]
@@ -355,6 +392,80 @@ mod tests {
         };
         assert_eq!(m.cpu_time(&c).as_secs_f64(), 2.0);
         assert!(m.cpu_time(&CpuCounters::default()) == SimTime::ZERO);
+    }
+
+    /// The `f64` route is exact: on random counter sets (each count up to
+    /// 2^32) and random weights, `cpu_time` equals the integer dot product.
+    #[test]
+    fn cpu_time_equals_integer_dot_product() {
+        fn reference(m: &HardwareModel, c: &CpuCounters) -> u64 {
+            c.hash_builds * m.hash_build_ns
+                + c.hash_probes * m.hash_probe_ns
+                + c.agg_updates * m.agg_update_ns
+                + c.tuple_copies * m.tuple_copy_ns
+                + c.predicate_evals * m.predicate_eval_ns
+                + c.bitmap_words * m.bitmap_word_ns
+                + c.bitmap_tests * m.bitmap_test_ns
+                + c.index_lookups * m.index_lookup_ns
+        }
+        let mut rng = starshare_prng::Prng::seed_from_u64(0x5EED);
+        let mut count = || rng.gen_range(0..=1u64 << 32);
+        let counters: Vec<CpuCounters> = (0..1_000)
+            .map(|_| CpuCounters {
+                hash_builds: count(),
+                hash_probes: count(),
+                agg_updates: count(),
+                tuple_copies: count(),
+                predicate_evals: count(),
+                bitmap_words: count(),
+                bitmap_tests: count(),
+                index_lookups: count(),
+            })
+            .collect();
+        let mut rng = starshare_prng::Prng::seed_from_u64(0x3EED);
+        let mut weight = || rng.gen_range(0..=1u64 << 16);
+        let random = HardwareModel {
+            hash_build_ns: weight(),
+            hash_probe_ns: weight(),
+            agg_update_ns: weight(),
+            tuple_copy_ns: weight(),
+            predicate_eval_ns: weight(),
+            bitmap_word_ns: weight(),
+            bitmap_test_ns: weight(),
+            index_lookup_ns: weight(),
+            ..HardwareModel::paper_1998()
+        };
+        for m in [HardwareModel::paper_1998(), random] {
+            for c in &counters {
+                assert_eq!(m.cpu_time(c).as_nanos(), reference(&m, c), "{c:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn price_sums_every_component_then_rounds_once() {
+        let m = HardwareModel::paper_1998();
+        let w = Work {
+            hash_probes: 0.25,
+            tuple_copies: 0.25,
+            seq_pages: 2.0,
+            random_pages: 0.5,
+            ..Work::default()
+        };
+        // 500 + 2000 + 2_000_000 + 5_000_000 ns.
+        assert_eq!(m.price(&w).as_nanos(), 7_002_500);
+        // 0.48828125 + 0.390625 ns: each term alone rounds to 0.
+        let mut small = Work {
+            predicate_evals: 1.0 / 1024.0,
+            ..Work::default()
+        };
+        assert_eq!(m.price(&small), SimTime::ZERO);
+        small += Work {
+            bitmap_words: 1.0 / 256.0,
+            ..Work::default()
+        };
+        assert_eq!(m.nanos(&small), 0.87890625);
+        assert_eq!(m.price(&small).as_nanos(), 1);
     }
 
     #[test]
@@ -375,26 +486,5 @@ mod tests {
         assert_eq!(a.bitmap_words, 5);
         assert!(!a.is_zero());
         assert!(CpuCounters::default().is_zero());
-    }
-
-    #[test]
-    fn free_io_model_has_zero_io_cost() {
-        let m = HardwareModel::free_io();
-        assert_eq!(m.seq_read(100), SimTime::ZERO);
-        assert_eq!(m.random_read(100), SimTime::ZERO);
-        assert!(m.hash_probe_ns > 0);
-    }
-
-    #[test]
-    fn free_cpu_model_has_zero_cpu_cost() {
-        let m = HardwareModel::free_cpu();
-        let c = CpuCounters {
-            hash_probes: 100,
-            agg_updates: 100,
-            bitmap_words: 100,
-            ..Default::default()
-        };
-        assert_eq!(m.cpu_time(&c), SimTime::ZERO);
-        assert!(m.seq_read(1) > SimTime::ZERO);
     }
 }
